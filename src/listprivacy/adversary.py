@@ -12,8 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, ListEstimator, StochasticMatrix, format_rational
-from .errors import DimensionMismatch
+from .core import Instance, ListEstimator, StochasticMatrix, check_dims, format_rational
 
 
 @dataclass(frozen=True)
@@ -25,27 +24,13 @@ class PrivacyReport:
     per_output_mass: tuple[Fraction, ...]
 
 
-def _check_dims(inst: Instance, mech: StochasticMatrix):
-    if mech.r != inst.r or mech.k != inst.k:
-        raise DimensionMismatch(
-            f"matrix is {mech.r}x{mech.k}, instance needs {inst.r}x{inst.k}"
-        )
-
-
 def map_list_estimator(inst: Instance, mech: StochasticMatrix) -> ListEstimator:
     """Optimal estimator: per output, the l symbols of largest posterior mass.
 
     Ties break by score descending then index ascending, so the witness is
     deterministic; any other tie-break attains the same privacy.
     """
-    _check_dims(inst, mech)
-    lists = []
-    for i in range(inst.k):
-        ranked = sorted(
-            range(inst.r), key=lambda x: (-inst.pmf[x] * mech.rows[x][i], x)
-        )
-        lists.append(tuple(sorted(ranked[: inst.l])))
-    return ListEstimator(lists=tuple(lists))
+    return list_privacy(inst, mech).estimator
 
 
 def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
@@ -54,7 +39,7 @@ def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
     The miss probability is one minus the sum over outputs of their heaviest
     l-list mass.
     """
-    _check_dims(inst, mech)
+    check_dims(inst, mech)
     lists = []
     masses = []
     for i in range(inst.k):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
-from .adversary import list_privacy, map_list_estimator, report_to_jsonable
+from .adversary import list_privacy, report_to_jsonable
 from .core import (
     Instance,
     ensure_rho,
@@ -59,6 +59,13 @@ MECHANISM_KINDS = (
 )
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _resolve_instance(name: str) -> Instance:
     if name in catalog.CATALOG:
         return catalog.instance(name)
@@ -67,7 +74,7 @@ def _resolve_instance(name: str) -> Instance:
         raise InstanceFormatError(
             f"{name!r} is neither a catalog name ({', '.join(catalog.names())}) nor a file"
         )
-    return parse_instance(path.read_text())
+    return parse_instance(_read_text(path))
 
 
 def _emit(text: str, output: str | None):
@@ -77,18 +84,17 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _build_mechanism(inst: Instance, args):
-    kind = args.kind
+def _build_mechanism(inst: Instance, kind: str, rho, noise: str | None):
     if kind == "uniform":
         return uniform_qr(inst)
     if kind == "deterministic":
         return deterministic_qr(inst)
     if kind == "optimal-binary":
-        _require(args.rho is not None, "--rho is required for optimal-binary")
-        return optimal_binary_qr(inst, parse_rational(args.rho))
+        _require(rho is not None, "--rho is required for optimal-binary")
+        return optimal_binary_qr(inst, parse_rational(rho))
     if kind == "ternary-example":
-        _require(args.rho is not None, "--rho is required for ternary-example")
-        fixed, mech = ternary_example_qr(parse_rational(args.rho))
+        _require(rho is not None, "--rho is required for ternary-example")
+        fixed, mech = ternary_example_qr(parse_rational(rho))
         if inst != fixed:
             raise InstanceFormatError(
                 "the ternary-example construction is defined only for the "
@@ -96,9 +102,8 @@ def _build_mechanism(inst: Instance, args):
             )
         return mech
     if kind == "noise-file":
-        _require(args.noise is not None, "--noise is required for noise-file")
-        noise = parse_noise(Path(args.noise).read_text())
-        return add_noise_qr(inst, noise)
+        _require(noise is not None, "--noise is required for noise-file")
+        return add_noise_qr(inst, parse_noise(_read_text(noise)))
     raise InstanceFormatError(f"unknown mechanism kind {kind!r}")
 
 
@@ -132,14 +137,14 @@ def cmd_curve(args) -> int:
 
 def cmd_mechanism(args) -> int:
     inst = _resolve_instance(args.instance)
-    mech = _build_mechanism(inst, args)
+    mech = _build_mechanism(inst, args.kind, args.rho, args.noise)
     _emit(matrix_to_text(mech, inst), args.output)
     return 0
 
 
 def cmd_eval(args) -> int:
     inst = _resolve_instance(args.instance)
-    mech = parse_matrix(Path(args.mechanism).read_text(), inst)
+    mech = parse_matrix(_read_text(args.mechanism), inst)
     report = list_privacy(inst, mech)
     payload = report_to_jsonable(report, inst)
     if args.rho is not None:
@@ -191,6 +196,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     inst = _resolve_instance(args.instance)
+    _require(args.trials >= 1, "--trials must be positive")
     if args.grid is not None:
         _require(args.kind is not None, "--grid needs --kind")
         _require(args.kind != "noise-file", "--grid does not support noise-file")
@@ -202,20 +208,18 @@ def cmd_simulate(args) -> int:
         rhos = [lo + step * j for j in range(args.grid)]
 
         def factory(rho):
-            shim = argparse.Namespace(kind=args.kind, rho=rho, noise=None)
-            return _build_mechanism(inst, shim)
+            return _build_mechanism(inst, args.kind, rho, None)
 
         points = privacy_sweep(inst, factory, rhos, args.trials, args.seed)
         _emit(sweep_to_csv(points), args.output)
         return 0
     _require(args.mechanism is not None, "--mechanism (or --kind with --grid) is required")
-    mech = parse_matrix(Path(args.mechanism).read_text(), inst)
-    estimator = map_list_estimator(inst, mech)
-    report = simulate_game(inst, mech, estimator, args.trials, args.seed)
+    mech = parse_matrix(_read_text(args.mechanism), inst)
+    exact = list_privacy(inst, mech)
+    report = simulate_game(inst, mech, exact.estimator, args.trials, args.seed)
     payload = sim_report_jsonable(report)
-    analytic = list_privacy(inst, mech).privacy
-    payload["analytic_privacy"] = format_rational(analytic)
-    payload["abs_error"] = abs(report.empirical_privacy - float(analytic))
+    payload["analytic_privacy"] = format_rational(exact.privacy)
+    payload["abs_error"] = abs(report.empirical_privacy - float(exact.privacy))
     _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 

@@ -229,22 +229,24 @@ def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tup
     return tuple(sorted(ranked[:t]))
 
 
-def is_recoverable(mech: StochasticMatrix, inst: Instance, rho: Fraction) -> bool:
-    """True when every symbol reports its own function value with chance >= rho."""
+def check_dims(inst: Instance, mech: StochasticMatrix):
+    """Raise DimensionMismatch unless the matrix is r x k for this instance."""
     if mech.r != inst.r or mech.k != inst.k:
         raise DimensionMismatch(
             f"matrix is {mech.r}x{mech.k}, instance needs {inst.r}x{inst.k}"
         )
+
+
+def is_recoverable(mech: StochasticMatrix, inst: Instance, rho: Fraction) -> bool:
+    """True when every symbol reports its own function value with chance >= rho."""
+    check_dims(inst, mech)
     rho = parse_rational(rho)
     return all(mech.rows[x][inst.f[x]] >= rho for x in range(inst.r))
 
 
 def recoverability_level(mech: StochasticMatrix, inst: Instance) -> Fraction:
     """Largest rho at which the mechanism is still rho-recoverable."""
-    if mech.r != inst.r or mech.k != inst.k:
-        raise DimensionMismatch(
-            f"matrix is {mech.r}x{mech.k}, instance needs {inst.r}x{inst.k}"
-        )
+    check_dims(inst, mech)
     return min(mech.rows[x][inst.f[x]] for x in range(inst.r))
 
 

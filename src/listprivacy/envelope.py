@@ -13,31 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 from .core import Instance, ensure_rho, format_rational, top_elements
-from .errors import InstanceTooLarge
-
-# Exhaustive anchor enumeration is the reference algorithm; refuse instances
-# where sum_{t<=l} C(r,t) would exceed this.
-SUBSET_ENUMERATION_CAP = 2_000_000
-
-
-def subset_count(r: int, l: int) -> int:
-    """Number of subsets of size at most l in an r-element alphabet."""
-    return sum(math.comb(r, t) for t in range(l + 1))
-
-
-def _ensure_enumerable(inst: Instance):
-    n = subset_count(inst.r, inst.l)
-    if n > SUBSET_ENUMERATION_CAP:
-        raise InstanceTooLarge(
-            f"{n} candidate anchors exceeds the cap of {SUBSET_ENUMERATION_CAP}"
-        )
 
 
 @dataclass(frozen=True)
@@ -122,30 +103,37 @@ def _class_orders(inst: Instance) -> list[list[int]]:
     ]
 
 
-def _line_for(inst: Instance, members: tuple[int, ...], orders) -> EnvelopeLine:
-    chosen = set(members)
-    take = inst.l - len(members)
-    intercept = inst.mass(members)
-    slope = Fraction(0)
-    for order in orders:
-        left = take
-        for x in order:
-            if left == 0:
-                break
-            if x not in chosen:
-                slope += inst.pmf[x]
-                left -= 1
-    return EnvelopeLine(anchor=members, intercept=intercept, slope=slope)
+def _count_vectors(sizes: list[int], budget: int) -> Iterator[tuple[int, ...]]:
+    # Every (c_0, ..., c_{k-1}) with c_i <= sizes[i] and sum(c) <= budget.
+    if not sizes:
+        yield ()
+        return
+    for c in range(min(sizes[0], budget) + 1):
+        for rest in _count_vectors(sizes[1:], budget - c):
+            yield (c,) + rest
 
 
 def enumerate_lines(inst: Instance) -> list[EnvelopeLine]:
-    """One line per candidate anchor (all subsets of size at most l)."""
-    _ensure_enumerable(inst)
+    """One line per canonical anchor: the top c_i symbols of each preimage i.
+
+    There is one canonical anchor per count vector c with c_i <= |preimage i|
+    and sum(c) <= l. Any other anchor of at most l symbols is dominated on
+    [0, 1] by the canonical anchor with the same per-preimage counts, so these
+    lines have the same upper envelope as the lines of all such subsets.
+    """
     orders = _class_orders(inst)
+    # prefix[i][c] is the mass of the c heaviest symbols of preimage i.
+    prefix = [
+        list(accumulate((inst.pmf[x] for x in order), initial=Fraction(0)))
+        for order in orders
+    ]
     lines = []
-    for t in range(inst.l + 1):
-        for members in combinations(range(inst.r), t):
-            lines.append(_line_for(inst, members, orders))
+    for counts in _count_vectors([len(order) for order in orders], inst.l):
+        take = inst.l - sum(counts)
+        intercept = sum(s[c] for s, c in zip(prefix, counts))
+        slope = sum(s[min(c + take, len(s) - 1)] - s[c] for s, c in zip(prefix, counts))
+        anchor = tuple(sorted(x for order, c in zip(orders, counts) for x in order[:c]))
+        lines.append(EnvelopeLine(anchor=anchor, intercept=intercept, slope=slope))
     return lines
 
 
@@ -156,41 +144,26 @@ def _per_class_counts(inst: Instance, members: Iterable[int]) -> tuple[int, ...]
     return tuple(counts)
 
 
-def _canonical_members(inst: Instance, members: tuple[int, ...]) -> tuple[int, ...]:
-    # Replace the selection inside each preimage by that preimage's top pick of
-    # the same size. Never lowers the objective, so an optimal anchor stays
-    # optimal and gains the canonical per-preimage form.
-    counts = _per_class_counts(inst, members)
-    out: list[int] = []
-    for i, block in enumerate(inst.preimages):
-        out.extend(top_elements(block, counts[i], inst.pmf))
-    return tuple(sorted(out))
+def _preference(line: EnvelopeLine, rho: Fraction):
+    # Sort key of the preferred line at rho: highest value, then largest
+    # cardinality, then the lexicographically smallest anchor.
+    return (-line.value_at(rho), -line.cardinality, line.anchor)
 
 
 def anchor_set(inst: Instance, rho) -> AnchorSet:
-    """Best anchor at one recoverability level, by exhaustive enumeration.
+    """Best anchor at one recoverability level, over the canonical anchors.
 
-    Ties are resolved after a full scan: largest cardinality first, then the
-    per-preimage canonical form, then the lexicographically smallest index
-    tuple. The result always decomposes as per-preimage top picks.
+    Ties are resolved by largest cardinality first, then the lexicographically
+    smallest index tuple. The result always decomposes as per-preimage top
+    picks.
     """
     rho = ensure_rho(rho)
-    _ensure_enumerable(inst)
-    lines = enumerate_lines(inst)
-    best = max(line.value_at(rho) for line in lines)
-    winners = [line for line in lines if line.value_at(rho) == best]
-    top_card = max(line.cardinality for line in winners)
-    candidates = set()
-    for line in winners:
-        if line.cardinality == top_card:
-            canon = _canonical_members(inst, line.anchor)
-            candidates.add(canon)
-    members = min(candidates)
-    counts = _per_class_counts(inst, members)
-    objective = _line_for(inst, members, _class_orders(inst)).value_at(rho)
-    if objective != best:
-        raise AssertionError("canonical anchor lost objective mass")
-    return AnchorSet(members=members, per_class_counts=counts, objective=best)
+    best = min(enumerate_lines(inst), key=lambda line: _preference(line, rho))
+    return AnchorSet(
+        members=best.anchor,
+        per_class_counts=_per_class_counts(inst, best.anchor),
+        objective=best.value_at(rho),
+    )
 
 
 def privacy_bound(inst: Instance, rho) -> Fraction:
@@ -220,35 +193,18 @@ def privacy_at_one(inst: Instance) -> Fraction:
 def privacy_curve(inst: Instance) -> PrivacyCurve:
     """The whole bound as a piecewise-affine curve on [0, 1].
 
-    Builds the upper envelope of all anchor lines by slope order with exact
-    intersection arithmetic, then reads kinks and anchor sizes off the
+    Builds the upper envelope of the canonical anchor lines by slope order with
+    exact intersection arithmetic, then reads kinks and anchor sizes off the
     surviving pieces.
     """
-    _ensure_enumerable(inst)
-    # Deduplicate identical lines, remembering the preferred witness: largest
-    # cardinality, then lexicographically smallest member tuple.
-    witness: dict[tuple[Fraction, Fraction], tuple[int, tuple[int, ...]]] = {}
+    # For equal slopes only the highest intercept can ever lead; among equal
+    # lines keep the preferred witness.
+    pick: dict[Fraction, EnvelopeLine] = {}
     for line in enumerate_lines(inst):
-        key = (line.slope, line.intercept)
-        cand = (-line.cardinality, line.anchor)
-        if key not in witness or cand < witness[key]:
-            witness[key] = cand
-    # For equal slopes only the highest intercept can ever win.
-    by_slope: dict[Fraction, Fraction] = {}
-    for slope, intercept in witness:
-        if slope not in by_slope or intercept > by_slope[slope]:
-            by_slope[slope] = intercept
-    lines = sorted(
-        (
-            EnvelopeLine(
-                anchor=witness[(s, b)][1],
-                intercept=b,
-                slope=s,
-            )
-            for s, b in by_slope.items()
-        ),
-        key=lambda ln: ln.slope,
-    )
+        kept = pick.get(line.slope)
+        if kept is None or _preference(line, Fraction(0)) < _preference(kept, Fraction(0)):
+            pick[line.slope] = line
+    lines = sorted(pick.values(), key=lambda ln: ln.slope)
     # Left-to-right sweep: keep (line, start) pairs where each line begins to
     # lead. A newcomer with a steeper slope evicts every line it overtakes at
     # or before that line's own start.

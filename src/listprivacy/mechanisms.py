@@ -17,6 +17,7 @@ from . import catalog
 from .core import (
     Instance,
     StochasticMatrix,
+    check_dims,
     ensure_rho,
     format_rational,
     instance_digest,
@@ -145,15 +146,24 @@ def matrix_to_text(mech: StochasticMatrix, inst: Instance | None = None) -> str:
     return json.dumps(matrix_to_jsonable(mech, inst), indent=2) + "\n"
 
 
-def parse_matrix(text: str, inst: Instance | None = None) -> StochasticMatrix:
-    """Parse a mechanism file; verify its digest when an instance is supplied."""
+def _parse_rows(text: str, kind: str) -> tuple[Mapping, tuple[tuple, ...]]:
+    """The parsed file and its 'rows' field, checked to be a list of lists."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, Mapping) or "rows" not in raw:
-        raise InstanceFormatError("mechanism file needs a 'rows' field")
-    mech = StochasticMatrix(rows=tuple(tuple(row) for row in raw["rows"]))
+        raise InstanceFormatError(f"{kind} file needs a 'rows' field")
+    rows = raw["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InstanceFormatError(f"{kind} file 'rows' must be a list of lists")
+    return raw, tuple(tuple(row) for row in rows)
+
+
+def parse_matrix(text: str, inst: Instance | None = None) -> StochasticMatrix:
+    """Parse a mechanism file; verify its digest when an instance is supplied."""
+    raw, rows = _parse_rows(text, "mechanism")
+    mech = StochasticMatrix(rows=rows)
     if inst is not None:
         stored = raw.get("instance_digest")
         if stored is not None and stored != instance_digest(inst):
@@ -161,18 +171,9 @@ def parse_matrix(text: str, inst: Instance | None = None) -> StochasticMatrix:
                 "mechanism file was written for a different instance "
                 f"(digest {stored}, expected {instance_digest(inst)})"
             )
-        if mech.r != inst.r or mech.k != inst.k:
-            raise DimensionMismatch(
-                f"matrix is {mech.r}x{mech.k}, instance needs {inst.r}x{inst.k}"
-            )
+        check_dims(inst, mech)
     return mech
 
 
 def parse_noise(text: str) -> NoisePmf:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, Mapping) or "rows" not in raw:
-        raise InstanceFormatError("noise file needs a 'rows' field")
-    return NoisePmf(conditional=tuple(tuple(row) for row in raw["rows"]))
+    return NoisePmf(conditional=_parse_rows(text, "noise")[1])

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .adversary import list_privacy, map_list_estimator
-from .core import Instance, ListEstimator, StochasticMatrix, format_rational
+from .adversary import list_privacy
+from .core import Instance, ListEstimator, StochasticMatrix, check_dims, format_rational
 from .errors import DimensionMismatch
 
 _SCALE = 1 << 64
@@ -71,10 +71,7 @@ def simulate_game(
     seed: int,
 ) -> SimReport:
     """Play the guessing game `trials` times and count list misses."""
-    if mech.r != inst.r or mech.k != inst.k:
-        raise DimensionMismatch(
-            f"matrix is {mech.r}x{mech.k}, instance needs {inst.r}x{inst.k}"
-        )
+    check_dims(inst, mech)
     if len(estimator.lists) != inst.k:
         raise DimensionMismatch(
             f"estimator has {len(estimator.lists)} lists, instance needs {inst.k}"
@@ -116,17 +113,16 @@ def privacy_sweep(
     points = []
     for j, rho in enumerate(rhos):
         mech = mech_for_rho(rho)
-        estimator = map_list_estimator(inst, mech)
-        analytic = list_privacy(inst, mech).privacy
+        exact = list_privacy(inst, mech)
         report = simulate_game(
-            inst, mech, estimator, trials, derive_stream_seed(seed, j)
+            inst, mech, exact.estimator, trials, derive_stream_seed(seed, j)
         )
         points.append(
             SweepPoint(
                 rho=Fraction(rho),
                 empirical=report.empirical_privacy,
-                analytic=analytic,
-                abs_error=abs(report.empirical_privacy - float(analytic)),
+                analytic=exact.privacy,
+                abs_error=abs(report.empirical_privacy - float(exact.privacy)),
             )
         )
     return points

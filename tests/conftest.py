@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from listprivacy import Instance, StochasticMatrix
+from listprivacy import Instance, StochasticMatrix, top_elements
+from listprivacy.envelope import EnvelopeLine
 
 
 def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instance:
@@ -58,3 +60,42 @@ def random_rho(rng: random.Random) -> Fraction:
 def grid(n: int) -> list[Fraction]:
     """n+1 equispaced rationals covering [0,1]."""
     return [Fraction(j, n) for j in range(n + 1)]
+
+
+def reference_lines(inst: Instance) -> list[EnvelopeLine]:
+    """Exhaustive reference: one line per subset of at most l symbols.
+
+    The slope of a subset is the mass of the l - |subset| heaviest symbols
+    left in each preimage.
+    """
+    lines = []
+    for t in range(inst.l + 1):
+        for members in combinations(range(inst.r), t):
+            chosen = set(members)
+            slope = Fraction(0)
+            for block in inst.preimages:
+                rest = [x for x in block if x not in chosen]
+                slope += inst.mass(top_elements(rest, min(inst.l - t, len(rest)), inst.pmf))
+            lines.append(EnvelopeLine(anchor=members, intercept=inst.mass(members), slope=slope))
+    return lines
+
+
+def reference_anchor(inst: Instance, rho: Fraction, lines=None) -> tuple[tuple[int, ...], Fraction]:
+    """Exhaustive reference anchor and its objective at rho.
+
+    Scans every subset: among the best ones of the largest cardinality, each
+    is replaced by the per-preimage top picks of the same counts, and the
+    lexicographically smallest result wins.
+    """
+    lines = reference_lines(inst) if lines is None else lines
+    best = max(line.value_at(rho) for line in lines)
+    top_card = max(line.cardinality for line in lines if line.value_at(rho) == best)
+    canonical = set()
+    for line in lines:
+        if line.value_at(rho) == best and line.cardinality == top_card:
+            picks = []
+            for block in inst.preimages:
+                inside = sum(1 for x in line.anchor if x in block)
+                picks.extend(top_elements(block, inside, inst.pmf))
+            canonical.add(tuple(sorted(picks)))
+    return min(canonical), best

@@ -241,6 +241,47 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "uniform4", "--trials", "10", "--seed", "1")
         assert code == 1 and "--mechanism" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials(self, capsys, tmp_path, trials):
+        mech_file = tmp_path / "w.json"
+        mech_file.write_text(matrix_to_text(uniform_qr(UNIFORM4), UNIFORM4))
+        for source in (["--mechanism", str(mech_file)], ["--kind", "uniform", "--grid", "3"]):
+            code, out, err = run(
+                capsys, "simulate", "uniform4", *source, "--trials", trials, "--seed", "1"
+            )
+            assert code == 1 and out == ""
+            assert err.startswith("error: InstanceFormatError:")
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("rows", [[1], 5, ["1/2"]])
+    @pytest.mark.parametrize("command", ["eval", "simulate", "mechanism"])
+    def test_rows_not_a_list_of_lists(self, capsys, tmp_path, command, rows):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"rows": rows}))
+        argv = {
+            "eval": ["eval", "uniform4", "--mechanism", str(path)],
+            "simulate": ["simulate", "uniform4", "--mechanism", str(path),
+                         "--trials", "10", "--seed", "1"],
+            "mechanism": ["mechanism", "uniform4", "--kind", "noise-file", "--noise", str(path)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InstanceFormatError:")
+
+    def test_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"rows": []}'.encode("utf-16-le"))
+        for argv in (
+            ["validate", str(path)],
+            ["eval", "uniform4", "--mechanism", str(path)],
+            ["simulate", "uniform4", "--mechanism", str(path), "--trials", "10", "--seed", "1"],
+            ["mechanism", "uniform4", "--kind", "noise-file", "--noise", str(path)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: InstanceFormatError:")
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -2,8 +2,6 @@ import json
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from listprivacy import (
     anchor_set,
     enumerate_lines,
@@ -16,15 +14,8 @@ from listprivacy import (
 )
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
-from listprivacy.envelope import (
-    SUBSET_ENUMERATION_CAP,
-    curve_samples_csv,
-    curve_segments_csv,
-    curve_to_text,
-    subset_count,
-)
-from listprivacy.errors import InstanceTooLarge
-from conftest import grid, random_instance
+from listprivacy.envelope import curve_samples_csv, curve_segments_csv, curve_to_text
+from conftest import grid, random_instance, reference_anchor, reference_lines
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -188,7 +179,7 @@ class TestAnchorProperties:
         rng = random.Random(105)
         for _ in range(30):
             inst = random_instance(rng, r_max=7, k_max=3, l_max=4)
-            lines = enumerate_lines(inst)
+            lines = reference_lines(inst)
             best = max(line.value_at(F(1)) for line in lines)
             small = min(
                 line.cardinality for line in lines if line.value_at(F(1)) == best
@@ -254,7 +245,7 @@ class TestCurveShape:
         rng = random.Random(110)
         for _ in range(25):
             inst = random_instance(rng, r_max=7, k_max=3, l_max=3)
-            lines = enumerate_lines(inst)
+            lines = reference_lines(inst)
             by_card = {}
             for line in lines:
                 by_card.setdefault(line.cardinality, []).append(line)
@@ -289,19 +280,37 @@ class TestCurveShape:
                 assert privacy_bound(relabeled, rho) == privacy_bound(inst, rho)
 
 
-class TestSizeCap:
-    def test_subset_count(self):
-        assert subset_count(4, 2) == 1 + 4 + 6
-        assert subset_count(50, 5) > SUBSET_ENUMERATION_CAP
+class TestAgainstExhaustiveReference:
+    def test_anchor_and_curve_match_all_subsets(self):
+        rng = random.Random(113)
+        cases = [random_instance(rng, r_max=9, k_max=4, l_max=5) for _ in range(60)]
+        # Uniform pmfs: every preimage is one big tie.
+        for _ in range(30):
+            inst = random_instance(rng, r_max=9, k_max=4, l_max=5)
+            cases.append(Instance(pmf=(F(1, inst.r),) * inst.r, f=inst.f, l=inst.l))
+        for inst in cases:
+            lines = reference_lines(inst)
+            curve = privacy_curve(inst)
+            for rho in grid(12):
+                members, best = reference_anchor(inst, rho, lines)
+                a = anchor_set(inst, rho)
+                assert (a.members, a.objective) == (members, best)
+                assert curve.value_at(rho) == 1 - best
+            for seg, size in zip(curve.segments, curve.lambda_sizes):
+                mid = (seg.rho_lo + seg.rho_hi) / 2
+                best = max(line.value_at(mid) for line in lines)
+                assert size == max(ln.cardinality for ln in lines if ln.value_at(mid) == best)
 
-    def test_large_instance_rejected(self):
-        pmf = tuple(F(1, 50) for _ in range(50))
-        f = tuple(x % 2 for x in range(50))
-        inst = Instance(pmf=pmf, f=f, l=5)
-        with pytest.raises(InstanceTooLarge):
-            privacy_curve(inst)
-        with pytest.raises(InstanceTooLarge):
-            anchor_set(inst, F(1, 2))
+
+class TestLargeInstance:
+    def test_r50_l5_curve(self):
+        # 2,369,936 subsets of at most 5 symbols, but only 21 count vectors.
+        inst = Instance(pmf=(F(1, 50),) * 50, f=tuple(x % 2 for x in range(50)), l=5)
+        assert len(enumerate_lines(inst)) == 21
+        curve = privacy_curve(inst)
+        assert curve.value_at(F(0)) == privacy_at_zero(inst)
+        assert curve.value_at(F(1)) == privacy_at_one(inst)
+        assert 1 - anchor_set(inst, F(1, 2)).objective == curve.value_at(F(1, 2))
 
 
 class TestExports:
