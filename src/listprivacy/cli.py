@@ -125,7 +125,6 @@ def cmd_curve(args) -> int:
     inst = _resolve_instance(args.instance)
     curve = privacy_curve(inst)
     if args.samples is not None:
-        _require(args.samples >= 1, "--samples must be positive")
         text = curve_samples_csv(curve, args.samples)
     elif args.format == "csv":
         text = curve_segments_csv(curve)
@@ -196,7 +195,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     inst = _resolve_instance(args.instance)
-    _require(args.trials >= 1, "--trials must be positive")
     if args.grid is not None:
         _require(args.kind is not None, "--grid needs --kind")
         _require(args.kind != "noise-file", "--grid does not support noise-file")

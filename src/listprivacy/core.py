@@ -199,17 +199,17 @@ class ListEstimator:
         lists = tuple(tuple(sorted(int(x) for x in lst)) for lst in self.lists)
         object.__setattr__(self, "lists", lists)
         if not lists:
-            raise ValueError("estimator has no lists")
+            raise InstanceFormatError("estimator has no lists")
         size = len(lists[0])
         for i, lst in enumerate(lists):
             if len(lst) != size:
-                raise ValueError(f"list {i} has {len(lst)} entries, expected {size}")
+                raise InstanceFormatError(f"list {i} has {len(lst)} entries, expected {size}")
             if len(set(lst)) != len(lst):
-                raise ValueError(f"list {i} repeats an element")
+                raise InstanceFormatError(f"list {i} repeats an element")
             if lst and lst[0] < 0:
-                raise ValueError(f"list {i} has a negative element")
+                raise InstanceFormatError(f"list {i} has a negative element")
         if size < 1:
-            raise ValueError("lists must be nonempty")
+            raise InstanceFormatError("lists must be nonempty")
 
     @property
     def list_size(self) -> int:
@@ -311,12 +311,16 @@ def instance_to_text(inst: Instance) -> str:
     return json.dumps(instance_to_jsonable(inst), indent=2) + "\n"
 
 
-def parse_instance(text: str) -> Instance:
+def load_json(text: str):
+    """Parsed JSON text; malformed or too deeply nested text is an InstanceFormatError."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    return validate_instance(raw)
+
+
+def parse_instance(text: str) -> Instance:
+    return validate_instance(load_json(text))
 
 
 def instance_digest(inst: Instance) -> str:

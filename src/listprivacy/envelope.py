@@ -19,6 +19,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .core import Instance, ensure_rho, format_rational, top_elements
+from .errors import InstanceFormatError
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class PrivacyCurve:
     def samples(self, n: int) -> list[tuple[Fraction, Fraction]]:
         """n+1 equispaced exact samples of the bound on [0, 1]."""
         if n < 1:
-            raise ValueError("need at least one sampling interval")
+            raise InstanceFormatError(f"need at least one sampling interval, got {n}")
         return [(Fraction(j, n), self.value_at(Fraction(j, n))) for j in range(n + 1)]
 
 

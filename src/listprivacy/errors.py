@@ -58,7 +58,7 @@ class NotBinaryFunction(ListPrivacyError):
 
 
 class InstanceTooLarge(ListPrivacyError):
-    """Exhaustive enumeration would exceed the configured size cap."""
+    """The oracle's witness ties on more active lists than its fixed limit allows."""
 
 
 class NotRowStochastic(ListPrivacyError):

@@ -21,6 +21,7 @@ from .core import (
     ensure_rho,
     format_rational,
     instance_digest,
+    load_json,
     parse_rational,
 )
 from .envelope import first_breakpoint
@@ -148,10 +149,7 @@ def matrix_to_text(mech: StochasticMatrix, inst: Instance | None = None) -> str:
 
 def _parse_rows(text: str, kind: str) -> tuple[Mapping, tuple[tuple, ...]]:
     """The parsed file and its 'rows' field, checked to be a list of lists."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    raw = load_json(text)
     if not isinstance(raw, Mapping) or "rows" not in raw:
         raise InstanceFormatError(f"{kind} file needs a 'rows' field")
     rows = raw["rows"]

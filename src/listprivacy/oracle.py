@@ -4,29 +4,29 @@ Maximizing privacy over admissible mechanisms is a linear program once the
 adversary's best-list mass per output is replaced by an epigraph variable
 bounded below by every candidate list. The program is solved with the exact
 rational simplex, entirely independent of the analytic bound machinery, so the
-two routes can be compared at face value. The optimal matrix comes back as a
-certified witness: it is re-evaluated against the optimal adversary and must
-reproduce the optimum exactly.
+two routes can be compared at face value. Most of the k * C(r, l) list rows
+are slack, so they are generated by Kelley's cutting-plane method: the optimal
+adversary, run on the candidate witness, finds each output's violated list.
+The loop stops when the witness's exact privacy equals the program's optimum,
+which certifies the witness against every l-list.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .adversary import list_privacy
-from .core import Instance, StochasticMatrix, ensure_rho, format_rational
+from .core import Instance, StochasticMatrix, ensure_rho, format_rational, top_elements
 from .errors import InstanceTooLarge
 from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
 
-# Override the default size cap (on outputs times candidate lists) through
-# this environment variable.
-ORACLE_CAP_ENV = "LISTPRIVACY_ORACLE_CAP"
-DEFAULT_ORACLE_CAP = 100_000
+# Most active lists an OracleResult may carry; the count is taken before any
+# list is built.
+ACTIVE_LIST_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -45,36 +45,12 @@ class OracleResult:
     witness_is_add_noise: bool
 
 
-def _constraint_budget(inst: Instance) -> int:
-    return inst.k * math.comb(inst.r, inst.l)
+def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int, ...]]]):
+    """Cost vector and constraint rows; variables are w(x,i) then t(i).
 
-
-def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InstanceTooLarge(
-            f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}"
-        ) from None
-
-
-def _ensure_within_cap(inst: Instance, cap: int | None):
-    cap = _resolve_cap(cap)
-    budget = _constraint_budget(inst)
-    if budget > cap:
-        raise InstanceTooLarge(
-            f"{budget} list constraints exceeds the oracle cap of {cap}"
-        )
-
-
-def _lp_parts(inst: Instance, rho: Fraction):
-    """Cost vector and constraint rows; variables are w(x,i) then t(i)."""
-    r, k, l = inst.r, inst.k, inst.l
+    `lists[i]` are the candidate l-lists whose mass bounds t(i) from below.
+    """
+    r, k = inst.r, inst.k
     nw = r * k
     n = nw + k
 
@@ -87,7 +63,7 @@ def _lp_parts(inst: Instance, rho: Fraction):
     rhs: list[Fraction] = []
     names: list[str] = []
     for i in range(k):
-        for lst in combinations(range(r), l):
+        for lst in lists[i]:
             row = [Fraction(0)] * n
             for x in lst:
                 row[w(x, i)] = inst.pmf[x]
@@ -115,37 +91,61 @@ def _lp_parts(inst: Instance, rho: Fraction):
     return costs, rows, senses, rhs, names
 
 
-def exact_privacy(inst: Instance, rho, cap: int | None = None) -> OracleResult:
+def _active_lists(inst: Instance, witness: StochasticMatrix):
+    """Per output, every l-list of largest mass under the witness, ascending.
+
+    Such a list is every symbol scoring above the l-th best score plus a choice
+    among the symbols tied with it. Raises InstanceTooLarge when there are more
+    than ACTIVE_LIST_LIMIT of them.
+    """
+    ties = []
+    for i in range(inst.k):
+        scores = [inst.pmf[x] * witness.rows[x][i] for x in range(inst.r)]
+        cut = sorted(scores, reverse=True)[inst.l - 1]
+        above = [x for x, s in enumerate(scores) if s > cut]
+        tied = [x for x, s in enumerate(scores) if s == cut]
+        ties.append((above, tied, inst.l - len(above)))
+    count = sum(math.comb(len(tied), need) for _, tied, need in ties)
+    if count > ACTIVE_LIST_LIMIT:
+        raise InstanceTooLarge(f"witness ties on {count} active lists, over {ACTIVE_LIST_LIMIT}")
+    # Picks come in ascending order, and so do their unions with `above`.
+    return tuple(
+        tuple(tuple(sorted(above + list(pick))) for pick in combinations(tied, need))
+        for above, tied, need in ties
+    )
+
+
+def exact_privacy(inst: Instance, rho) -> OracleResult:
     """Best achievable list privacy at level rho, solved exactly.
 
-    Raises InstanceTooLarge when outputs times candidate lists exceeds the cap
-    (default 100000, see ORACLE_CAP_ENV).
+    Cutting planes: each round adds, for every output whose best list under
+    the candidate witness outweighs its epigraph variable, that list as a
+    row; rounds stop once the witness's exact privacy equals the program's
+    optimum. Raises InstanceTooLarge when the witness ties on more than
+    ACTIVE_LIST_LIMIT active lists.
     """
     rho = ensure_rho(rho)
-    _ensure_within_cap(inst, cap)
-    costs, rows, senses, rhs, _ = _lp_parts(inst, rho)
-    sol = solve_lp(costs, rows, senses, rhs)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise AssertionError(f"privacy program should always solve, got {sol.status}")
     r, k = inst.r, inst.k
-    witness = StochasticMatrix(
-        rows=tuple(tuple(sol.x[x * k + i] for i in range(k)) for x in range(r))
-    )
-    optimum = 1 - sol.objective
-    report = list_privacy(inst, witness)
-    if report.privacy != optimum:
-        raise AssertionError(
-            f"witness certifies {report.privacy}, program claims {optimum}"
+    lists = [[top_elements(range(r), inst.l, inst.pmf)] for _ in range(k)]
+    while True:
+        costs, rows, senses, rhs, _ = _lp_parts(inst, rho, lists)
+        sol = solve_lp(costs, rows, senses, rhs)
+        if sol.status is not LpStatus.OPTIMAL:
+            raise AssertionError(f"privacy program should always solve, got {sol.status}")
+        witness = StochasticMatrix(
+            rows=tuple(tuple(sol.x[x * k + i] for i in range(k)) for x in range(r))
         )
-    active = []
-    for i in range(k):
-        best = report.per_output_mass[i]
-        attaining = tuple(
-            lst
-            for lst in combinations(range(r), inst.l)
-            if sum((inst.pmf[x] * witness.rows[x][i] for x in lst), Fraction(0)) == best
-        )
-        active.append(attaining)
+        optimum = 1 - sol.objective
+        report = list_privacy(inst, witness)
+        if report.privacy == optimum:
+            break
+        if report.privacy > optimum:
+            raise AssertionError(
+                f"witness certifies {report.privacy}, program claims {optimum}"
+            )
+        for i in range(k):
+            if report.per_output_mass[i] > sol.x[r * k + i]:
+                lists[i].append(report.estimator.lists[i])
     within = all(
         witness.rows[x] == witness.rows[block[0]]
         for block in inst.preimages
@@ -154,17 +154,17 @@ def exact_privacy(inst: Instance, rho, cap: int | None = None) -> OracleResult:
     return OracleResult(
         optimum=optimum,
         witness=witness,
-        active_lists=tuple(active),
+        active_lists=_active_lists(inst, witness),
         witness_is_add_noise=within,
     )
 
 
 def exact_privacy_curve(
-    inst: Instance, grid: Sequence, cap: int | None = None
+    inst: Instance, grid: Sequence
 ) -> tuple[tuple[Fraction, OracleResult], ...]:
     """Oracle values over a grid of levels, checked to be nonincreasing in rho."""
     levels = [ensure_rho(rho) for rho in grid]
-    results = [(rho, exact_privacy(inst, rho, cap)) for rho in levels]
+    results = [(rho, exact_privacy(inst, rho)) for rho in levels]
     ordered = sorted(results, key=lambda pair: pair[0])
     for (_, left), (_, right) in zip(ordered, ordered[1:]):
         if right.optimum > left.optimum:
@@ -187,7 +187,8 @@ def lp_text(inst: Instance, rho) -> str:
             return f"w_{j // k}_{j % k}"
         return f"t_{j - nw}"
 
-    costs, rows, senses, rhs, names = _lp_parts(inst, rho)
+    every = tuple(combinations(range(inst.r), inst.l))
+    costs, rows, senses, rhs, names = _lp_parts(inst, rho, [every] * k)
     out = [
         f"\\ list privacy program, rho = {format_rational(rho)}",
         "Minimize",

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .adversary import list_privacy
 from .core import Instance, ListEstimator, StochasticMatrix, check_dims, format_rational
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InstanceFormatError
 
 _SCALE = 1 << 64
 
@@ -80,7 +80,7 @@ def simulate_game(
         if lst and lst[-1] >= inst.r:
             raise DimensionMismatch(f"list {i} names symbol {lst[-1]}, alphabet is {inst.r}")
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise InstanceFormatError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     draw = rng.getrandbits
     x_cuts = _thresholds(inst.pmf)

@@ -74,6 +74,12 @@ class TestCurve:
         assert code == 0
         assert len(out.strip().splitlines()) == 12
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples(self, capsys, samples):
+        code, out, err = run(capsys, "curve", "ternary5", "--samples", samples)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InstanceFormatError:")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "curve.json"
         code, out, _ = run(capsys, "curve", "skew7", "--output", str(target))
@@ -269,9 +275,14 @@ class TestMalformedFiles:
         assert code == 1 and out == ""
         assert err.startswith("error: InstanceFormatError:")
 
-    def test_not_utf8(self, capsys, tmp_path):
-        path = tmp_path / "utf16.json"
-        path.write_bytes(b"\xff\xfe" + '{"rows": []}'.encode("utf-16-le"))
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe" + '{"rows": []}'.encode("utf-16-le"), b"[" * 100000 + b"]" * 100000],
+        ids=["utf16", "nested"],
+    )
+    def test_not_utf8(self, capsys, tmp_path, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
         for argv in (
             ["validate", str(path)],
             ["eval", "uniform4", "--mechanism", str(path)],

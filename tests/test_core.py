@@ -184,9 +184,9 @@ class TestListEstimator:
     def test_lists_are_sorted_and_distinct(self):
         g = ListEstimator(lists=((2, 0), (1, 3)))
         assert g.lists == ((0, 2), (1, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(InstanceFormatError):
             ListEstimator(lists=((0, 0), (1, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InstanceFormatError):
             ListEstimator(lists=((0, 1), (2,)))
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -16,19 +17,13 @@ from listprivacy import (
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
 from listprivacy.errors import InstanceTooLarge
-from listprivacy.oracle import (
-    DEFAULT_ORACLE_CAP,
-    ORACLE_CAP_ENV,
-    _constraint_budget,
-    _lp_parts,
-)
+from listprivacy.oracle import _lp_parts
+from listprivacy.simplex import solve_lp
 from conftest import random_instance
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
 TERNARY5 = catalog_instance("ternary5")
-
-scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
 
 class TestFrozenValues:
@@ -103,13 +98,40 @@ class TestCurve:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def every_list(inst):
+    """Every l-list for every output: the full program's list rows."""
+    return [tuple(combinations(range(inst.r), inst.l))] * inst.k
+
+
+class TestAgainstFullProgram:
+    """Cutting planes against the program with all k * C(r, l) list rows."""
+
+    def test_optimum_and_active_lists(self):
+        rng = random.Random(57)
+        for _ in range(40):
+            inst = random_instance(rng, r_max=7, k_max=3, l_max=3)
+            for rho in (F(2, 5), F(3, 5), F(4, 5)):
+                result = exact_privacy(inst, rho)
+                costs, rows, senses, rhs, _ = _lp_parts(inst, rho, every_list(inst))
+                assert result.optimum == 1 - solve_lp(costs, rows, senses, rhs).objective
+                # Brute-force reference: filter every l-list by its mass.
+                best = list_privacy(inst, result.witness).per_output_mass
+                for i in range(inst.k):
+                    assert result.active_lists[i] == tuple(
+                        lst
+                        for lst in combinations(range(inst.r), inst.l)
+                        if sum(inst.pmf[x] * result.witness.rows[x][i] for x in lst) == best[i]
+                    )
+
+
 class TestScipyCrossCheck:
     def test_floating_point_solver_agrees(self):
+        scipy_linprog = pytest.importorskip("scipy.optimize").linprog
         rng = random.Random(55)
         for _ in range(5):
             inst = random_instance(rng, r_max=5, k_max=3, l_max=2)
             rho = F(rng.randint(0, 10), 10)
-            costs, rows, senses, rhs, _ = _lp_parts(inst, rho)
+            costs, rows, senses, rhs, _ = _lp_parts(inst, rho, every_list(inst))
             a_ub, b_ub, a_eq, b_eq = [], [], [], []
             for row, sense, b in zip(rows, senses, rhs):
                 vals = [float(v) for v in row]
@@ -136,26 +158,11 @@ class TestScipyCrossCheck:
 
 
 class TestCaps:
-    def test_budget_formula(self):
-        assert _constraint_budget(SKEW7) == 2 * 35
-
-    def test_default_cap_allows_catalog(self):
-        assert _constraint_budget(SKEW7) <= DEFAULT_ORACLE_CAP
-
-    def test_env_var_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv(ORACLE_CAP_ENV, "10")
-        with pytest.raises(InstanceTooLarge):
-            exact_privacy(UNIFORM4, F(1, 2))
-
-    def test_parameter_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ORACLE_CAP_ENV, "10")
-        result = exact_privacy(UNIFORM4, F(1, 2), cap=10_000)
-        assert result.optimum == F(1, 2)
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(ORACLE_CAP_ENV, "not a number")
-        with pytest.raises(InstanceTooLarge):
-            exact_privacy(UNIFORM4, F(1, 2))
+    def test_beyond_full_program_size(self):
+        # 2 * C(19, 7) = 100,776 list rows in the full program.
+        pmf = tuple(F(x + 1, 190) for x in range(19))
+        inst = Instance(pmf=pmf, f=tuple(x % 2 for x in range(19)), l=7)
+        assert exact_privacy(inst, F(7, 10)).optimum == privacy_bound(inst, F(7, 10))
 
     def test_oversized_instance(self):
         pmf = tuple(F(1, 26) for _ in range(26))

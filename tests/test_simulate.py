@@ -17,7 +17,7 @@ from listprivacy import (
     uniform_qr,
 )
 from listprivacy.catalog import instance as catalog_instance
-from listprivacy.errors import DimensionMismatch
+from listprivacy.errors import DimensionMismatch, InstanceFormatError
 from listprivacy.simulate import report_to_jsonable, sweep_to_csv
 from conftest import random_instance, random_mechanism
 
@@ -91,7 +91,7 @@ class TestValidation:
     def test_trials_must_be_positive(self):
         mech = uniform_qr(UNIFORM4)
         est = map_list_estimator(UNIFORM4, mech)
-        with pytest.raises(ValueError):
+        with pytest.raises(InstanceFormatError):
             simulate_game(UNIFORM4, mech, est, 0, 1)
 
     def test_estimator_shape_checked(self):
