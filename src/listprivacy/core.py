@@ -163,7 +163,10 @@ class StochasticMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(parse_rational(v) for v in row) for row in self.rows)
+        # Tuples on per-operation paths are built from lists: tuple() of a
+        # generator shrinks an oversized tuple, which skips CPython's tuple
+        # free lists on allocation but refills them on release.
+        rows = tuple([tuple([parse_rational(v) for v in row]) for row in self.rows])
         object.__setattr__(self, "rows", rows)
         if not rows or not rows[0]:
             raise NotRowStochastic("matrix has no entries")
@@ -196,7 +199,7 @@ class ListEstimator:
     lists: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        lists = tuple(tuple(sorted(int(x) for x in lst)) for lst in self.lists)
+        lists = tuple([tuple(sorted(int(x) for x in lst)) for lst in self.lists])
         object.__setattr__(self, "lists", lists)
         if not lists:
             raise InstanceFormatError("estimator has no lists")

@@ -42,7 +42,7 @@ class NoisePmf:
     conditional: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(parse_rational(v) for v in row) for row in self.conditional)
+        rows = tuple([tuple([parse_rational(v) for v in row]) for row in self.conditional])
         object.__setattr__(self, "conditional", rows)
         if not rows:
             raise NotRowStochastic("noise channel has no rows")
@@ -90,7 +90,7 @@ def add_noise_qr(inst: Instance, noise: NoisePmf) -> StochasticMatrix:
     rows = []
     for x in range(inst.r):
         base = inst.f[x]
-        rows.append(tuple(noise.conditional[base][(j - base) % k] for j in range(k)))
+        rows.append(tuple([noise.conditional[base][(j - base) % k] for j in range(k)]))
     return StochasticMatrix(rows=tuple(rows))
 
 

@@ -110,8 +110,10 @@ def _active_lists(inst: Instance, witness: StochasticMatrix):
         raise InstanceTooLarge(f"witness ties on {count} active lists, over {ACTIVE_LIST_LIMIT}")
     # Picks come in ascending order, and so do their unions with `above`.
     return tuple(
-        tuple(tuple(sorted(above + list(pick))) for pick in combinations(tied, need))
-        for above, tied, need in ties
+        [
+            tuple([tuple(sorted(above + list(pick))) for pick in combinations(tied, need)])
+            for above, tied, need in ties
+        ]
     )
 
 
@@ -133,7 +135,7 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
         if sol.status is not LpStatus.OPTIMAL:
             raise AssertionError(f"privacy program should always solve, got {sol.status}")
         witness = StochasticMatrix(
-            rows=tuple(tuple(sol.x[x * k + i] for i in range(k)) for x in range(r))
+            rows=tuple([tuple([sol.x[x * k + i] for i in range(k)]) for x in range(r)])
         )
         optimum = 1 - sol.objective
         report = list_privacy(inst, witness)

@@ -1,12 +1,19 @@
-"""Exact two-phase simplex over rationals.
+"""Exact two-phase simplex over rationals, on integer tableau rows.
 
-Dense tableau, minimization form, variables implicitly nonnegative. Pivoting
-is exact: entries are gmpy2.mpq when that package is installed (same
-semantics, much faster) and fractions.Fraction otherwise. The entering rule is
-steepest Dantzig descent until the objective stalls on degenerate pivots, at
-which point Bland's rule takes over so cycling is impossible; the leaving rule
-always breaks ratio ties toward the smallest basis index. Everything is
-index-deterministic, so repeated solves are bit-identical.
+Dense tableau, minimization form, variables implicitly nonnegative. Each row
+holds Python ints: a positive integer multiple of the true row, divided by the
+gcd of its entries, so its entry in its basic column is the row's scale. The
+reduced-cost row carries its positive denominator as one extra entry. Pivots
+are fraction-free and sparse: only rows with a nonzero entry in the pivot
+column change, each as p*row - f*prow at the pivot row's nonzero columns, and
+the ratio test cross-multiplies. Scaling a row by a positive number changes no
+sign and no ratio, so every decision is the one the rational tableau makes.
+
+The entering rule is steepest Dantzig descent until the objective stalls on
+degenerate pivots, at which point Bland's rule takes over so cycling is
+impossible; the leaving rule always breaks ratio ties toward the smallest
+basis index. Everything is index-deterministic, so repeated solves are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -14,12 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
-
-try:
-    from gmpy2 import mpq as _Q  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
@@ -40,42 +43,71 @@ class LpSolution:
     x: tuple[Fraction, ...] | None
 
 
-def _to_fraction(v) -> Fraction:
-    return Fraction(int(v.numerator), int(v.denominator))
+def _integers(values) -> tuple[list[int], int]:
+    """The values as ints over one common denominator, the lcm of theirs."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = 1
+    for v in values:
+        d = v.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    return [v.numerator * (den // v.denominator) if v else 0 for v in values], den
+
+
+def _reduce(row: list[int]) -> list[int]:
+    # Pairwise gcd that stops at 1: math.gcd(*row) would build a tuple of the
+    # whole row on every update.
+    g = 0
+    for v in row:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return row
+    return [v // g for v in row] if g > 1 else row
+
+
+def _eliminate(row: list[int], prow: list[int], nonzero: list[int], col: int) -> list[int]:
+    """Clear `row[col]` with the pivot row, whose entry there is positive."""
+    p, f = prow[col], row[col]
+    g = gcd(p, f)
+    p //= g
+    f //= g
+    row = [p * v for v in row] if p != 1 else row[:]
+    for j in nonzero:
+        row[j] -= f * prow[j]
+    return _reduce(row)
+
+
+def _nonzero(row: list[int]) -> list[int]:
+    return [j for j, v in enumerate(row) if v]
 
 
 def _pivot(T: list, basis: list, red: list, row: int, col: int):
     prow = T[row]
-    piv = prow[col]
-    if piv != 1:
-        prow = [v / piv for v in prow]
+    if prow[col] < 0:
+        prow = [-v for v in prow]
         T[row] = prow
-    for i in range(len(T)):
-        if i == row:
-            continue
-        f = T[i][col]
-        if f != 0:
-            T[i] = [a - f * p for a, p in zip(T[i], prow)]
-    f = red[col]
-    if f != 0:
-        red[:] = [a - f * p for a, p in zip(red, prow)]
+    nonzero = _nonzero(prow)
+    for i, Ti in enumerate(T):
+        if i != row and Ti[col]:
+            T[i] = _eliminate(Ti, prow, nonzero, col)
+    if red[col]:
+        red[:] = _eliminate(red, prow, nonzero, col)
     basis[row] = col
 
 
-def _reduced_costs(T: list, basis: list, cost: list) -> list:
-    red = list(cost) + [cost[0] * 0]
+def _reduced_costs(T: list, basis: list, cost: list, den: int) -> list:
+    red = cost + [0, den]
     for i, bi in enumerate(basis):
-        cb = cost[bi]
-        if cb != 0:
-            Ti = T[i]
-            red = [a - cb * t for a, t in zip(red, Ti)]
+        if red[bi]:
+            red = _eliminate(red, T[i], _nonzero(T[i]), bi)
     return red
 
 
-def _run(T: list, basis: list, cost: list) -> tuple[str, list]:
-    """Minimize cost over the current basic feasible solution, in place."""
+def _run(T: list, basis: list, cost: list, den: int) -> tuple[str, list]:
+    """Minimize cost/den over the current basic feasible solution, in place."""
     rhs = len(cost)
-    red = _reduced_costs(T, basis, cost)
+    red = _reduced_costs(T, basis, cost, den)
     stall = 0
     bland = False
     while True:
@@ -86,29 +118,24 @@ def _run(T: list, basis: list, cost: list) -> tuple[str, list]:
                     enter = j
                     break
         else:
-            best = red[rhs] * 0
-            for j in range(rhs):
-                if red[j] < best:
-                    best = red[j]
-                    enter = j
+            best = min(red[:rhs], default=0)
+            if best < 0:
+                enter = red.index(best)
         if enter < 0:
             return "optimal", red
         leave = -1
-        best_ratio = None
-        for i in range(len(T)):
-            a = T[i][enter]
+        for i, Ti in enumerate(T):
+            a = Ti[enter]
             if a > 0:
-                ratio = T[i][rhs] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                if leave < 0:
+                    leave, num, dnm = i, Ti[rhs], a
+                    continue
+                lhs, cur = Ti[rhs] * dnm, num * a
+                if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
+                    leave, num, dnm = i, Ti[rhs], a
         if leave < 0:
             return "unbounded", red
-        if best_ratio == 0:
+        if num == 0:
             stall += 1
             if stall >= _STALL_LIMIT:
                 bland = True
@@ -127,8 +154,9 @@ def solve_lp(
 ) -> LpSolution:
     """Solve min (or max) costs.x subject to rows op rhs and x >= 0, exactly.
 
-    `senses[i]` is one of "<=", "=", ">=". Returns exact Fractions for the
-    objective and the structural variables.
+    `senses[i]` is one of "<=", "=", ">="; coefficients are ints, Fractions or
+    anything `Fraction()` accepts. Returns exact Fractions for the objective
+    and the structural variables.
     """
     m, n = len(rows), len(costs)
     if len(senses) != m or len(rhs) != m:
@@ -137,27 +165,25 @@ def solve_lp(
         if s not in (LESS, EQUAL, GREATER):
             raise ValueError(f"unknown sense {s!r}")
     sign = -1 if maximize else 1
-    c_struct = [_Q(v) * sign for v in costs]
+    c_struct, c_den = _integers(costs)
+    if maximize:
+        c_struct = [-v for v in c_struct]
 
-    A: list[list] = []
-    b: list = []
+    A: list[list[int]] = []
+    scale: list[int] = []
     sense: list[str] = []
     flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
     for row, s, bv in zip(rows, senses, rhs):
         if len(row) != n:
             raise ValueError("row width does not match the cost vector")
-        rq = [_Q(v) for v in row]
-        bq = _Q(bv)
-        if bq < 0:
-            rq = [-v for v in rq]
-            bq = -bq
+        ints, den = _integers([*row, bv])
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
             s = flip[s]
-        A.append(rq)
-        b.append(bq)
+        A.append(ints)
+        scale.append(den)
         sense.append(s)
 
-    zero = _Q(0)
-    one = _Q(1)
     slack_col: dict[int, int] = {}
     ncol = n
     for i, s in enumerate(sense):
@@ -171,27 +197,27 @@ def solve_lp(
             art_col[i] = ncol
             ncol += 1
 
-    T: list[list] = []
+    T: list[list[int]] = []
     basis: list[int] = []
     for i in range(m):
-        row = A[i] + [zero] * (ncol - n) + [b[i]]
+        row = A[i][:n] + [0] * (ncol - n) + [A[i][n]]
         if i in slack_col:
-            row[slack_col[i]] = one if sense[i] == LESS else -one
+            row[slack_col[i]] = scale[i] if sense[i] == LESS else -scale[i]
         if i in art_col:
-            row[art_col[i]] = one
+            row[art_col[i]] = scale[i]
             basis.append(art_col[i])
         else:
             basis.append(slack_col[i])
         T.append(row)
 
     if art_col:
-        pcost = [zero] * ncol
+        pcost = [0] * ncol
         for col in art_col.values():
-            pcost[col] = one
-        status, red = _run(T, basis, pcost)
+            pcost[col] = 1
+        status, red = _run(T, basis, pcost, 1)
         if status != "optimal":
             raise AssertionError("phase one is bounded below by zero")
-        if -red[ncol] != 0:
+        if red[ncol] != 0:
             return LpSolution(status=LpStatus.INFEASIBLE, objective=None, x=None)
         # Clear leftover degenerate artificials from the basis, dropping rows
         # that turn out redundant, then discard the artificial columns.
@@ -211,13 +237,12 @@ def solve_lp(
         T = [row[:art_start] + [row[ncol]] for row in T]
         ncol = art_start
 
-    cost = c_struct + [zero] * (ncol - n)
-    status, red = _run(T, basis, cost)
+    status, red = _run(T, basis, c_struct + [0] * (ncol - n), c_den)
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, objective=None, x=None)
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = _to_fraction(T[i][ncol])
-    objective = _to_fraction(-red[ncol]) * sign
+            x[bi] = Fraction(T[i][ncol], T[i][bi])
+    objective = Fraction(-red[ncol], red[ncol + 1]) * sign
     return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))

@@ -10,9 +10,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from listprivacy import Instance, StochasticMatrix, top_elements
 from listprivacy.envelope import EnvelopeLine
+from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpSolution, LpStatus
 
 
 def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instance:
@@ -99,3 +101,183 @@ def reference_anchor(inst: Instance, rho: Fraction, lines=None) -> tuple[tuple[i
                 picks.extend(top_elements(block, inside, inst.pmf))
             canonical.add(tuple(sorted(picks)))
     return min(canonical), best
+
+
+def _reference_pivot(T: list, basis: list, red: list, row: int, col: int):
+    prow = T[row]
+    piv = prow[col]
+    if piv != 1:
+        prow = [v / piv for v in prow]
+        T[row] = prow
+    for i in range(len(T)):
+        if i == row:
+            continue
+        f = T[i][col]
+        if f != 0:
+            T[i] = [a - f * p for a, p in zip(T[i], prow)]
+    f = red[col]
+    if f != 0:
+        red[:] = [a - f * p for a, p in zip(red, prow)]
+    basis[row] = col
+
+
+def _reference_reduced_costs(T: list, basis: list, cost: list) -> list:
+    red = list(cost) + [cost[0] * 0]
+    for i, bi in enumerate(basis):
+        cb = cost[bi]
+        if cb != 0:
+            Ti = T[i]
+            red = [a - cb * t for a, t in zip(red, Ti)]
+    return red
+
+
+def _reference_run(T: list, basis: list, cost: list) -> tuple[str, list]:
+    """Minimize cost over the current basic feasible solution, in place."""
+    rhs = len(cost)
+    red = _reference_reduced_costs(T, basis, cost)
+    stall = 0
+    bland = False
+    while True:
+        enter = -1
+        if bland:
+            for j in range(rhs):
+                if red[j] < 0:
+                    enter = j
+                    break
+        else:
+            best = red[rhs] * 0
+            for j in range(rhs):
+                if red[j] < best:
+                    best = red[j]
+                    enter = j
+        if enter < 0:
+            return "optimal", red
+        leave = -1
+        best_ratio = None
+        for i in range(len(T)):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][rhs] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", red
+        if best_ratio == 0:
+            stall += 1
+            if stall >= _STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+            bland = False
+        _reference_pivot(T, basis, red, leave, enter)
+
+
+def reference_solve_lp(
+    costs: Sequence,
+    rows: Sequence[Sequence],
+    senses: Sequence[str],
+    rhs: Sequence,
+    maximize: bool = False,
+) -> LpSolution:
+    """Dense-`Fraction` reference for `solve_lp`: same rules, same answers.
+
+    Every tableau entry is a Fraction and every pivot updates every entry of
+    every row it touches. The integer solver must return the same status,
+    objective and vertex on every program.
+    """
+    m, n = len(rows), len(costs)
+    if len(senses) != m or len(rhs) != m:
+        raise ValueError("rows, senses, rhs must have equal length")
+    for s in senses:
+        if s not in (LESS, EQUAL, GREATER):
+            raise ValueError(f"unknown sense {s!r}")
+    sign = -1 if maximize else 1
+    c_struct = [Fraction(v) * sign for v in costs]
+
+    A: list[list] = []
+    b: list = []
+    sense: list[str] = []
+    flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
+    for row, s, bv in zip(rows, senses, rhs):
+        if len(row) != n:
+            raise ValueError("row width does not match the cost vector")
+        rq = [Fraction(v) for v in row]
+        bq = Fraction(bv)
+        if bq < 0:
+            rq = [-v for v in rq]
+            bq = -bq
+            s = flip[s]
+        A.append(rq)
+        b.append(bq)
+        sense.append(s)
+
+    zero = Fraction(0)
+    one = Fraction(1)
+    slack_col: dict[int, int] = {}
+    ncol = n
+    for i, s in enumerate(sense):
+        if s != EQUAL:
+            slack_col[i] = ncol
+            ncol += 1
+    art_start = ncol
+    art_col: dict[int, int] = {}
+    for i, s in enumerate(sense):
+        if s != LESS:
+            art_col[i] = ncol
+            ncol += 1
+
+    T: list[list] = []
+    basis: list[int] = []
+    for i in range(m):
+        row = A[i] + [zero] * (ncol - n) + [b[i]]
+        if i in slack_col:
+            row[slack_col[i]] = one if sense[i] == LESS else -one
+        if i in art_col:
+            row[art_col[i]] = one
+            basis.append(art_col[i])
+        else:
+            basis.append(slack_col[i])
+        T.append(row)
+
+    if art_col:
+        pcost = [zero] * ncol
+        for col in art_col.values():
+            pcost[col] = one
+        status, red = _reference_run(T, basis, pcost)
+        if status != "optimal":
+            raise AssertionError("phase one is bounded below by zero")
+        if -red[ncol] != 0:
+            return LpSolution(status=LpStatus.INFEASIBLE, objective=None, x=None)
+        # Clear leftover degenerate artificials from the basis, dropping rows
+        # that turn out redundant, then discard the artificial columns.
+        arts = set(art_col.values())
+        for i in range(len(T) - 1, -1, -1):
+            if basis[i] not in arts:
+                continue
+            pivot_col = next(
+                (j for j in range(art_start) if T[i][j] != 0),
+                None,
+            )
+            if pivot_col is None:
+                del T[i]
+                del basis[i]
+            else:
+                _reference_pivot(T, basis, red, i, pivot_col)
+        T = [row[:art_start] + [row[ncol]] for row in T]
+        ncol = art_start
+
+    cost = c_struct + [zero] * (ncol - n)
+    status, red = _reference_run(T, basis, cost)
+    if status == "unbounded":
+        return LpSolution(status=LpStatus.UNBOUNDED, objective=None, x=None)
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = T[i][ncol]
+    objective = -red[ncol] * sign
+    return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))

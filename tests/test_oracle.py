@@ -14,12 +14,13 @@ from listprivacy import (
     privacy_bound,
     privacy_curve,
 )
+import listprivacy.oracle as oracle
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
 from listprivacy.errors import InstanceTooLarge
 from listprivacy.oracle import _lp_parts
 from listprivacy.simplex import solve_lp
-from conftest import random_instance
+from conftest import random_instance, reference_solve_lp
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -122,6 +123,23 @@ class TestAgainstFullProgram:
                         for lst in combinations(range(inst.r), inst.l)
                         if sum(inst.pmf[x] * result.witness.rows[x][i] for x in lst) == best[i]
                     )
+
+    def test_dense_reference_solver_gives_the_same_answers(self, monkeypatch):
+        # The witness is printed by `oracle --rho`, so the integer solver must
+        # land on the reference solver's vertex in every cutting-plane round.
+        rng = random.Random(57)
+        cases = [
+            (inst, rho)
+            for inst in [random_instance(rng, r_max=7, k_max=3, l_max=3) for _ in range(12)]
+            for rho in (F(2, 5), F(3, 5), F(4, 5))
+        ]
+        results = [exact_privacy(inst, rho) for inst, rho in cases]
+        monkeypatch.setattr(oracle, "solve_lp", reference_solve_lp)
+        for (inst, rho), result in zip(cases, results):
+            reference = exact_privacy(inst, rho)
+            assert result.optimum == reference.optimum
+            assert result.witness == reference.witness
+            assert result.active_lists == reference.active_lists
 
 
 class TestScipyCrossCheck:

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import conftest
+import listprivacy.simplex as simplex
 from listprivacy.simplex import GREATER, LESS, EQUAL, LpStatus, solve_lp
-
-scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+from conftest import reference_solve_lp
 
 
 class TestKnownPrograms:
@@ -100,8 +101,146 @@ class TestKnownPrograms:
             solve_lp(costs=[F(1)], rows=[[F(1)]], senses=["<"], rhs=[F(1)])
 
 
+def random_program(rng: random.Random):
+    """A small program mixing every row shape the solver normalizes.
+
+    Rows are `<=`, `=` or `>=`, with zero, duplicated (possibly rescaled or
+    negated) and degenerate zero-rhs rows, negative rhs and rational
+    coefficients; about two in five programs maximize.
+    """
+    n = rng.randint(1, 6)
+
+    def coef():
+        u = rng.random()
+        if u < 0.35:
+            return F(0)
+        if u < 0.7:
+            return F(rng.randint(-4, 6))
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
+    rows, senses, rhs = [], [], []
+    for _ in range(rng.randint(0, 7)):
+        u = rng.random()
+        if rows and u < 0.12:
+            j = rng.randrange(len(rows))
+            c = rng.choice([F(1), F(2), F(-1), F(1, 3)])
+            rows.append([c * v for v in rows[j]])
+            senses.append(senses[j] if c > 0 else flip[senses[j]])
+            rhs.append(c * rhs[j])
+            continue
+        rows.append([F(0)] * n if u < 0.18 else [coef() for _ in range(n)])
+        senses.append(rng.choice([LESS, LESS, EQUAL, GREATER]))
+        rhs.append(F(0) if rng.random() < 0.25 else coef())
+    return [coef() for _ in range(n)], rows, senses, rhs, rng.random() < 0.4
+
+
+@pytest.fixture
+def same_solution(monkeypatch):
+    """Solve with both solvers; require the same answer and the same pivots.
+
+    Scaling a row by a positive number changes no pivoting decision, so the
+    two solvers must pivot on the same (row, column) pairs in the same order.
+    """
+    logs = {}
+
+    def recording(name, pivot):
+        def record(T, basis, red, row, col):
+            logs[name].append((row, col))
+            pivot(T, basis, red, row, col)
+
+        return record
+
+    monkeypatch.setattr(simplex, "_pivot", recording("integer", simplex._pivot))
+    monkeypatch.setattr(conftest, "_reference_pivot", recording("reference", conftest._reference_pivot))
+
+    def check(costs, rows, senses, rhs, maximize=False):
+        logs["integer"], logs["reference"] = [], []
+        got = solve_lp(costs, rows, senses, rhs, maximize=maximize)
+        want = reference_solve_lp(costs, rows, senses, rhs, maximize=maximize)
+        assert (got.status, got.objective, got.x) == (want.status, want.objective, want.x)
+        assert logs["integer"] == logs["reference"]
+        return got
+
+    return check
+
+
+class TestAgainstDenseReference:
+    """The integer tableau against the dense-Fraction reference solver."""
+
+    def test_random_programs(self, same_solution):
+        rng = random.Random(61)
+        seen = dict.fromkeys(LpStatus, 0)
+        for _ in range(2400):
+            seen[same_solution(*random_program(rng)).status] += 1
+        # Every outcome is exercised, not only the easy one.
+        assert min(seen.values()) >= 400
+
+    def test_cleanup_pivots_on_a_negative_entry(self, same_solution, monkeypatch):
+        # -2y - 3/4 z >= 0 forces y = z = 0, so phase one ends with its
+        # artificial basic at zero, and the cleanup pivots it out on y's
+        # entry, -2: the stored row must flip sign to keep its scale positive.
+        negative = []
+        pivot = simplex._pivot
+
+        def spy(T, basis, red, row, col):
+            negative.append(T[row][col] < 0)
+            pivot(T, basis, red, row, col)
+
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        sol = same_solution(
+            costs=[F(-1), F(-1), F(0)],
+            rows=[[F(0), F(-2), F(-3, 4)], [F(1), F(1), F(1)]],
+            senses=[GREATER, LESS],
+            rhs=[F(0), F(4)],
+        )
+        assert any(negative)
+        assert sol.objective == F(-4) and sol.x == (F(4), F(0), F(0))
+
+    def test_large_coprime_denominators(self, same_solution):
+        primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+        assert len(primes) == 30
+        n = len(primes)
+        # x_j <= 1, the sum of x_j / p_j <= 1 and costs -c_j/p_j: one vertex
+        # coordinate of the optimum has a 26-digit denominator.
+        rows = [[F(1, p) for p in primes]]
+        rhs = [F(1)]
+        for j in range(n):
+            rows.append([F(int(i == j)) for i in range(n)])
+            rhs.append(F(1))
+        costs = [F(-1, p) * (j % 3 + 1) for j, p in enumerate(primes)]
+        sol = same_solution(costs, rows, [LESS] * len(rows), rhs)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sum(F(1, p) * v for p, v in zip(primes, sol.x)) <= 1
+        assert max(v.denominator for v in sol.x) > 10**25
+        rng = random.Random(62)
+        for _ in range(20):
+            k = rng.randint(2, 6)
+            picked = rng.sample(primes, 2 * k)
+            rows = [[F(rng.randint(-3, 5), p) for p in picked[:k]] for _ in range(k)]
+            rhs = [F(rng.randint(-5, 5), p) for p in picked[k:]]
+            costs = [F(rng.randint(-4, 4), rng.choice(primes)) for _ in range(k)]
+            senses = [rng.choice([LESS, EQUAL, GREATER]) for _ in range(k)]
+            same_solution(costs, rows, senses, rhs, maximize=rng.random() < 0.5)
+
+    def test_ints_floats_and_strings(self, same_solution):
+        # Anything Fraction() accepts is a coefficient; the reference turns
+        # every value into Fraction(v), the integer solver only non-ints.
+        programs = [
+            ([3, 2], [[1, 1], [1, 0]], [LESS, LESS], [4, 2], True),
+            ([1.5, -0.25], [[0.5, 1], [1, -2.0], [0, 1]], [GREATER, LESS, LESS], [1, 0.75, 3], False),
+            (["3/4", "-1"], [["1/2", "1"], ["1", "0"]], [LESS, EQUAL], ["5/3", "1/7"], True),
+            ([1, "2", 0.5], [[1, "-1/3", 0.25], [0, 1, "1e-3"]], [EQUAL, GREATER], ["1", 2], False),
+        ]
+        for costs, rows, senses, rhs, maximize in programs:
+            got = same_solution(costs, rows, senses, rhs, maximize)
+            assert got.status is LpStatus.OPTIMAL
+            assert type(got.objective) is F and all(type(v) is F for v in got.x)
+
+
 class TestAgainstScipy:
     def test_random_inequality_programs(self):
+        scipy_linprog = pytest.importorskip("scipy.optimize").linprog
         rng = random.Random(41)
         for _ in range(30):
             n = rng.randint(2, 5)
@@ -131,6 +270,7 @@ class TestAgainstScipy:
             assert sum(c * v for c, v in zip(costs, sol.x)) == sol.objective
 
     def test_random_mixed_sense_programs(self):
+        scipy_linprog = pytest.importorskip("scipy.optimize").linprog
         rng = random.Random(42)
         for _ in range(20):
             n = rng.randint(2, 4)
