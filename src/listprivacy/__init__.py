@@ -61,57 +61,3 @@ from .catalog import CATALOG, instance, names
 from . import errors
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Instance",
-    "ListEstimator",
-    "Rational",
-    "StochasticMatrix",
-    "ensure_rho",
-    "format_rational",
-    "instance_digest",
-    "instance_to_text",
-    "is_recoverable",
-    "parse_instance",
-    "parse_rational",
-    "recoverability_level",
-    "top_elements",
-    "validate_instance",
-    "AnchorSet",
-    "CurveSegment",
-    "EnvelopeLine",
-    "PrivacyCurve",
-    "anchor_set",
-    "enumerate_lines",
-    "first_breakpoint",
-    "privacy_at_one",
-    "privacy_at_zero",
-    "privacy_bound",
-    "privacy_curve",
-    "NoisePmf",
-    "add_noise_qr",
-    "deterministic_qr",
-    "matrix_to_text",
-    "optimal_binary_qr",
-    "parse_matrix",
-    "parse_noise",
-    "ternary_example_qr",
-    "uniform_qr",
-    "PrivacyReport",
-    "list_privacy",
-    "map_list_estimator",
-    "OracleResult",
-    "exact_privacy",
-    "exact_privacy_curve",
-    "lp_text",
-    "SimReport",
-    "SweepPoint",
-    "derive_stream_seed",
-    "privacy_sweep",
-    "simulate_game",
-    "CATALOG",
-    "instance",
-    "names",
-    "errors",
-    "__version__",
-]

@@ -22,7 +22,6 @@ from .core import (
     instance_digest,
     is_recoverable,
     parse_instance,
-    parse_rational,
 )
 from .envelope import (
     curve_samples_csv,
@@ -42,7 +41,7 @@ from .mechanisms import (
     ternary_example_qr,
     uniform_qr,
 )
-from .oracle import exact_privacy, lp_text
+from .oracle import exact_privacy, exact_privacy_curve, lp_text
 from .simulate import (
     privacy_sweep,
     report_to_jsonable as sim_report_jsonable,
@@ -91,10 +90,10 @@ def _build_mechanism(inst: Instance, kind: str, rho, noise: str | None):
         return deterministic_qr(inst)
     if kind == "optimal-binary":
         _require(rho is not None, "--rho is required for optimal-binary")
-        return optimal_binary_qr(inst, parse_rational(rho))
+        return optimal_binary_qr(inst, rho)
     if kind == "ternary-example":
         _require(rho is not None, "--rho is required for ternary-example")
-        fixed, mech = ternary_example_qr(parse_rational(rho))
+        fixed, mech = ternary_example_qr(rho)
         if inst != fixed:
             raise InstanceFormatError(
                 "the ternary-example construction is defined only for the "
@@ -147,7 +146,7 @@ def cmd_eval(args) -> int:
     report = list_privacy(inst, mech)
     payload = report_to_jsonable(report, inst)
     if args.rho is not None:
-        rho = ensure_rho(parse_rational(args.rho))
+        rho = ensure_rho(args.rho)
         bound = privacy_bound(inst, rho)
         payload["rho"] = format_rational(rho)
         payload["recoverable"] = is_recoverable(mech, inst, rho)
@@ -165,9 +164,9 @@ def cmd_oracle(args) -> int:
     )
     if args.lp_dump is not None:
         _require(args.rho is not None, "--lp-dump needs --rho")
-        Path(args.lp_dump).write_text(lp_text(inst, parse_rational(args.rho)))
+        Path(args.lp_dump).write_text(lp_text(inst, args.rho))
     if args.rho is not None:
-        result = exact_privacy(inst, parse_rational(args.rho))
+        result = exact_privacy(inst, args.rho)
         payload = {
             "optimum": format_rational(result.optimum),
             "optimum_decimal": float(result.optimum),
@@ -181,10 +180,9 @@ def cmd_oracle(args) -> int:
         return 0
     _require(args.grid >= 2, "--grid needs at least two points")
     lines = ["rho,oracle,envelope,equal"]
-    for j in range(args.grid):
-        rho = Fraction(j, args.grid - 1)
-        got = exact_privacy(inst, rho).optimum
-        want = privacy_bound(inst, rho)
+    grid = [Fraction(j, args.grid - 1) for j in range(args.grid)]
+    for rho, result in exact_privacy_curve(inst, grid):
+        got, want = result.optimum, privacy_bound(inst, rho)
         lines.append(
             f"{format_rational(rho)},{format_rational(got)},"
             f"{format_rational(want)},{str(got == want).lower()}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,15 +31,19 @@ from .errors import (
 # Exact carrier for every probability and recoverability level in the package.
 Rational = Fraction
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
+
+# Most decimal digits int() reads and str() writes (the default if unlimited).
+_MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from "p/q", a decimal literal, or an int.
 
     Decimal strings are exact: "0.3" becomes 3/10, never a float. Floats are
-    accepted for convenience and go through their shortest decimal repr.
+    accepted for convenience and go through their shortest decimal repr. A
+    string too long to write back (sys.get_int_max_str_digits) is rejected,
+    and so is, before it is expanded, an exponent that makes this certain.
     """
     if isinstance(value, Fraction):
         return value
@@ -48,12 +53,24 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         value = repr(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"not a rational: {value!r}") from exc
-    raise InstanceFormatError(f"not a rational: {value!r}")
+    if not isinstance(value, str):
+        raise InstanceFormatError(f"not a rational: {value!r}")
+    try:
+        exponent = value.lower().partition("e")[2]
+        # int() caps the mantissa at _MAX_DIGITS digits, so past twice that an
+        # exponent leaves a part too long to write; Fraction would expand it.
+        if exponent and abs(int(exponent)) > 2 * _MAX_DIGITS:
+            raise ValueError("exponent too large")
+        q = Fraction(value.strip())
+        str(q)  # ValueError when a part is too long to write back
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceFormatError(f"not a rational: {value[:80]!r}") from exc
+    return q
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def format_rational(value: Fraction) -> str:
@@ -73,10 +90,11 @@ def ensure_rho(rho) -> Fraction:
 class Instance:
     """A finite estimation problem: pmf on {0..r-1}, function f into {0..k-1}, list size l.
 
-    Validation runs on construction, so an Instance in hand is always sound:
-    positive pmf summing to one, surjective f onto {0..k-1} with 2 <= k <= r,
-    and 1 <= l < r. `labels` is optional display metadata and plays no role in
-    any computation.
+    The constructor is the only place an instance is checked, so an Instance
+    in hand is always sound: pmf, f and labels are non-string sequences, the
+    pmf is positive and sums to one, f is a surjection onto {0..k-1} with
+    2 <= k <= r, and 1 <= l < r. `labels` is optional display metadata and
+    plays no role in any computation.
     """
 
     pmf: tuple[Fraction, ...]
@@ -86,7 +104,11 @@ class Instance:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        pmf = tuple(parse_rational(p) for p in self.pmf)
+        labels = () if self.labels is None else self.labels
+        for name, value in (("pmf", self.pmf), ("f", self.f), ("labels", labels)):
+            if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+                raise InstanceFormatError(f"{name} must be a sequence, got {type(value).__name__}")
+        pmf = tuple([parse_rational(p) for p in self.pmf])
         object.__setattr__(self, "pmf", pmf)
         f = tuple(self.f)
         object.__setattr__(self, "f", f)
@@ -96,10 +118,10 @@ class Instance:
         if len(f) != r:
             raise InstanceFormatError(f"pmf has {r} entries but f has {len(f)}")
         for v in f:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise BadFunctionRange(f"function value {v!r} is not a nonnegative integer")
         k = self.k if self.k is not None else max(f) + 1
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not _is_int(k):
             raise InstanceFormatError(f"k must be an integer, got {self.k!r}")
         object.__setattr__(self, "k", k)
         if k < 2 or k > r:
@@ -117,7 +139,7 @@ class Instance:
         for i in range(k):
             if i not in seen:
                 raise EmptyPreimage(f"output symbol {i} is never taken")
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or not 1 <= self.l < r:
+        if not _is_int(self.l) or not 1 <= self.l < r:
             raise ListSizeOutOfRange(f"need 1 <= l < r, got l={self.l!r} with r={r}")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -137,9 +159,6 @@ class Instance:
         for x, v in enumerate(self.f):
             buckets[v].append(x)
         return tuple(tuple(b) for b in buckets)
-
-    def preimage(self, i: int) -> tuple[int, ...]:
-        return self.preimages[i]
 
     def mass(self, members: Iterable[int]) -> Fraction:
         """Total pmf mass of a set of symbols."""
@@ -199,7 +218,13 @@ class ListEstimator:
     lists: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        lists = tuple([tuple(sorted(int(x) for x in lst)) for lst in self.lists])
+        try:
+            lists = tuple([tuple(sorted(lst)) for lst in self.lists])
+        except TypeError as exc:  # not iterable, or entries that do not compare
+            raise InstanceFormatError(f"estimator lists are not lists of integers: {exc}") from exc
+        # type() is the cheap test here (one estimator per list_privacy call); it refuses bools.
+        if not all(type(x) is int for lst in lists for x in lst):
+            raise InstanceFormatError(f"estimator lists are not lists of integers: {lists!r}")
         object.__setattr__(self, "lists", lists)
         if not lists:
             raise InstanceFormatError("estimator has no lists")
@@ -213,10 +238,6 @@ class ListEstimator:
                 raise InstanceFormatError(f"list {i} has a negative element")
         if size < 1:
             raise InstanceFormatError("lists must be nonempty")
-
-    @property
-    def list_size(self) -> int:
-        return len(self.lists[0])
 
 
 def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tuple[int, ...]:
@@ -242,9 +263,7 @@ def check_dims(inst: Instance, mech: StochasticMatrix):
 
 def is_recoverable(mech: StochasticMatrix, inst: Instance, rho: Fraction) -> bool:
     """True when every symbol reports its own function value with chance >= rho."""
-    check_dims(inst, mech)
-    rho = parse_rational(rho)
-    return all(mech.rows[x][inst.f[x]] >= rho for x in range(inst.r))
+    return recoverability_level(mech, inst) >= parse_rational(rho)
 
 
 def recoverability_level(mech: StochasticMatrix, inst: Instance) -> Fraction:
@@ -256,44 +275,20 @@ def recoverability_level(mech: StochasticMatrix, inst: Instance) -> Fraction:
 # --- serialization -----------------------------------------------------------
 
 def validate_instance(raw: Mapping) -> Instance:
-    """Build an Instance from parsed structured text, checking every invariant.
+    """Build an Instance from parsed structured text.
 
     Expected keys: "pmf" (list of exact rational strings), "f" (list of ints),
     "l" (int). Optional: "k" (declared output alphabet size) and "labels".
+    Only the mapping and its required keys are checked here; every other
+    invariant is checked once, by the Instance constructor.
     """
     if not isinstance(raw, Mapping):
         raise InstanceFormatError(f"expected a mapping, got {type(raw).__name__}")
     for key in ("pmf", "f", "l"):
         if key not in raw:
             raise InstanceFormatError(f"missing required field {key!r}")
-    pmf = raw["pmf"]
-    f = raw["f"]
-    if not isinstance(pmf, Sequence) or isinstance(pmf, (str, bytes)):
-        raise InstanceFormatError("pmf must be a sequence")
-    if not isinstance(f, Sequence) or isinstance(f, (str, bytes)):
-        raise InstanceFormatError("f must be a sequence")
-    fn = []
-    for v in f:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise BadFunctionRange(f"function value {v!r} is not an integer")
-        fn.append(v)
-    k = raw.get("k")
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
-        raise InstanceFormatError(f"k must be an integer, got {k!r}")
-    l = raw["l"]
-    if isinstance(l, bool) or not isinstance(l, int):
-        raise ListSizeOutOfRange(f"l must be an integer, got {l!r}")
-    labels = raw.get("labels")
-    if labels is not None:
-        if not isinstance(labels, Sequence) or isinstance(labels, (str, bytes)):
-            raise InstanceFormatError("labels must be a sequence of strings")
-        labels = tuple(str(s) for s in labels)
     return Instance(
-        pmf=tuple(parse_rational(p) for p in pmf),
-        f=tuple(fn),
-        l=l,
-        k=k,
-        labels=labels,
+        pmf=raw["pmf"], f=raw["f"], l=raw["l"], k=raw.get("k"), labels=raw.get("labels")
     )
 
 
@@ -315,10 +310,10 @@ def instance_to_text(inst: Instance) -> str:
 
 
 def load_json(text: str):
-    """Parsed JSON text; malformed or too deeply nested text is an InstanceFormatError."""
+    """Parsed JSON text; malformed, too deep or overlong text is an InstanceFormatError."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
 
 

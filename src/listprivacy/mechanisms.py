@@ -37,24 +37,19 @@ from .errors import (
 
 @dataclass(frozen=True)
 class NoisePmf:
-    """A k x k channel on output symbols; row i is the noise pmf given value i."""
+    """A k x k channel on output symbols; row i is the noise pmf given value i.
+
+    StochasticMatrix checks the rows; this constructor adds only that the
+    channel is square.
+    """
 
     conditional: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple([tuple([parse_rational(v) for v in row]) for row in self.conditional])
+        rows = StochasticMatrix(rows=self.conditional).rows
         object.__setattr__(self, "conditional", rows)
-        if not rows:
-            raise NotRowStochastic("noise channel has no rows")
-        k = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != k:
-                raise NotRowStochastic(f"noise row {i} has {len(row)} entries, expected {k}")
-            for v in row:
-                if v < 0:
-                    raise NotRowStochastic(f"noise row {i} has negative entry {v}")
-            if sum(row) != 1:
-                raise NotRowStochastic(f"noise row {i} sums to {sum(row)}")
+        if len(rows[0]) != len(rows):
+            raise NotRowStochastic(f"noise channel is {len(rows)}x{len(rows[0])}, not square")
 
     @property
     def k(self) -> int:

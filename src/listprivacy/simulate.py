@@ -3,15 +3,14 @@
 Sampling is deterministic given the seed: draws come from the stdlib Mersenne
 Twister as 64-bit integers and are compared against exact cumulative
 thresholds, so the realized pmfs match the rationals to within 2**-64 per
-boundary and a rerun with the same seed is bit-identical. Parallel or swept
-runs derive per-stream seeds as seed + stream_index.
+boundary and a rerun with the same seed is bit-identical. A rho sweep runs
+its levels one after another, level j on the stream seeded seed + j.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
 from bisect import bisect_right
@@ -48,7 +47,7 @@ class SweepPoint:
 
 
 def derive_stream_seed(seed: int, stream: int) -> int:
-    """Seed for the given parallel stream: seed + stream index."""
+    """Seed for the given sweep stream: seed + stream index."""
     return seed + stream
 
 
@@ -79,8 +78,8 @@ def simulate_game(
     for i, lst in enumerate(estimator.lists):
         if lst and lst[-1] >= inst.r:
             raise DimensionMismatch(f"list {i} names symbol {lst[-1]}, alphabet is {inst.r}")
-    if trials < 1:
-        raise InstanceFormatError(f"need at least one trial, got {trials}")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise InstanceFormatError(f"need a whole number of trials >= 1, got {trials!r}")
     rng = random.Random(seed)
     draw = rng.getrandbits
     x_cuts = _thresholds(inst.pmf)
@@ -136,10 +135,6 @@ def report_to_jsonable(report: SimReport) -> dict:
         "std_error": report.std_error,
         "seed": report.seed,
     }
-
-
-def report_to_text(report: SimReport) -> str:
-    return json.dumps(report_to_jsonable(report), indent=2) + "\n"
 
 
 def sweep_to_csv(points: Sequence[SweepPoint]) -> str:

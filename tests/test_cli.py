@@ -1,11 +1,12 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from listprivacy import instance_to_text, uniform_qr, matrix_to_text
+from listprivacy import errors, instance_to_text, uniform_qr, matrix_to_text
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.cli import main
 
@@ -281,6 +282,26 @@ class TestMalformedFiles:
         ids=["utf16", "nested"],
     )
     def test_not_utf8(self, capsys, tmp_path, content):
+        self._reject_everywhere(capsys, tmp_path, content)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # An integer literal longer than int() reads.
+            b'{"pmf": ["1/2", "1/2"], "f": [0, 1], "l": ' + b"1" * 4301
+            + b', "rows": [["1/2", "1/2"]]}',
+            # An exponent whose expansion has ten million digits.
+            b'{"pmf": ["1e-10000000", "1"], "f": [0, 1], "l": 1,'
+            b' "rows": [["1e-10000000", "1"], ["1/2", "1/2"]]}',
+        ],
+        ids=["huge_int", "huge_exponent"],
+    )
+    def test_oversized_numbers(self, capsys, tmp_path, content):
+        self._reject_everywhere(capsys, tmp_path, content)
+
+    @staticmethod
+    def _reject_everywhere(capsys, tmp_path, content):
+        """Every subcommand that reads the file as input exits with InstanceFormatError."""
         path = tmp_path / "input.json"
         path.write_bytes(content)
         for argv in (
@@ -292,6 +313,121 @@ class TestMalformedFiles:
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == ""
             assert err.startswith("error: InstanceFormatError:")
+
+
+CORRUPTIONS = ("wrong_type", "huge_int", "huge_exponent", "nesting", "row_length")
+ERROR_CODES = {
+    cls.__name__
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.ListPrivacyError)
+}
+FUZZ_NOISE = {
+    "skew7": [["3/5", "2/5"], ["1/4", "3/4"]],
+    "ternary5": [["1/2", "1/4", "1/4"], ["1/5", "3/5", "1/5"], ["1/3", "1/3", "1/3"]],
+}
+SPLICE = "@splice@"
+
+
+def _targets(raw: dict) -> list[tuple]:
+    """Paths to the fields of a file, their entries and their rows' entries."""
+    paths = []
+    for key, value in raw.items():
+        if key == "instance_digest":
+            continue
+        paths.append((key,))
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                paths.append((key, i))
+                if isinstance(item, list):
+                    paths.extend((key, i, j) for j in range(len(item)))
+    return paths
+
+
+def _corrupted_literal(rng: random.Random, kind: str, value) -> str:
+    """JSON text that replaces `value`; every kind makes the file invalid."""
+    if kind == "wrong_type":
+        wrong = {
+            list: ["x", 5, {}, True, 2.5],
+            int: ["2", 2.5, [2], True, {}],
+            str: [None, [], {}, True, "x"],
+        }
+        return json.dumps(rng.choice(wrong[type(value)]))
+    if kind == "huge_int":
+        return str(rng.randint(1, 9)) * rng.randint(4301, 6000)
+    if kind == "huge_exponent":
+        # Bare, the literal reads as inf or 0.0; quoted, as an exact rational.
+        literal = f"1e{rng.choice('+-')}{rng.randint(10**4, 10**12)}"
+        return rng.choice([literal, json.dumps(literal)])
+    if kind == "nesting":
+        depth = rng.choice([rng.randint(1, 3), rng.randint(2_000, 20_000)])
+        return "[" * depth + json.dumps(value) + "]" * depth
+    items = list(value)
+    if rng.random() < 0.5:
+        del items[rng.randrange(len(items))]
+    else:
+        items.insert(rng.randrange(len(items) + 1), rng.choice(items))
+    return json.dumps(items)
+
+
+def _corrupt(rng: random.Random, raw: dict, kind: str) -> str:
+    """The file's JSON text with one field, entry or row corrupted by `kind`."""
+    paths = _targets(raw)
+    if kind == "row_length":
+        paths = [p for p in paths if isinstance(_at(raw, p), list)]
+    path = rng.choice(paths)
+    literal = _corrupted_literal(rng, kind, _at(raw, path))
+    copy = json.loads(json.dumps(raw))
+    _at(copy, path[:-1])[path[-1]] = SPLICE
+    return json.dumps(copy).replace(json.dumps(SPLICE), literal)
+
+
+def _at(raw, path):
+    for step in path:
+        raw = raw[step]
+    return raw
+
+
+class TestMalformedInputFuzz:
+    """Seeded one-field corruptions of every input file, through every subcommand."""
+
+    @pytest.mark.parametrize("name", ["skew7", "ternary5"])
+    @pytest.mark.parametrize("file_kind", ["instance", "mechanism", "noise"])
+    def test_every_corruption_is_an_error_code(self, capsys, tmp_path, name, file_kind):
+        rng = random.Random(f"{name}/{file_kind}")
+        inst = catalog_instance(name)
+        mech = tmp_path / "mech.json"
+        mech.write_text(matrix_to_text(uniform_qr(inst), inst))
+        raw = {
+            "instance": json.loads(instance_to_text(inst)),
+            "mechanism": json.loads(mech.read_text()),
+            "noise": {"rows": FUZZ_NOISE[name]},
+        }[file_kind]
+        bad = tmp_path / "bad.json"
+        inst_path = tmp_path / "inst.json"
+        sim = ["--trials", "10", "--seed", "1"]
+        for j in range(20):
+            text = _corrupt(rng, raw, CORRUPTIONS[j % len(CORRUPTIONS)])
+            bad.write_text(text)
+            if file_kind == "instance":
+                i = str(bad)
+                calls = [
+                    ["validate", i],
+                    ["curve", i],
+                    ["mechanism", i, "--kind", "uniform"],
+                    ["eval", i, "--mechanism", str(mech)],
+                    ["oracle", i, "--rho", "1/2"],
+                    ["simulate", i, "--mechanism", str(mech), *sim],
+                ]
+            elif file_kind == "mechanism":
+                calls = [["eval", name, "--mechanism", str(bad)],
+                         ["simulate", name, "--mechanism", str(bad), *sim]]
+            else:
+                calls = [["mechanism", name, "--kind", "noise-file", "--noise", str(bad)]]
+            for argv in calls:
+                code, out, err = run(capsys, *argv)
+                assert code == 1 and out == "", (argv[0], text[:200])
+                prefix, code_name, _ = err.split(":", 2)
+                assert prefix == "error" and code_name.strip() in ERROR_CODES, err[:200]
 
 
 def test_module_entry_point():

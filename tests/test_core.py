@@ -20,6 +20,7 @@ from listprivacy import (
     validate_instance,
 )
 from listprivacy.catalog import instance as catalog_instance
+from listprivacy.cli import main
 from listprivacy.errors import (
     BadFunctionRange,
     DimensionMismatch,
@@ -60,6 +61,17 @@ class TestParseRational:
     def test_rejects_garbage(self, bad):
         with pytest.raises(InstanceFormatError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["1e-10000000", "1e+999999999999999", "1e4300", "1" * 5000, "1/" + "3" * 5000]
+    )
+    def test_rejects_values_too_long_to_write_back(self, bad):
+        with pytest.raises(InstanceFormatError):
+            parse_rational(bad)
+
+    def test_accepts_long_values_within_the_digit_limit(self):
+        assert parse_rational("1e-4000") == Fraction(1, 10**4000)
+        assert parse_rational("2.5e4200") == Fraction(25 * 10**4199)
 
     def test_format_round_trip(self):
         rng = random.Random(3)
@@ -113,6 +125,16 @@ class TestInstanceValidation:
             for i, block in enumerate(inst.preimages):
                 assert all(inst.f[x] == i for x in block)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"pmf": 5}, {"pmf": "0.5 0.5"}, {"f": "01"}, {"f": 1}, {"labels": "ab"}, {"labels": 2}],
+        ids=["pmf_number", "pmf_string", "f_string", "f_number", "labels_string", "labels_number"],
+    )
+    def test_non_sequence_fields_rejected(self, fields):
+        raw = {"pmf": (Fraction(1, 2), Fraction(1, 2)), "f": (0, 1), "l": 1, **fields}
+        with pytest.raises(InstanceFormatError):
+            Instance(**raw)
+
     def test_with_list_size(self):
         other = SKEW7.with_list_size(1)
         assert other.l == 1 and other.pmf == SKEW7.pmf
@@ -123,6 +145,58 @@ class TestInstanceValidation:
         assert inst.k == 2
         with pytest.raises(InstanceFormatError):
             validate_instance({"pmf": ["1/2", "1/2"], "f": [0, 1]})
+
+
+def _with(**fields):
+    """A valid four-symbol instance file with some fields replaced or, when None, removed."""
+    raw = {"pmf": ["1/4", "1/4", "1/4", "1/4"], "f": [0, 0, 1, 1], "l": 2}
+    raw.update(fields)
+    return {key: value for key, value in raw.items() if value is not None}
+
+
+# One row per invariant of an instance file, each input breaking exactly one.
+SINGLE_FAULTS = [
+    ("not_a_mapping", [["1/2", "1/2"], [0, 1], 1], InstanceFormatError),
+    ("pmf_missing", _with(pmf=None), InstanceFormatError),
+    ("f_missing", _with(f=None), InstanceFormatError),
+    ("l_missing", _with(l=None), InstanceFormatError),
+    ("pmf_number", _with(pmf=5), InstanceFormatError),
+    ("pmf_string", _with(pmf="1/4 1/4 1/4 1/4"), InstanceFormatError),
+    ("f_string", _with(f="0011"), InstanceFormatError),
+    ("labels_string", _with(labels="abcd"), InstanceFormatError),
+    ("f_value_float", _with(f=[0, 0, 1, 1.5]), BadFunctionRange),
+    ("f_value_negative", _with(f=[0, 0, 1, -1]), BadFunctionRange),
+    ("f_value_bool", _with(f=[0, 0, 1, True]), BadFunctionRange),
+    ("f_value_at_k", _with(f=[0, 0, 1, 2], k=2), BadFunctionRange),
+    ("k_string", _with(k="2"), InstanceFormatError),
+    ("k_bool", _with(k=True), InstanceFormatError),
+    ("l_string", _with(l="1"), ListSizeOutOfRange),
+    ("l_bool", _with(l=True), ListSizeOutOfRange),
+    ("l_zero", _with(l=0), ListSizeOutOfRange),
+    ("l_equals_r", _with(l=4), ListSizeOutOfRange),
+    ("pmf_entry_garbage", _with(pmf=["1/4", "1/4", "1/4", "x"]), InstanceFormatError),
+    ("pmf_entry_zero", _with(pmf=["1/2", "1/4", "1/4", "0"]), ZeroMassSymbol),
+    ("pmf_entry_negative", _with(pmf=["1", "1/4", "1/4", "-1/2"]), ZeroMassSymbol),
+    ("pmf_not_normalized", _with(pmf=["1/4", "1/4", "1/4", "1/5"]), PmfNotNormalized),
+    ("preimage_empty", _with(f=[0, 0, 0, 0], k=2), EmptyPreimage),
+    ("label_count", _with(labels=["a", "b", "c"]), InstanceFormatError),
+]
+
+
+class TestSingleFaultTable:
+    @pytest.mark.parametrize(
+        "raw, error", [row[1:] for row in SINGLE_FAULTS], ids=[row[0] for row in SINGLE_FAULTS]
+    )
+    def test_error_code(self, capsys, tmp_path, raw, error):
+        with pytest.raises(error) as caught:
+            validate_instance(raw)
+        assert type(caught.value) is error
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(raw))
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {error.__name__}:")
 
 
 class TestTopElements:
@@ -188,6 +262,15 @@ class TestListEstimator:
             ListEstimator(lists=((0, 0), (1, 2)))
         with pytest.raises(InstanceFormatError):
             ListEstimator(lists=((0, 1), (2,)))
+
+    @pytest.mark.parametrize(
+        "lists",
+        [((0.7, 1.9),), (("a",),), (None,), ((True, 2),), (5,), ((0, "a"),), 5],
+        ids=["floats", "string", "none", "bool", "not_a_list", "mixed", "not_iterable"],
+    )
+    def test_entries_must_be_ints(self, lists):
+        with pytest.raises(InstanceFormatError):
+            ListEstimator(lists=lists)
 
 
 class TestSerialization:

@@ -94,6 +94,13 @@ class TestValidation:
         with pytest.raises(InstanceFormatError):
             simulate_game(UNIFORM4, mech, est, 0, 1)
 
+    @pytest.mark.parametrize("trials", [1.5, "10", True, None])
+    def test_trials_must_be_an_int(self, trials):
+        mech = uniform_qr(UNIFORM4)
+        est = map_list_estimator(UNIFORM4, mech)
+        with pytest.raises(InstanceFormatError):
+            simulate_game(UNIFORM4, mech, est, trials, 1)
+
     def test_estimator_shape_checked(self):
         mech = uniform_qr(UNIFORM4)
         with pytest.raises(DimensionMismatch):
