@@ -8,6 +8,7 @@ error prints `error: <Code>: <message>` on stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -220,7 +221,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then reused: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="listprivacy",
         description="Exact list-privacy / recoverability tradeoffs for finite alphabets.",

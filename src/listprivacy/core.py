@@ -68,6 +68,22 @@ def parse_rational(value) -> Fraction:
     return q
 
 
+def _check_sequence(name: str, value):
+    """Raise InstanceFormatError unless value is a sequence other than a string."""
+    if type(value) in (tuple, list):  # the common case, without the slow ABC test
+        return
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise InstanceFormatError(f"{name} must be a sequence, got {type(value).__name__}")
+
+
+def _sum_text(total: Fraction) -> str:
+    """A sum for an error message: exact when str() can write it, else its side of 1."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or max(abs(total.numerator), total.denominator) < 10**limit:
+        return str(total)
+    return f"{'more' if total > 1 else 'less'} than 1 (a fraction too long to write)"
+
+
 def _is_int(value) -> bool:
     """An int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -106,8 +122,7 @@ class Instance:
     def __post_init__(self):
         labels = () if self.labels is None else self.labels
         for name, value in (("pmf", self.pmf), ("f", self.f), ("labels", labels)):
-            if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-                raise InstanceFormatError(f"{name} must be a sequence, got {type(value).__name__}")
+            _check_sequence(name, value)
         pmf = tuple([parse_rational(p) for p in self.pmf])
         object.__setattr__(self, "pmf", pmf)
         f = tuple(self.f)
@@ -134,7 +149,7 @@ class Instance:
                 raise ZeroMassSymbol(f"pmf entry {x} is {p}; every symbol needs positive mass")
         total = sum(pmf)
         if total != 1:
-            raise PmfNotNormalized(f"pmf sums to {total}")
+            raise PmfNotNormalized(f"pmf sums to {_sum_text(total)}")
         seen = set(f)
         for i in range(k):
             if i not in seen:
@@ -182,6 +197,9 @@ class StochasticMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        _check_sequence("rows", self.rows)
+        for row in self.rows:
+            _check_sequence("a row", row)
         # Tuples on per-operation paths are built from lists: tuple() of a
         # generator shrinks an oversized tuple, which skips CPython's tuple
         # free lists on allocation but refills them on release.
@@ -196,8 +214,9 @@ class StochasticMatrix:
             for v in row:
                 if v < 0:
                     raise NotRowStochastic(f"row {x} has negative entry {v}")
-            if sum(row) != 1:
-                raise NotRowStochastic(f"row {x} sums to {sum(row)}")
+            total = sum(row)
+            if total != 1:
+                raise NotRowStochastic(f"row {x} sums to {_sum_text(total)}")
 
     @property
     def r(self) -> int:

@@ -8,13 +8,15 @@ normalized, which keeps everything an exact Fraction.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from listprivacy import Instance, StochasticMatrix, top_elements
+from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.envelope import EnvelopeLine
 from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpSolution, LpStatus
+from listprivacy.simulate import _thresholds
 
 
 def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instance:
@@ -281,3 +283,29 @@ def reference_solve_lp(
             x[bi] = T[i][ncol]
     objective = -red[ncol] * sign
     return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))
+
+
+def reference_simulate_game(
+    inst: Instance,
+    mech: StochasticMatrix,
+    estimator: ListEstimator,
+    trials: int,
+    seed: int,
+) -> int:
+    """Trial-at-a-time reference for simulate_game: the number of misses.
+
+    Each trial draws x, then z, as one getrandbits(64) call each, and picks
+    the bin by bisecting the exact thresholds.
+    """
+    rng = random.Random(seed)
+    draw = rng.getrandbits
+    x_cuts = _thresholds(inst.pmf)
+    z_cuts = [_thresholds(row) for row in mech.rows]
+    members = [frozenset(lst) for lst in estimator.lists]
+    misses = 0
+    for _ in range(trials):
+        x = bisect_right(x_cuts, draw(64))
+        z = bisect_right(z_cuts[x], draw(64))
+        if x not in members[z]:
+            misses += 1
+    return misses

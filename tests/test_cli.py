@@ -1,11 +1,14 @@
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import listprivacy
 from listprivacy import errors, instance_to_text, uniform_qr, matrix_to_text
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.cli import main
@@ -430,19 +433,25 @@ class TestMalformedInputFuzz:
                 assert prefix == "error" and code_name.strip() in ERROR_CODES, err[:200]
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "listprivacy", "validate", "uniform4"],
+def run_module(*argv):
+    """`python -m listprivacy` in a child that imports this package, installed or not."""
+    home = str(Path(listprivacy.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "listprivacy", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_module("validate", "uniform4")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "r=4 k=2 l=2, preimages [2,2]"
 
 
 def test_console_script_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "listprivacy", "--help"], capture_output=True, text=True
-    )
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "validate" in proc.stdout and "oracle" in proc.stdout

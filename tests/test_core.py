@@ -90,6 +90,11 @@ class TestInstanceValidation:
         with pytest.raises(PmfNotNormalized):
             Instance(pmf=(Fraction(1, 2), Fraction(49, 100)), f=(0, 1), l=1)
 
+    def test_sum_too_long_to_write_is_still_reported(self):
+        # Each entry fits the int-to-str digit limit; their sum does not.
+        with pytest.raises(PmfNotNormalized, match="sums to less than 1"):
+            Instance(pmf=TOO_LONG_SUM_PMF, f=(0, 1, 1), l=1)
+
     def test_zero_mass_rejected(self):
         with pytest.raises(ZeroMassSymbol):
             Instance(pmf=(Fraction(1), Fraction(0)), f=(0, 1), l=1)
@@ -147,6 +152,9 @@ class TestInstanceValidation:
             validate_instance({"pmf": ["1/2", "1/2"], "f": [0, 1]})
 
 
+TOO_LONG_SUM_PMF = (Fraction(1, 2**8000), Fraction(1, 3**5000), Fraction(1, 2))
+
+
 def _with(**fields):
     """A valid four-symbol instance file with some fields replaced or, when None, removed."""
     raw = {"pmf": ["1/4", "1/4", "1/4", "1/4"], "f": [0, 0, 1, 1], "l": 2}
@@ -178,6 +186,11 @@ SINGLE_FAULTS = [
     ("pmf_entry_zero", _with(pmf=["1/2", "1/4", "1/4", "0"]), ZeroMassSymbol),
     ("pmf_entry_negative", _with(pmf=["1", "1/4", "1/4", "-1/2"]), ZeroMassSymbol),
     ("pmf_not_normalized", _with(pmf=["1/4", "1/4", "1/4", "1/5"]), PmfNotNormalized),
+    (
+        "pmf_sum_too_long_to_write",
+        _with(pmf=[str(p) for p in TOO_LONG_SUM_PMF], f=[0, 1, 1]),
+        PmfNotNormalized,
+    ),
     ("preimage_empty", _with(f=[0, 0, 0, 0], k=2), EmptyPreimage),
     ("label_count", _with(labels=["a", "b", "c"]), InstanceFormatError),
 ]
@@ -232,6 +245,15 @@ class TestStochasticMatrix:
     def test_rows_must_sum_to_one(self):
         with pytest.raises(NotRowStochastic):
             StochasticMatrix(rows=((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 10))))
+
+    @pytest.mark.parametrize("rows", [5, (5,), "ab", ("ab",), ((Fraction(1),), 5)])
+    def test_non_sequence_rows_rejected(self, rows):
+        with pytest.raises(InstanceFormatError):
+            StochasticMatrix(rows=rows)
+
+    def test_sum_too_long_to_write_is_still_reported(self):
+        with pytest.raises(NotRowStochastic, match="sums to less than 1"):
+            StochasticMatrix(rows=(TOO_LONG_SUM_PMF[:2],))
 
     def test_negative_entry(self):
         with pytest.raises(NotRowStochastic):

@@ -1,11 +1,14 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
 
 from listprivacy import (
+    Instance,
     ListEstimator,
+    StochasticMatrix,
     deterministic_qr,
     derive_stream_seed,
     list_privacy,
@@ -18,8 +21,8 @@ from listprivacy import (
 )
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.errors import DimensionMismatch, InstanceFormatError
-from listprivacy.simulate import report_to_jsonable, sweep_to_csv
-from conftest import random_instance, random_mechanism
+from listprivacy.simulate import _CHUNK, _guide, _thresholds, report_to_jsonable, sweep_to_csv
+from conftest import random_instance, random_mechanism, reference_simulate_game
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -101,6 +104,13 @@ class TestValidation:
         with pytest.raises(InstanceFormatError):
             simulate_game(UNIFORM4, mech, est, trials, 1)
 
+    @pytest.mark.parametrize("seed", [None, [1], 1.5, "7", True])
+    def test_seed_must_be_an_int(self, seed):
+        mech = uniform_qr(UNIFORM4)
+        est = map_list_estimator(UNIFORM4, mech)
+        with pytest.raises(InstanceFormatError):
+            simulate_game(UNIFORM4, mech, est, 10, seed)
+
     def test_estimator_shape_checked(self):
         mech = uniform_qr(UNIFORM4)
         with pytest.raises(DimensionMismatch):
@@ -115,6 +125,94 @@ class TestValidation:
         est = map_list_estimator(UNIFORM4, uniform_qr(UNIFORM4))
         with pytest.raises(DimensionMismatch):
             simulate_game(UNIFORM4, mech, est, 10, 1)
+
+
+# Several cuts inside the first bucket of both guides: the pmf's first three
+# masses together fill a quarter of the first x bucket, and the mechanism's
+# first two entries sit inside the first z bucket.
+SKEWED = Instance(
+    pmf=(F(1, 3 << 18),) * 3 + (F(1, 3) - F(1, 1 << 18), F(1, 3), F(1, 3)),
+    f=(0, 1, 2, 0, 1, 2),
+    l=2,
+)
+SKEWED_MECH = StochasticMatrix(
+    rows=tuple(
+        tuple(F(v) for v in row)
+        for row in [
+            (F(1, 1000), F(1, 999), 1 - F(1, 1000) - F(1, 999)),
+            (F(1, 1024), F(1, 2048), 1 - F(3, 2048)),
+        ] * 3
+    )
+)
+# Dyadic masses: every cut lands on a bucket boundary of both guides.
+DYADIC = Instance(pmf=(F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 16)), f=(0, 1, 0, 1, 1), l=1)
+DYADIC_MECH = StochasticMatrix(
+    rows=((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)), (F(1), F(0)), (F(0), F(1)), (F(3, 8), F(5, 8)))
+)
+
+
+class TestGuideTable:
+    CASES = [
+        _thresholds(SKEWED.pmf),
+        _thresholds(SKEWED_MECH.rows[0]),
+        _thresholds(DYADIC.pmf),
+        _thresholds((F(1, 2), F(0), F(0), F(1, 2))),  # repeated cuts
+        _thresholds((F(0), F(1), F(0))),
+        _thresholds((F(1),)),
+        _thresholds([F(1, 7)] * 7),
+    ]
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_a_cell_names_the_bin_of_every_draw_in_its_bucket(self, bits):
+        # A bucket holds its bin exactly when no cut splits it.
+        width = 1 << (64 - bits)
+        for cuts in self.CASES:
+            table = _guide(cuts, bits, range(len(cuts)), None)
+            assert len(table) == 1 << bits
+            for b, cell in enumerate(table):
+                first = bisect_right(cuts, b * width)
+                last = bisect_right(cuts, (b + 1) * width - 1)
+                assert cell == (first if first == last else None)
+
+
+class TestAgainstReferenceLoop:
+    """The batch kernel gives the reference loop's misses, draw for draw."""
+
+    TRIALS = (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+
+    def assert_same(self, inst, mech, est=None, seed=2024, trials=TRIALS):
+        est = map_list_estimator(inst, mech) if est is None else est
+        for n in trials:
+            got = simulate_game(inst, mech, est, n, seed).misses
+            assert got == reference_simulate_game(inst, mech, est, n, seed), (inst, n)
+
+    def test_random_instances_and_lists(self):
+        rng = random.Random(606)
+        for case in range(14):
+            inst = random_instance(rng, r_max=60, k_max=8)
+            mech = random_mechanism(rng, inst)
+            lists = tuple(
+                tuple(rng.sample(range(inst.r), inst.l)) for _ in range(inst.k)
+            )
+            est = map_list_estimator(inst, mech) if case % 2 else ListEstimator(lists=lists)
+            self.assert_same(inst, mech, est, seed=rng.randrange(1 << 40))
+
+    def test_dyadic_cuts_on_bucket_boundaries(self):
+        self.assert_same(DYADIC, DYADIC_MECH)
+
+    def test_zero_entries_repeat_a_cut(self):
+        mech = StochasticMatrix(
+            rows=((F(1, 3), F(0), F(2, 3)),) * 3 + ((F(0), F(0), F(1)),) * 2
+        )
+        self.assert_same(TERNARY5, mech)
+
+    def test_deterministic_and_uniform_mechanisms(self):
+        for inst in (SKEW7, UNIFORM4, TERNARY5):
+            self.assert_same(inst, deterministic_qr(inst))
+            self.assert_same(inst, uniform_qr(inst))
+
+    def test_several_cuts_in_one_bucket(self):
+        self.assert_same(SKEWED, SKEWED_MECH, trials=self.TRIALS + (1 << 17,))
 
 
 class TestSweep:
