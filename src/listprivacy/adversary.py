@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import Instance, ListEstimator, StochasticMatrix, check_dims, format_rational
 
@@ -33,6 +34,17 @@ def map_list_estimator(inst: Instance, mech: StochasticMatrix) -> ListEstimator:
     return list_privacy(inst, mech).estimator
 
 
+def best_list(scores: Sequence[Fraction], l: int) -> tuple[Fraction, tuple[int, ...]]:
+    """One output's heaviest l-list, as (mass, ascending indices).
+
+    `scores[x]` is the joint mass pmf[x] * W(i|x). Ties break by score
+    descending then index ascending: the sort is stable, so reverse=True
+    keeps tied indices in ascending order.
+    """
+    picked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)[:l]
+    return sum([scores[x] for x in picked], Fraction(0)), tuple(sorted(picked))
+
+
 def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
     """Exact privacy of a mechanism against the optimal list adversary.
 
@@ -43,11 +55,9 @@ def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
     lists = []
     masses = []
     for i in range(inst.k):
-        scores = [(inst.pmf[x] * mech.rows[x][i], x) for x in range(inst.r)]
-        scores.sort(key=lambda sv: (-sv[0], sv[1]))
-        picked = scores[: inst.l]
-        masses.append(sum((s for s, _ in picked), Fraction(0)))
-        lists.append(tuple(sorted(x for _, x in picked)))
+        mass, members = best_list([inst.pmf[x] * mech.rows[x][i] for x in range(inst.r)], inst.l)
+        masses.append(mass)
+        lists.append(members)
     privacy = 1 - sum(masses)
     if not 0 <= privacy <= 1:
         raise AssertionError(f"privacy {privacy} escaped [0, 1]")

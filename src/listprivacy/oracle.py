@@ -9,6 +9,13 @@ are slack, so they are generated by Kelley's cutting-plane method: the optimal
 adversary, run on the candidate witness, finds each output's violated list.
 The loop stops when the witness's exact privacy equals the program's optimum,
 which certifies the witness against every l-list.
+
+Within one call each row is built once: the fixed rows up front, each list
+row when its cut is generated. Every round hands the solver the same row
+objects in the same order, so its pivots are the ones a rebuilt program
+would get. A round reads each output's best list straight from the solution
+vector; only the final witness is built as a matrix and certified by
+`list_privacy`.
 """
 
 from __future__ import annotations
@@ -19,8 +26,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .adversary import list_privacy
-from .core import Instance, StochasticMatrix, ensure_rho, format_rational, top_elements
+from .adversary import best_list, list_privacy
+from .core import (
+    Instance,
+    StochasticMatrix,
+    _check_sequence,
+    ensure_rho,
+    format_rational,
+    top_elements,
+)
 from .errors import InstanceTooLarge
 from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
 
@@ -45,50 +59,64 @@ class OracleResult:
     witness_is_add_noise: bool
 
 
-def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int, ...]]]):
-    """Cost vector and constraint rows; variables are w(x,i) then t(i).
+def _list_row(inst: Instance, i: int, lst: tuple[int, ...]) -> list:
+    """The row `mass of lst under output i - t(i) <= 0`: pmf entries, else int."""
+    k = inst.k
+    row = [0] * (inst.r * k + k)
+    for x in lst:
+        row[x * k + i] = inst.pmf[x]
+    row[inst.r * k + i] = -1
+    return row
 
-    `lists[i]` are the candidate l-lists whose mass bounds t(i) from below.
-    """
+
+def _fixed_rows(inst: Instance, rho: Fraction):
+    """Rows, senses, rhs and names of the stochastic rows, then the recover rows."""
     r, k = inst.r, inst.k
-    nw = r * k
-    n = nw + k
-
-    def w(x: int, i: int) -> int:
-        return x * k + i
-
-    costs = [Fraction(0)] * nw + [Fraction(1)] * k
-    rows: list[list[Fraction]] = []
+    n = r * k + k
+    rows: list[list] = []
     senses: list[str] = []
-    rhs: list[Fraction] = []
+    rhs: list = []
     names: list[str] = []
-    for i in range(k):
-        for lst in lists[i]:
-            row = [Fraction(0)] * n
-            for x in lst:
-                row[w(x, i)] = inst.pmf[x]
-            row[nw + i] = Fraction(-1)
-            rows.append(row)
-            senses.append(LESS)
-            rhs.append(Fraction(0))
-            names.append(f"list_{i}_" + "_".join(str(x) for x in lst))
     for x in range(r):
-        row = [Fraction(0)] * n
-        for i in range(k):
-            row[w(x, i)] = Fraction(1)
+        row = [0] * n
+        row[x * k : x * k + k] = [1] * k
         rows.append(row)
         senses.append(EQUAL)
-        rhs.append(Fraction(1))
+        rhs.append(1)
         names.append(f"row_{x}")
     if rho > 0:
         for x in range(r):
-            row = [Fraction(0)] * n
-            row[w(x, inst.f[x])] = Fraction(1)
+            row = [0] * n
+            row[x * k + inst.f[x]] = 1
             rows.append(row)
             senses.append(GREATER)
             rhs.append(rho)
             names.append(f"recover_{x}")
-    return costs, rows, senses, rhs, names
+    return rows, senses, rhs, names
+
+
+def _program(inst: Instance, list_rows: list, fixed) -> tuple[list, list, list, list]:
+    """Costs, rows, senses and rhs: the list rows, then the `_fixed_rows`."""
+    rows, senses, rhs, _ = fixed
+    m = len(list_rows)
+    costs = [0] * (inst.r * inst.k) + [1] * inst.k
+    return costs, list_rows + rows, [LESS] * m + senses, [0] * m + rhs
+
+
+def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int, ...]]]):
+    """Cost vector and constraint rows; variables are w(x,i) then t(i).
+
+    `lists[i]` are the candidate l-lists whose mass bounds t(i) from below.
+    Their rows come first, output by output, then the fixed rows.
+    """
+    rows: list[list] = []
+    names: list[str] = []
+    for i in range(inst.k):
+        for lst in lists[i]:
+            rows.append(_list_row(inst, i, lst))
+            names.append(f"list_{i}_" + "_".join(str(x) for x in lst))
+    fixed = _fixed_rows(inst, rho)
+    return (*_program(inst, rows, fixed), names + fixed[3])
 
 
 def _active_lists(inst: Instance, witness: StochasticMatrix):
@@ -128,26 +156,31 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     """
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
-    lists = [[top_elements(range(r), inst.l, inst.pmf)] for _ in range(k)]
+    nw = r * k
+    fixed = _fixed_rows(inst, rho)
+    top = top_elements(range(r), inst.l, inst.pmf)
+    # Each output's list rows, in the order their cuts were generated.
+    cuts = [[_list_row(inst, i, top)] for i in range(k)]
     while True:
-        costs, rows, senses, rhs, _ = _lp_parts(inst, rho, lists)
-        sol = solve_lp(costs, rows, senses, rhs)
+        rows = [row for per_output in cuts for row in per_output]
+        sol = solve_lp(*_program(inst, rows, fixed))
         if sol.status is not LpStatus.OPTIMAL:
             raise AssertionError(f"privacy program should always solve, got {sol.status}")
-        witness = StochasticMatrix(
-            rows=tuple([tuple([sol.x[x * k + i] for i in range(k)]) for x in range(r)])
-        )
         optimum = 1 - sol.objective
-        report = list_privacy(inst, witness)
-        if report.privacy == optimum:
+        w = sol.x
+        best = [best_list([inst.pmf[x] * w[x * k + i] for x in range(r)], inst.l) for i in range(k)]
+        privacy = 1 - sum(mass for mass, _ in best)
+        if privacy == optimum:
             break
-        if report.privacy > optimum:
-            raise AssertionError(
-                f"witness certifies {report.privacy}, program claims {optimum}"
-            )
-        for i in range(k):
-            if report.per_output_mass[i] > sol.x[r * k + i]:
-                lists[i].append(report.estimator.lists[i])
+        if privacy > optimum:
+            raise AssertionError(f"witness certifies {privacy}, program claims {optimum}")
+        for i, (mass, lst) in enumerate(best):
+            if mass > w[nw + i]:
+                cuts[i].append(_list_row(inst, i, lst))
+    witness = StochasticMatrix(rows=tuple([tuple(w[x * k : x * k + k]) for x in range(r)]))
+    certified = list_privacy(inst, witness).privacy
+    if certified != optimum:
+        raise AssertionError(f"witness certifies {certified}, program claims {optimum}")
     within = all(
         witness.rows[x] == witness.rows[block[0]]
         for block in inst.preimages
@@ -164,13 +197,24 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
 def exact_privacy_curve(
     inst: Instance, grid: Sequence
 ) -> tuple[tuple[Fraction, OracleResult], ...]:
-    """Oracle values over a grid of levels, checked to be nonincreasing in rho."""
+    """Oracle values over a grid of levels, checked to be nonincreasing and
+    concave in rho.
+
+    rho enters the program only through its right-hand side, so the optimum
+    is convex in rho and privacy concave: the slopes between consecutive
+    distinct levels cannot increase. Raises InstanceFormatError when the grid
+    is not a sequence.
+    """
+    _check_sequence("grid", grid)
     levels = [ensure_rho(rho) for rho in grid]
     results = [(rho, exact_privacy(inst, rho)) for rho in levels]
-    ordered = sorted(results, key=lambda pair: pair[0])
-    for (_, left), (_, right) in zip(ordered, ordered[1:]):
-        if right.optimum > left.optimum:
+    points = sorted({rho: result.optimum for rho, result in results}.items())
+    slopes = [(b - a) / (s - t) for (t, a), (s, b) in zip(points, points[1:])]
+    for j, slope in enumerate(slopes):
+        if slope > 0:
             raise AssertionError("oracle curve increased with rho")
+        if j and slope > slopes[j - 1]:
+            raise AssertionError("oracle curve is not concave in rho")
     return tuple(results)
 
 

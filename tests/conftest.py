@@ -13,9 +13,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+import pytest
+
 from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
+from listprivacy.adversary import PrivacyReport
+from listprivacy.core import check_dims, ensure_rho
 from listprivacy.envelope import EnvelopeLine
-from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpSolution, LpStatus
+from listprivacy.oracle import OracleResult, _active_lists, _lp_parts
+from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpSolution, LpStatus, solve_lp
 from listprivacy.simulate import _thresholds
 
 
@@ -309,3 +314,90 @@ def reference_simulate_game(
         if x not in members[z]:
             misses += 1
     return misses
+
+
+def reference_list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
+    """Reference for list_privacy: per output, sort (score, index) pairs by
+    the key (-score, index), so ties go to the smaller index."""
+    check_dims(inst, mech)
+    lists = []
+    masses = []
+    for i in range(inst.k):
+        scores = [(inst.pmf[x] * mech.rows[x][i], x) for x in range(inst.r)]
+        scores.sort(key=lambda sv: (-sv[0], sv[1]))
+        picked = scores[: inst.l]
+        masses.append(sum((s for s, _ in picked), Fraction(0)))
+        lists.append(tuple(sorted(x for _, x in picked)))
+    privacy = 1 - sum(masses)
+    if not 0 <= privacy <= 1:
+        raise AssertionError(f"privacy {privacy} escaped [0, 1]")
+    return PrivacyReport(
+        privacy=privacy,
+        estimator=ListEstimator(lists=tuple(lists)),
+        per_output_mass=tuple(masses),
+    )
+
+
+def reference_exact_privacy(inst: Instance, rho) -> OracleResult:
+    """Reference cutting-plane loop for exact_privacy: same rows, same pivots.
+
+    Every round rebuilds the whole program with `_lp_parts` and evaluates a
+    validated witness matrix with the reference adversary. The oracle must
+    return the same result after the same rounds and the same pivots.
+    """
+    rho = ensure_rho(rho)
+    r, k = inst.r, inst.k
+    lists = [[top_elements(range(r), inst.l, inst.pmf)] for _ in range(k)]
+    while True:
+        costs, rows, senses, rhs, _ = _lp_parts(inst, rho, lists)
+        sol = solve_lp(costs, rows, senses, rhs)
+        if sol.status is not LpStatus.OPTIMAL:
+            raise AssertionError(f"privacy program should always solve, got {sol.status}")
+        witness = StochasticMatrix(
+            rows=tuple([tuple([sol.x[x * k + i] for i in range(k)]) for x in range(r)])
+        )
+        optimum = 1 - sol.objective
+        report = reference_list_privacy(inst, witness)
+        if report.privacy == optimum:
+            break
+        if report.privacy > optimum:
+            raise AssertionError(
+                f"witness certifies {report.privacy}, program claims {optimum}"
+            )
+        for i in range(k):
+            if report.per_output_mass[i] > sol.x[r * k + i]:
+                lists[i].append(report.estimator.lists[i])
+    within = all(
+        witness.rows[x] == witness.rows[block[0]]
+        for block in inst.preimages
+        for x in block
+    )
+    return OracleResult(
+        optimum=optimum,
+        witness=witness,
+        active_lists=_active_lists(inst, witness),
+        witness_is_add_noise=within,
+    )
+
+
+@pytest.fixture
+def pivot_log(monkeypatch):
+    """`pivot_log(module, name)` wraps the pivot function `module.name` so
+    that every pivot appends its (row, column) to the list it returns.
+
+    Scaling a row by a positive number changes no pivoting decision, so two
+    solvers given the same program must log the same pairs in the same order.
+    """
+
+    def install(module, name: str) -> list:
+        log = []
+        pivot = getattr(module, name)
+
+        def record(T, basis, red, row, col):
+            log.append((row, col))
+            pivot(T, basis, red, row, col)
+
+        monkeypatch.setattr(module, name, record)
+        return log
+
+    return install

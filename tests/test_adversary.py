@@ -15,11 +15,11 @@ from listprivacy import (
     ternary_example_qr,
     uniform_qr,
 )
-from listprivacy.adversary import report_to_jsonable, report_to_text
+from listprivacy.adversary import best_list, report_to_jsonable, report_to_text
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
 from listprivacy.errors import DimensionMismatch
-from conftest import random_instance, random_mechanism, random_rho
+from conftest import random_instance, random_mechanism, random_rho, reference_list_privacy
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -72,6 +72,39 @@ class TestListPrivacyFrozen:
         inst = UNIFORM4.with_list_size(3)
         w = optimal_binary_qr(inst, F(9, 10))
         assert list_privacy(inst, w).privacy == F(1, 20)
+
+
+class TestBestList:
+    def test_ties_keep_ascending_index(self):
+        rng = random.Random(37)
+        for _ in range(400):
+            r = rng.randint(1, 9)
+            # Few distinct values, so most draws tie.
+            scores = [F(rng.randint(0, 3), rng.choice((1, 2, 4))) for _ in range(r)]
+            l = rng.randint(0, r)
+            mass, members = best_list(scores, l)
+            ranked = sorted(range(r), key=lambda x: (-scores[x], x))[:l]
+            assert members == tuple(sorted(ranked))
+            assert mass == sum(scores[x] for x in ranked) and type(mass) is F
+            if l:
+                cut = min(scores[x] for x in members)
+                tied_in = [x for x in members if scores[x] == cut]
+                tied_out = [x for x in range(r) if x not in members and scores[x] == cut]
+                assert not tied_out or max(tied_in) < min(tied_out)
+
+    def test_list_privacy_matches_the_sort_key_reference(self):
+        rng = random.Random(38)
+        for _ in range(60):
+            inst = random_instance(rng, r_max=8, k_max=4)
+            if rng.random() < 0.5:
+                inst = Instance(pmf=(F(1, inst.r),) * inst.r, f=inst.f, l=inst.l)
+            rows = []
+            for _ in range(inst.r):
+                weights = [rng.randint(0, 2) for _ in range(inst.k)]
+                weights[rng.randrange(inst.k)] += 1
+                rows.append(tuple(F(w, sum(weights)) for w in weights))
+            mech = StochasticMatrix(rows=tuple(rows))
+            assert list_privacy(inst, mech) == reference_list_privacy(inst, mech)
 
 
 class TestListPrivacyProperties:

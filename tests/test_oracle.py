@@ -14,17 +14,35 @@ from listprivacy import (
     privacy_bound,
     privacy_curve,
 )
+import conftest
 import listprivacy.oracle as oracle
+import listprivacy.simplex as simplex
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
-from listprivacy.errors import InstanceTooLarge
-from listprivacy.oracle import _lp_parts
+from listprivacy.errors import InstanceFormatError, InstanceTooLarge
+from listprivacy.oracle import OracleResult, _lp_parts
 from listprivacy.simplex import solve_lp
-from conftest import random_instance, reference_solve_lp
+from conftest import random_instance, random_rho, reference_exact_privacy, reference_solve_lp
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
 TERNARY5 = catalog_instance("ternary5")
+CATALOG = (SKEW7, UNIFORM4, TERNARY5)
+CATALOG_LEVELS = tuple(
+    F(v) for v in ("0", "1/10", "1/5", "3/10", "1/3", "2/5", "1/2", "3/5", "7/10", "3/4", "4/5", "9/10", "1")
+)
+
+
+def logged(solve, log: list, pivots: list):
+    """`solve`, appending each call's row count and the pivots it logged to `log`."""
+
+    def run(costs, rows, senses, rhs):
+        start = len(pivots)
+        sol = solve(costs, rows, senses, rhs)
+        log.append((len(rows), pivots[start:]))
+        return sol
+
+    return run
 
 
 class TestFrozenValues:
@@ -91,6 +109,35 @@ class TestCurve:
                 assert rho == wanted
                 assert res.optimum == curve.value_at(rho)
 
+    def test_grid_must_be_a_sequence(self):
+        for grid in (5, F(1, 2), "1/2", {F(0), F(1)}, (F(j, 4) for j in range(5))):
+            with pytest.raises(InstanceFormatError):
+                exact_privacy_curve(UNIFORM4, grid)
+
+    def test_convex_or_increasing_values_are_refused(self, monkeypatch):
+        # Any list order, repeated levels included: the checks run on the
+        # distinct levels in ascending order.
+        for table, message in (
+            ({F(0): F(1, 2), F(1, 2): F(1, 2), F(1): F(1, 4)}, None),
+            ({F(0): F(1), F(1, 2): F(1, 4), F(1): F(0)}, "not concave"),
+            ({F(0): F(1, 2), F(1, 2): F(1, 2), F(3, 4): F(1, 4), F(1): F(1, 8)}, "not concave"),
+            ({F(0): F(1, 4), F(1, 2): F(1, 2), F(1): F(1, 4)}, "increased"),
+        ):
+            monkeypatch.setattr(
+                oracle,
+                "exact_privacy",
+                lambda inst, rho: OracleResult(
+                    optimum=table[rho], witness=None, active_lists=(), witness_is_add_noise=False
+                ),
+            )
+            grid = sorted(table, reverse=True) + [F(1, 2)]
+            if message is None:
+                values = [res.optimum for _, res in exact_privacy_curve(UNIFORM4, grid)]
+                assert values == [table[rho] for rho in grid]
+            else:
+                with pytest.raises(AssertionError, match=message):
+                    exact_privacy_curve(UNIFORM4, grid)
+
     def test_nonincreasing_in_rho(self):
         rng = random.Random(54)
         inst = random_instance(rng, r_max=6, k_max=3, l_max=2)
@@ -127,6 +174,8 @@ class TestAgainstFullProgram:
     def test_dense_reference_solver_gives_the_same_answers(self, monkeypatch):
         # The witness is printed by `oracle --rho`, so the integer solver must
         # land on the reference solver's vertex in every cutting-plane round.
+        # The rounds are counted on the reference loop, out of the oracle's
+        # reach, so a solve that went round the patch cannot pass unseen.
         rng = random.Random(57)
         cases = [
             (inst, rho)
@@ -134,12 +183,62 @@ class TestAgainstFullProgram:
             for rho in (F(2, 5), F(3, 5), F(4, 5))
         ]
         results = [exact_privacy(inst, rho) for inst, rho in cases]
-        monkeypatch.setattr(oracle, "solve_lp", reference_solve_lp)
-        for (inst, rho), result in zip(cases, results):
+        rounds = []
+        monkeypatch.setattr(conftest, "solve_lp", logged(conftest.solve_lp, rounds, []))
+        wanted_rounds = []
+        for inst, rho in cases:
+            rounds.clear()
+            reference_exact_privacy(inst, rho)
+            wanted_rounds.append(len(rounds))
+        monkeypatch.setattr(oracle, "solve_lp", logged(reference_solve_lp, rounds, []))
+        for (inst, rho), result, wanted in zip(cases, results, wanted_rounds):
+            rounds.clear()
             reference = exact_privacy(inst, rho)
+            assert len(rounds) == wanted  # one reference solve per round
             assert result.optimum == reference.optimum
             assert result.witness == reference.witness
             assert result.active_lists == reference.active_lists
+        assert sum(wanted_rounds) > len(cases)  # some cases take several rounds
+
+
+class TestAgainstReferenceLoop:
+    """The loop against `conftest.reference_exact_privacy`, which rebuilds
+    every row and validates a witness matrix in every round: same result,
+    same rounds, same rows per round and the same pivots in each."""
+
+    @pytest.fixture
+    def same_rounds(self, pivot_log, monkeypatch):
+        pivots = pivot_log(simplex, "_pivot")
+        rounds = []
+        monkeypatch.setattr(oracle, "solve_lp", logged(oracle.solve_lp, rounds, pivots))
+        monkeypatch.setattr(conftest, "solve_lp", logged(conftest.solve_lp, rounds, pivots))
+
+        def check(inst, rho):
+            rounds.clear()
+            got = exact_privacy(inst, rho)
+            got_rounds = rounds[:]
+            rounds.clear()
+            want = reference_exact_privacy(inst, rho)
+            assert got.optimum == want.optimum
+            assert got.witness == want.witness
+            assert got.active_lists == want.active_lists
+            assert got.witness_is_add_noise == want.witness_is_add_noise
+            assert got_rounds == rounds
+            return len(rounds)
+
+        return check
+
+    def test_catalog(self, same_rounds):
+        rounds = [same_rounds(inst, rho) for inst in CATALOG for rho in CATALOG_LEVELS]
+        assert max(rounds) > 2
+
+    def test_random_instances(self, same_rounds):
+        rng = random.Random(58)
+        rounds = []
+        for _ in range(60):
+            inst = random_instance(rng, r_max=8, k_max=4, l_max=3)
+            rounds += [same_rounds(inst, random_rho(rng)) for _ in range(5)]
+        assert max(rounds) > 2
 
 
 class TestScipyCrossCheck:

@@ -136,30 +136,18 @@ def random_program(rng: random.Random):
 
 
 @pytest.fixture
-def same_solution(monkeypatch):
-    """Solve with both solvers; require the same answer and the same pivots.
-
-    Scaling a row by a positive number changes no pivoting decision, so the
-    two solvers must pivot on the same (row, column) pairs in the same order.
-    """
-    logs = {}
-
-    def recording(name, pivot):
-        def record(T, basis, red, row, col):
-            logs[name].append((row, col))
-            pivot(T, basis, red, row, col)
-
-        return record
-
-    monkeypatch.setattr(simplex, "_pivot", recording("integer", simplex._pivot))
-    monkeypatch.setattr(conftest, "_reference_pivot", recording("reference", conftest._reference_pivot))
+def same_solution(pivot_log):
+    """Solve with both solvers; require the same answer and the same pivots."""
+    integer = pivot_log(simplex, "_pivot")
+    reference = pivot_log(conftest, "_reference_pivot")
 
     def check(costs, rows, senses, rhs, maximize=False):
-        logs["integer"], logs["reference"] = [], []
+        integer.clear()
+        reference.clear()
         got = solve_lp(costs, rows, senses, rhs, maximize=maximize)
         want = reference_solve_lp(costs, rows, senses, rhs, maximize=maximize)
         assert (got.status, got.objective, got.x) == (want.status, want.objective, want.x)
-        assert logs["integer"] == logs["reference"]
+        assert integer == reference
         return got
 
     return check
