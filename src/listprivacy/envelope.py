@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .core import Instance, ensure_rho, format_rational, top_elements
+from .core import Instance, _is_int, ensure_rho, format_rational, top_elements
 from .errors import InstanceFormatError
 
 
@@ -92,8 +92,8 @@ class PrivacyCurve:
 
     def samples(self, n: int) -> list[tuple[Fraction, Fraction]]:
         """n+1 equispaced exact samples of the bound on [0, 1]."""
-        if n < 1:
-            raise InstanceFormatError(f"need at least one sampling interval, got {n}")
+        if not _is_int(n) or n < 1:
+            raise InstanceFormatError(f"need a whole number of sampling intervals >= 1, got {n!r}")
         return [(Fraction(j, n), self.value_at(Fraction(j, n))) for j in range(n + 1)]
 
 

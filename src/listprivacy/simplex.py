@@ -1,13 +1,16 @@
-"""Exact two-phase simplex over rationals, on integer tableau rows.
+"""Exact two-phase simplex over rationals, on sparse integer tableau rows.
 
-Dense tableau, minimization form, variables implicitly nonnegative. Each row
-holds Python ints: a positive integer multiple of the true row, divided by the
-gcd of its entries, so its entry in its basic column is the row's scale. The
-reduced-cost row carries its positive denominator as one extra entry. Pivots
-are fraction-free and sparse: only rows with a nonzero entry in the pivot
-column change, each as p*row - f*prow at the pivot row's nonzero columns, and
-the ratio test cross-multiplies. Scaling a row by a positive number changes no
-sign and no ratio, so every decision is the one the rational tableau makes.
+Minimization form, variables implicitly nonnegative. Each tableau row is a
+`{column: int}` dict holding only its nonzero entries, the right-hand side
+included under the column after the last variable: a positive integer
+multiple of the true row, divided by the gcd of its entries, so its entry in
+its basic column is the row's scale. The reduced-cost row is a dense list, as
+pricing scans every column, and carries its positive denominator as one extra
+entry. Pivots are fraction-free and sparse: only rows with a nonzero entry in
+the pivot column change, each as p*row - f*prow over the pivot row's nonzeros,
+and the ratio test cross-multiplies. Scaling a row by a positive number
+changes no sign and no ratio, so every decision is the one the rational
+tableau makes.
 
 The entering rule is steepest Dantzig descent until the objective stalls on
 degenerate pivots, at which point Bland's rule takes over so cycling is
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
@@ -43,56 +46,85 @@ class LpSolution:
     x: tuple[Fraction, ...] | None
 
 
-def _integers(values) -> tuple[list[int], int]:
-    """The values as ints over one common denominator, the lcm of theirs."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+def _integers(values: Iterable) -> tuple[dict[int, int], int]:
+    """The nonzero values by index, as ints over one common denominator, the
+    lcm of theirs."""
+    nonzero = {}
     den = 1
-    for v in values:
-        d = v.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    return [v.numerator * (den // v.denominator) if v else 0 for v in values], den
+    for j, v in enumerate(values):
+        if v == 0:  # no str equals 0: "0" is converted, then dropped below
+            continue
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        if v:
+            nonzero[j] = v
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+    return {j: v.numerator * (den // v.denominator) for j, v in nonzero.items()}, den
 
 
-def _reduce(row: list[int]) -> list[int]:
-    # Pairwise gcd that stops at 1: math.gcd(*row) would build a tuple of the
-    # whole row on every update.
+def _content(values: Iterable[int]) -> int:
+    """The gcd of the values, 0 when all are zero; stops once it reaches 1."""
+    # Pairwise: math.gcd(*values) would build a tuple of the whole row on
+    # every update.
     g = 0
-    for v in row:
+    for v in values:
         if v:
             g = gcd(g, v)
             if g == 1:
-                return row
-    return [v // g for v in row] if g > 1 else row
+                return 1
+    return g
 
 
-def _eliminate(row: list[int], prow: list[int], nonzero: list[int], col: int) -> list[int]:
+def _reduce(row: dict[int, int]) -> dict[int, int]:
+    g = _content(row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
     """Clear `row[col]` with the pivot row, whose entry there is positive."""
     p, f = prow[col], row[col]
     g = gcd(p, f)
     p //= g
     f //= g
-    row = [p * v for v in row] if p != 1 else row[:]
-    for j in nonzero:
-        row[j] -= f * prow[j]
+    row = {j: p * v for j, v in row.items()} if p != 1 else row.copy()
+    get = row.get
+    for j, v in prow.items():
+        # f * v is nonzero, so a zero result means j was stored in row.
+        w = get(j, 0) - f * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
     return _reduce(row)
 
 
-def _nonzero(row: list[int]) -> list[int]:
-    return [j for j, v in enumerate(row) if v]
+def _eliminate_costs(red: list[int], prow: dict[int, int], col: int) -> None:
+    """Clear `red[col]` in the dense reduced-cost row, in place."""
+    p, f = prow[col], red[col]
+    g = gcd(p, f)
+    p //= g
+    f //= g
+    if p != 1:
+        red[:] = [p * v for v in red]
+    for j, v in prow.items():
+        red[j] -= f * v
+    g = _content(red)
+    if g > 1:
+        red[:] = [v // g for v in red]
 
 
 def _pivot(T: list, basis: list, red: list, row: int, col: int):
     prow = T[row]
     if prow[col] < 0:
-        prow = [-v for v in prow]
+        prow = {j: -v for j, v in prow.items()}
         T[row] = prow
-    nonzero = _nonzero(prow)
     for i, Ti in enumerate(T):
-        if i != row and Ti[col]:
-            T[i] = _eliminate(Ti, prow, nonzero, col)
+        if i != row and col in Ti:
+            T[i] = _eliminate(Ti, prow, col)
     if red[col]:
-        red[:] = _eliminate(red, prow, nonzero, col)
+        _eliminate_costs(red, prow, col)
     basis[row] = col
 
 
@@ -100,7 +132,7 @@ def _reduced_costs(T: list, basis: list, cost: list, den: int) -> list:
     red = cost + [0, den]
     for i, bi in enumerate(basis):
         if red[bi]:
-            red = _eliminate(red, T[i], _nonzero(T[i]), bi)
+            _eliminate_costs(red, T[i], bi)
     return red
 
 
@@ -125,14 +157,15 @@ def _run(T: list, basis: list, cost: list, den: int) -> tuple[str, list]:
             return "optimal", red
         leave = -1
         for i, Ti in enumerate(T):
-            a = Ti[enter]
+            a = Ti.get(enter, 0)
             if a > 0:
                 if leave < 0:
-                    leave, num, dnm = i, Ti[rhs], a
+                    leave, num, dnm = i, Ti.get(rhs, 0), a
                     continue
-                lhs, cur = Ti[rhs] * dnm, num * a
+                b = Ti.get(rhs, 0)
+                lhs, cur = b * dnm, num * a
                 if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
-                    leave, num, dnm = i, Ti[rhs], a
+                    leave, num, dnm = i, b, a
         if leave < 0:
             return "unbounded", red
         if num == 0:
@@ -165,11 +198,13 @@ def solve_lp(
         if s not in (LESS, EQUAL, GREATER):
             raise ValueError(f"unknown sense {s!r}")
     sign = -1 if maximize else 1
-    c_struct, c_den = _integers(costs)
-    if maximize:
-        c_struct = [-v for v in c_struct]
+    nonzero, c_den = _integers(costs)
+    c_struct = [0] * n
+    for j, v in nonzero.items():
+        c_struct[j] = v * sign
 
-    A: list[list[int]] = []
+    # Each row with its rhs under column n for now, and its scale.
+    A: list[dict[int, int]] = []
     scale: list[int] = []
     sense: list[str] = []
     flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
@@ -177,8 +212,8 @@ def solve_lp(
         if len(row) != n:
             raise ValueError("row width does not match the cost vector")
         ints, den = _integers([*row, bv])
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
+        if ints.get(n, 0) < 0:
+            ints = {j: -v for j, v in ints.items()}
             s = flip[s]
         A.append(ints)
         scale.append(den)
@@ -197,10 +232,10 @@ def solve_lp(
             art_col[i] = ncol
             ncol += 1
 
-    T: list[list[int]] = []
+    T: list[dict[int, int]] = []
     basis: list[int] = []
-    for i in range(m):
-        row = A[i][:n] + [0] * (ncol - n) + [A[i][n]]
+    for i, row in enumerate(A):
+        b = row.pop(n, 0)
         if i in slack_col:
             row[slack_col[i]] = scale[i] if sense[i] == LESS else -scale[i]
         if i in art_col:
@@ -208,6 +243,8 @@ def solve_lp(
             basis.append(art_col[i])
         else:
             basis.append(slack_col[i])
+        if b:
+            row[ncol] = b
         T.append(row)
 
     if art_col:
@@ -225,16 +262,18 @@ def solve_lp(
         for i in range(len(T) - 1, -1, -1):
             if basis[i] not in arts:
                 continue
-            pivot_col = next(
-                (j for j in range(art_start) if T[i][j] != 0),
-                None,
-            )
+            pivot_col = min((j for j in T[i] if j < art_start), default=None)
             if pivot_col is None:
                 del T[i]
                 del basis[i]
             else:
                 _pivot(T, basis, red, i, pivot_col)
-        T = [row[:art_start] + [row[ncol]] for row in T]
+        for i, row in enumerate(T):
+            b = row.get(ncol, 0)
+            row = {j: v for j, v in row.items() if j < art_start}
+            if b:
+                row[art_start] = b
+            T[i] = row
         ncol = art_start
 
     status, red = _run(T, basis, c_struct + [0] * (ncol - n), c_den)
@@ -243,6 +282,6 @@ def solve_lp(
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Fraction(T[i][ncol], T[i][bi])
+            x[bi] = Fraction(T[i].get(ncol, 0), T[i][bi])
     objective = Fraction(-red[ncol], red[ncol + 1]) * sign
     return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))

@@ -29,7 +29,15 @@ from operator import getitem
 from typing import Callable, Sequence
 
 from .adversary import list_privacy
-from .core import Instance, ListEstimator, StochasticMatrix, check_dims, format_rational
+from .core import (
+    Instance,
+    ListEstimator,
+    StochasticMatrix,
+    _check_sequence,
+    check_dims,
+    ensure_rho,
+    format_rational,
+)
 from .errors import DimensionMismatch, InstanceFormatError
 
 _SCALE = 1 << 64
@@ -163,9 +171,14 @@ def privacy_sweep(
     trials: int,
     seed: int,
 ) -> list[SweepPoint]:
-    """Simulate across levels; stream j uses derive_stream_seed(seed, j)."""
+    """Simulate across levels; stream j uses derive_stream_seed(seed, j).
+
+    Every level is checked before any is simulated.
+    """
+    _check_sequence("rhos", rhos)
+    levels = [ensure_rho(rho) for rho in rhos]
     points = []
-    for j, rho in enumerate(rhos):
+    for j, rho in enumerate(levels):
         mech = mech_for_rho(rho)
         exact = list_privacy(inst, mech)
         report = simulate_game(
@@ -173,7 +186,7 @@ def privacy_sweep(
         )
         points.append(
             SweepPoint(
-                rho=Fraction(rho),
+                rho=rho,
                 empirical=report.empirical_privacy,
                 analytic=exact.privacy,
                 abs_error=abs(report.empirical_privacy - float(exact.privacy)),

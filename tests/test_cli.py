@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -15,6 +16,55 @@ from listprivacy.cli import main
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
+
+# SHA-256 of `oracle NAME --rho j/10` stdout, j = 0..10, in that order.
+ORACLE_STDOUT_SHA256 = {
+    "skew7": (
+        "855a290dc5283a89c30d3608c15d63ea57cd99ae79065fd6a8447e913e3c0656",
+        "4969270de7f9be4d9f90cdc7c40efc0557a4dd19c48525f127c4800a4c220ebc",
+        "dd04fc6063913beaf1cee11a04adc967a587930c140c87eac12c9362c6c7cd94",
+        "43b8366701d9f99fb4dc6c065aab90636943d62bcb53d3f45b28117d913cba40",
+        "cf5a70b098b0c1aaa57ab32b494354955ef5063ea41ede2956fae544c8e020a1",
+        "5f0b2bf5365fb546a5ba16a24f0f95a9e9cb64125364c67b70dff7f344f75190",
+        "c3bf63a83c1e06e0c514b678a4bcfc27b18fdd6eea22db425afc1bcca9835409",
+        "74162cef4e6790bd6a13b12bd228569663ce3150aa1e7e0961d221a63aa7ee5e",
+        "32980004d90b2b18bd039823c65e827df95b784cd54f345caab00835b3d40882",
+        "d8e6867f9322ebf4309efd954e4c88e4497fe3f65579be0d7a0c952924e0cdb3",
+        "a95f3e01dd96f3fe008697da03a1e7a48a2de60194db4ca3b1faeddc7e3c2752",
+    ),
+    "uniform4": (
+        "5aa0749c5c808413d519024936479d0d2c2ed50bd07504b7e3193292753e243a",
+        "a3f34f9ee5dc13fe21c8db8d0bcf6990d22d208354d3b2300f049a34c81e0f57",
+        "07dbec8ae0e3e44b5bc209e92b0d728f6ce9d1b9e1925a8e2f0330e9f7d2a2be",
+        "8879097a8828db8d8a2f51bcec35c275f69b1ae7f142efe775698378d5eee1dd",
+        "0fa39e327e8e01c5bf9f0834a0450c619ed32b8144d154672bb7356ced1439b8",
+        "17e4f5d304991dddfe127da7c181d6d290f0e733ce84956f2b274bae2b01036b",
+        "4ad7be45b09e8879aa1e76c45cb4508528dc8719ab574765a9ec3b6444d05f3a",
+        "99455b3780e216f039707bc879a46cc403c4f4e9da6d35ddade9ff1080de06ad",
+        "5dedfd3a5e8f367a6dce7a3978f28631275af89f566e396cd45dc944864f237b",
+        "9d22b40c9d18bf256cd8363dd0a9db3d2f75edc1c40ec949f623a9778071f576",
+        "de645e65bea222bf4f50c20a323fdce47c8abaa084cdacb4c006cd30e46a73ba",
+    ),
+    "ternary5": (
+        "58234407c5de31b80dd3c086960c39bd1427036a4714788fc96f6a804add837b",
+        "2d21a83e88ab39e89ccb6936dd1e4a5e8203a4729187938c65fc18b7bc841a4c",
+        "af940a5a7cb590e5e3657cc26e6cb8e072731da7ef2d78acc9536925d30445ac",
+        "f21af8ab10d7472f7069e25d322033f4a5ad8b68e34a423f5217f5609139451e",
+        "4e96238e983ca6ffade7198996fd55e5d5359bb730f5acb261cd233b5d41a9f9",
+        "6808b122b3360c99f03eb2f864413e24f7204f0842cddb8a5dcef7f97eabb840",
+        "d106a1ab22747fecbbdcf3b83dea53ae5e94d6eebb6d84f99a10da4f21b94ed7",
+        "2e56ad7045143552776ab5b824f266d41a4f8265b2640aa99e867ba9b97ec2a6",
+        "c912f2597f02cb529ca79d3a7872a58031a6cf90e3a0ce14b832819a8f198c88",
+        "49b8b5e80479649d77009e9fb1ccdccd34ea994600c9b3f47b00a75c4377d7e6",
+        "99bcf8428ea5bfb20f6510b2c91a3e487f5079272861bb993a81ec29124672af",
+    ),
+}
+
+# SHA-256 of the `oracle NAME --rho RHO --lp-dump FILE` file.
+LP_DUMP_SHA256 = {
+    ("skew7", "7/10"): "b9d9f15ed186dcd88aa1cbfc489ad8f9c312eafee62a4d2dcfb0b8c4a93ae8a4",
+    ("uniform4", "0"): "6c6fb5f4280d21671f6e080d79b3a169d43ac0415321dd8cbb0de3cff8624d4e",
+}
 
 
 def run(capsys, *argv):
@@ -188,6 +238,24 @@ class TestOracle:
     def test_requires_rho_or_grid(self, capsys):
         code, _, err = run(capsys, "oracle", "uniform4")
         assert code == 1 and "exactly one" in err
+
+
+class TestOracleBytes:
+    """The oracle's stdout and LP dump, byte for byte, on the catalog."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_STDOUT_SHA256))
+    @pytest.mark.parametrize("j", range(11))
+    def test_stdout(self, capsys, name, j):
+        code, out, err = run(capsys, "oracle", name, "--rho", f"{j}/10")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_STDOUT_SHA256[name][j]
+
+    @pytest.mark.parametrize("name, rho", sorted(LP_DUMP_SHA256))
+    def test_lp_dump(self, capsys, tmp_path, name, rho):
+        target = tmp_path / "program.lp"
+        code, _, _ = run(capsys, "oracle", name, "--rho", rho, "--lp-dump", str(target))
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == LP_DUMP_SHA256[name, rho]
 
 
 class TestSimulate:

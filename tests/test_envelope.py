@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from listprivacy import (
     anchor_set,
     enumerate_lines,
@@ -14,6 +16,7 @@ from listprivacy import (
 )
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
+from listprivacy.errors import InstanceFormatError
 from listprivacy.envelope import curve_samples_csv, curve_segments_csv, curve_to_text
 from conftest import grid, random_instance, reference_anchor, reference_lines
 
@@ -334,3 +337,11 @@ class TestExports:
         assert len(rows) == 6
         assert rows[1].split(",")[0] == "0"
         assert rows[-1].split(",")[0] == "1"
+
+    @pytest.mark.parametrize("n", [0, -2, 1.5, 2.0, "3", True, None])
+    def test_sample_count_must_be_a_positive_int(self, n):
+        curve = privacy_curve(UNIFORM4)
+        with pytest.raises(InstanceFormatError):
+            curve.samples(n)
+        with pytest.raises(InstanceFormatError):
+            curve_samples_csv(curve, n)

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 import conftest
 import listprivacy.simplex as simplex
+from listprivacy import exact_privacy
+from listprivacy.oracle import _fixed_rows, _lp_parts
 from listprivacy.simplex import GREATER, LESS, EQUAL, LpStatus, solve_lp
-from conftest import reference_solve_lp
+from conftest import random_instance, random_rho, reference_solve_lp
 
 
 class TestKnownPrograms:
@@ -224,6 +227,145 @@ class TestAgainstDenseReference:
             got = same_solution(costs, rows, senses, rhs, maximize)
             assert got.status is LpStatus.OPTIMAL
             assert type(got.objective) is F and all(type(v) is F for v in got.x)
+
+
+def wide_instance(rng: random.Random):
+    """A random instance with 6 <= r <= 8, 3 <= k <= 4 and l <= 2."""
+    while True:
+        inst = random_instance(rng, r_max=8, k_max=4, l_max=2)
+        if inst.r >= 6 and inst.k >= 3:
+            return inst
+
+
+def oracle_program(rng: random.Random, inst, rho):
+    """The oracle's rows for one to three random l-lists per output."""
+    every = list(combinations(range(inst.r), inst.l))
+    lists = [rng.sample(every, rng.randint(1, 3)) for _ in range(inst.k)]
+    costs, rows, senses, rhs, _ = _lp_parts(inst, rho, lists)
+    return costs, rows, senses, rhs
+
+
+def compact_program(inst, rho, sense):
+    """The compact top-l program: variables w(x,i), then u_i, then v(x,i).
+
+    Minimize the sum over outputs of l*u_i + sum_x v(x,i), where
+    v(x,i) + u_i - p_x*w(x,i) >= 0, written with `sense` ">=" as is and
+    with "<=" negated; the optimum is each output's top-l mass, summed.
+    """
+    r, k = inst.r, inst.k
+    n = 2 * r * k + k
+    costs = [0] * (r * k) + [inst.l] * k + [1] * (r * k)
+    sign = 1 if sense == GREATER else -1
+    rows, senses, rhs = [], [], []
+    for i in range(k):
+        for x in range(r):
+            row = [0] * n
+            row[x * k + i] = -sign * inst.pmf[x]
+            row[r * k + i] = sign
+            row[r * k + k + x * k + i] = sign
+            rows.append(row)
+            senses.append(sense)
+            rhs.append(0)
+    # The oracle's stochastic and recover rows, with zeros for the v columns.
+    fixed_rows, fixed_senses, fixed_rhs, _ = _fixed_rows(inst, rho)
+    rows += [row + [0] * (r * k) for row in fixed_rows]
+    return costs, rows, senses + fixed_senses, rhs + fixed_rhs
+
+
+def with_redundant_rows(rng: random.Random, program):
+    """Append copies of one or two equality rows, some rescaled: rows the
+    phase-one cleanup must delete. Returns the program and the copy count."""
+    costs, rows, senses, rhs = program
+    equal = [i for i, s in enumerate(senses) if s == EQUAL]
+    picked = rng.sample(equal, rng.randint(1, 2))
+    for i in picked:
+        c = rng.choice([1, 2, F(1, 3)])
+        rows = rows + [[c * v for v in rows[i]]]
+        senses = senses + [EQUAL]
+        rhs = rhs + [c * rhs[i]]
+    return (costs, rows, senses, rhs), len(picked)
+
+
+def zero_share(rows) -> float:
+    return sum(v == 0 for row in rows for v in row) / sum(len(row) for row in rows)
+
+
+class TestSparseRows:
+    """Oracle-shaped and compact-shaped programs: wide rows, mostly zeros."""
+
+    @pytest.fixture
+    def stored(self, monkeypatch):
+        """Check around every pivot that each stored row holds only nonzeros,
+        and record the row count each `_run` phase starts with."""
+        pivots = []
+        phases = []
+        pivot = simplex._pivot
+        run = simplex._run
+
+        def nonzero_only(T):
+            assert all(type(row) is dict and 0 not in row.values() for row in T)
+
+        def spy(T, basis, red, row, col):
+            nonzero_only(T)
+            pivot(T, basis, red, row, col)
+            nonzero_only(T)
+            pivots.append((row, col))
+
+        def count(T, basis, cost, den):
+            phases.append(len(T))
+            return run(T, basis, cost, den)
+
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        monkeypatch.setattr(simplex, "_run", count)
+        return pivots, phases
+
+    def test_oracle_programs(self, same_solution, stored):
+        pivots, phases = stored
+        rng = random.Random(81)
+        for _ in range(30):
+            inst = wide_instance(rng)
+            rho = random_rho(rng) if rng.random() < 0.8 else F(0)
+            program, copies = with_redundant_rows(rng, oracle_program(rng, inst, rho))
+            assert zero_share(program[1]) >= 0.85
+            phases.clear()
+            sol = same_solution(*program)
+            assert sol.status is LpStatus.OPTIMAL
+            # Phase two starts without the copies.
+            assert phases[-1] <= len(program[1]) - copies
+        assert len(pivots) > 400
+
+    @pytest.mark.parametrize("sense", [GREATER, LESS])
+    def test_compact_programs(self, same_solution, stored, sense):
+        pivots, phases = stored
+        rng = random.Random(82)
+        for _ in range(6):
+            inst = wide_instance(rng)
+            rho = random_rho(rng)
+            program = compact_program(inst, rho, sense)
+            assert zero_share(program[1]) >= 0.85
+            if rng.random() < 0.5:
+                program, copies = with_redundant_rows(rng, program)
+            else:
+                copies = 0
+            phases.clear()
+            sol = same_solution(*program)
+            assert phases[-1] <= len(program[1]) - copies
+            assert 1 - sol.objective == exact_privacy(inst, rho).optimum
+        assert len(pivots) > 200
+
+    def test_zeros_of_every_type_are_dropped(self, same_solution, stored):
+        # "0" is a truthy string and 0.0 a float: both must be read as zero.
+        pivots, _ = stored
+        zeros = [0, F(0), 0.0, "0", "0/7", "-0.0", "0e5"]
+        rows = [
+            [1, zeros[1], "1/2", zeros[2]],
+            [zeros[3], 2, zeros[4], "3/4"],
+            ["1", zeros[5], zeros[6], 1],
+        ]
+        costs = [zeros[3], -1, "-1/3", zeros[0]]
+        sol = same_solution(costs, rows, [LESS, EQUAL, GREATER], [4, "1", "0"])
+        assert sol.status is LpStatus.OPTIMAL
+        assert pivots
 
 
 class TestAgainstScipy:

@@ -20,7 +20,7 @@ from listprivacy import (
     uniform_qr,
 )
 from listprivacy.catalog import instance as catalog_instance
-from listprivacy.errors import DimensionMismatch, InstanceFormatError
+from listprivacy.errors import DimensionMismatch, InstanceFormatError, RhoOutOfRange
 from listprivacy.simulate import _CHUNK, _guide, _thresholds, report_to_jsonable, sweep_to_csv
 from conftest import random_instance, random_mechanism, reference_simulate_game
 
@@ -260,6 +260,40 @@ class TestSweep:
         assert rows[0] == "rho,empirical,analytic,abs_error"
         assert len(rows) == 3
         assert rows[1].split(",")[0] == "0"
+
+    @pytest.mark.parametrize(
+        "rhos, error",
+        [
+            (5, InstanceFormatError),
+            ("1/2", InstanceFormatError),
+            ({F(1, 2)}, InstanceFormatError),
+            ([F(0), "a"], InstanceFormatError),
+            ([F(1, 2), True], InstanceFormatError),
+            ([F(0), 2], RhoOutOfRange),
+            ([F(-1, 3)], RhoOutOfRange),
+        ],
+    )
+    def test_levels_are_checked_before_any_is_simulated(self, rhos, error):
+        built = []
+
+        def factory(rho):
+            built.append(rho)
+            return optimal_binary_qr(UNIFORM4, rho)
+
+        with pytest.raises(error):
+            privacy_sweep(UNIFORM4, factory, rhos, trials=100, seed=1)
+        assert built == []
+
+    def test_levels_are_parsed_like_every_other_rho(self):
+        points = privacy_sweep(
+            UNIFORM4,
+            lambda rho: optimal_binary_qr(UNIFORM4, rho),
+            ("0", 0.5, 1),
+            trials=100,
+            seed=4,
+        )
+        assert [p.rho for p in points] == [F(0), F(1, 2), F(1)]
+        assert all(type(p.rho) is F for p in points)
 
 
 class TestReportExport:
