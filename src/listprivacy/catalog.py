@@ -40,7 +40,7 @@ def names() -> tuple[str, ...]:
 def instance(name: str) -> Instance:
     try:
         return CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise InstanceFormatError(
             f"unknown catalog instance {name!r}; available: {', '.join(CATALOG)}"
         ) from None

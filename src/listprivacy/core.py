@@ -346,14 +346,7 @@ def instance_digest(inst: Instance) -> str:
     Labels are excluded: a mechanism built for a pmf/function/list-size triple
     is valid regardless of display names.
     """
-    payload = json.dumps(
-        {
-            "pmf": [format_rational(p) for p in inst.pmf],
-            "f": list(inst.f),
-            "l": inst.l,
-            "k": inst.k,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    fields = instance_to_jsonable(inst)
+    fields.pop("labels", None)
+    payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]

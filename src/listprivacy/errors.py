@@ -58,7 +58,8 @@ class NotBinaryFunction(ListPrivacyError):
 
 
 class InstanceTooLarge(ListPrivacyError):
-    """The oracle's witness ties on more active lists than its fixed limit allows."""
+    """The oracle's witness ties on more active lists, or its LP dump needs more
+    list rows, than its fixed limit allows."""
 
 
 class NotRowStochastic(ListPrivacyError):

@@ -38,8 +38,8 @@ from .core import (
 from .errors import InstanceTooLarge
 from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
 
-# Most active lists an OracleResult may carry; the count is taken before any
-# list is built.
+# Most active lists an OracleResult may carry, and most list rows `lp_text`
+# writes; each count is taken before any list is built.
 ACTIVE_LIST_LIMIT = 100_000
 
 
@@ -222,10 +222,15 @@ def lp_text(inst: Instance, rho) -> str:
     """The privacy program in LP interchange text, for external solvers.
 
     Coefficients are shortest-repr decimals of the exact rationals; external
-    floating-point solvers should be compared at a small tolerance.
+    floating-point solvers should be compared at a small tolerance. Raises
+    InstanceTooLarge when the program has more than ACTIVE_LIST_LIMIT list
+    rows, k * C(r, l).
     """
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
+    count = k * math.comb(r, inst.l)
+    if count > ACTIVE_LIST_LIMIT:
+        raise InstanceTooLarge(f"LP dump needs {count} list rows, over {ACTIVE_LIST_LIMIT}")
     nw = r * k
 
     def var(j: int) -> str:

@@ -1,16 +1,16 @@
 """Exact two-phase simplex over rationals, on sparse integer tableau rows.
 
-Minimization form, variables implicitly nonnegative. Each tableau row is a
-`{column: int}` dict holding only its nonzero entries, the right-hand side
-included under the column after the last variable: a positive integer
-multiple of the true row, divided by the gcd of its entries, so its entry in
-its basic column is the row's scale. The reduced-cost row is a dense list, as
-pricing scans every column, and carries its positive denominator as one extra
-entry. Pivots are fraction-free and sparse: only rows with a nonzero entry in
-the pivot column change, each as p*row - f*prow over the pivot row's nonzeros,
-and the ratio test cross-multiplies. Scaling a row by a positive number
-changes no sign and no ratio, so every decision is the one the rational
-tableau makes.
+Minimization form, variables implicitly nonnegative. Every row is stored the
+same way, the reduced-cost row included: a `{column: int}` dict holding only
+its nonzero entries, a positive integer multiple of the true row divided by
+the gcd of its entries. The right-hand side sits under the fixed key `_RHS`,
+so a tableau row's entry in its basic column is the row's scale; the
+reduced-cost row holds minus the objective there and its positive
+denominator under `_DEN`. Pivots are fraction-free and sparse: only rows with
+a nonzero entry in the pivot column change, each as p*row - f*prow over the
+pivot row's nonzeros, cleared in place by `_eliminate`, and the ratio test
+cross-multiplies. Scaling a row by a positive number changes no sign and no
+ratio, so every decision is the one the rational tableau makes.
 
 The entering rule is steepest Dantzig descent until the objective stalls on
 degenerate pivots, at which point Bland's rule takes over so cycling is
@@ -31,6 +31,11 @@ LESS, EQUAL, GREATER = "<=", "=", ">="
 
 # Consecutive zero-progress pivots tolerated before switching to Bland's rule.
 _STALL_LIMIT = 12
+
+# Fixed keys of a stored row, below every column, so no column numbering can
+# move them: the right-hand side (minus the objective, in the reduced-cost
+# row) and the reduced-cost row's positive denominator.
+_RHS, _DEN = -1, -2
 
 
 class LpStatus(Enum):
@@ -64,31 +69,16 @@ def _integers(values: Iterable) -> tuple[dict[int, int], int]:
     return {j: v.numerator * (den // v.denominator) for j, v in nonzero.items()}, den
 
 
-def _content(values: Iterable[int]) -> int:
-    """The gcd of the values, 0 when all are zero; stops once it reaches 1."""
-    # Pairwise: math.gcd(*values) would build a tuple of the whole row on
-    # every update.
-    g = 0
-    for v in values:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return 1
-    return g
-
-
-def _reduce(row: dict[int, int]) -> dict[int, int]:
-    g = _content(row.values())
-    return {j: v // g for j, v in row.items()} if g > 1 else row
-
-
-def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
-    """Clear `row[col]` with the pivot row, whose entry there is positive."""
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
+    """Clear `row[col]` with the pivot row, whose entry there is positive, in
+    place, then divide the row by the gcd of its entries."""
     p, f = prow[col], row[col]
     g = gcd(p, f)
     p //= g
     f //= g
-    row = {j: p * v for j, v in row.items()} if p != 1 else row.copy()
+    if p != 1:
+        for j in row:
+            row[j] *= p
     get = row.get
     for j, v in prow.items():
         # f * v is nonzero, so a zero result means j was stored in row.
@@ -97,62 +87,46 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
             row[j] = w
         else:
             del row[j]
-    return _reduce(row)
-
-
-def _eliminate_costs(red: list[int], prow: dict[int, int], col: int) -> None:
-    """Clear `red[col]` in the dense reduced-cost row, in place."""
-    p, f = prow[col], red[col]
-    g = gcd(p, f)
-    p //= g
-    f //= g
-    if p != 1:
-        red[:] = [p * v for v in red]
-    for j, v in prow.items():
-        red[j] -= f * v
-    g = _content(red)
+    # Pairwise, stopping once the gcd reaches 1: math.gcd(*row.values())
+    # would build a tuple of the whole row on every update.
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
     if g > 1:
-        red[:] = [v // g for v in red]
+        for j in row:
+            row[j] //= g
 
 
-def _pivot(T: list, basis: list, red: list, row: int, col: int):
+def _pivot(T: list, basis: list, red: dict, row: int, col: int):
     prow = T[row]
     if prow[col] < 0:
-        prow = {j: -v for j, v in prow.items()}
-        T[row] = prow
+        for j in prow:
+            prow[j] = -prow[j]
     for i, Ti in enumerate(T):
         if i != row and col in Ti:
-            T[i] = _eliminate(Ti, prow, col)
-    if red[col]:
-        _eliminate_costs(red, prow, col)
+            _eliminate(Ti, prow, col)
+    if col in red:
+        _eliminate(red, prow, col)
     basis[row] = col
 
 
-def _reduced_costs(T: list, basis: list, cost: list, den: int) -> list:
-    red = cost + [0, den]
-    for i, bi in enumerate(basis):
-        if red[bi]:
-            _eliminate_costs(red, T[i], bi)
-    return red
-
-
-def _run(T: list, basis: list, cost: list, den: int) -> tuple[str, list]:
+def _run(T: list, basis: list, cost: dict, den: int) -> tuple[str, dict]:
     """Minimize cost/den over the current basic feasible solution, in place."""
-    rhs = len(cost)
-    red = _reduced_costs(T, basis, cost, den)
+    red = {**cost, _DEN: den}
+    for i, bi in enumerate(basis):
+        if bi in red:
+            _eliminate(red, T[i], bi)
     stall = 0
     bland = False
     while True:
-        enter = -1
+        # The fixed keys are negative, and only columns can enter.
         if bland:
-            for j in range(rhs):
-                if red[j] < 0:
-                    enter = j
-                    break
+            enter = min((j for j, v in red.items() if v < 0 <= j), default=-1)
         else:
-            best = min(red[:rhs], default=0)
-            if best < 0:
-                enter = red.index(best)
+            best = min(((v, j) for j, v in red.items() if v < 0 <= j), default=None)
+            enter = -1 if best is None else best[1]
         if enter < 0:
             return "optimal", red
         leave = -1
@@ -160,9 +134,9 @@ def _run(T: list, basis: list, cost: list, den: int) -> tuple[str, list]:
             a = Ti.get(enter, 0)
             if a > 0:
                 if leave < 0:
-                    leave, num, dnm = i, Ti.get(rhs, 0), a
+                    leave, num, dnm = i, Ti.get(_RHS, 0), a
                     continue
-                b = Ti.get(rhs, 0)
+                b = Ti.get(_RHS, 0)
                 lhs, cur = b * dnm, num * a
                 if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
                     leave, num, dnm = i, b, a
@@ -199,12 +173,10 @@ def solve_lp(
             raise ValueError(f"unknown sense {s!r}")
     sign = -1 if maximize else 1
     nonzero, c_den = _integers(costs)
-    c_struct = [0] * n
-    for j, v in nonzero.items():
-        c_struct[j] = v * sign
+    cost = {j: v * sign for j, v in nonzero.items()}
 
-    # Each row with its rhs under column n for now, and its scale.
-    A: list[dict[int, int]] = []
+    # Each row with its rhs under _RHS, and its scale.
+    T: list[dict[int, int]] = []
     scale: list[int] = []
     sense: list[str] = []
     flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
@@ -212,10 +184,14 @@ def solve_lp(
         if len(row) != n:
             raise ValueError("row width does not match the cost vector")
         ints, den = _integers([*row, bv])
-        if ints.get(n, 0) < 0:
+        b = ints.pop(n, 0)
+        if b < 0:
             ints = {j: -v for j, v in ints.items()}
+            b = -b
             s = flip[s]
-        A.append(ints)
+        if b:
+            ints[_RHS] = b
+        T.append(ints)
         scale.append(den)
         sense.append(s)
 
@@ -232,10 +208,8 @@ def solve_lp(
             art_col[i] = ncol
             ncol += 1
 
-    T: list[dict[int, int]] = []
     basis: list[int] = []
-    for i, row in enumerate(A):
-        b = row.pop(n, 0)
+    for i, row in enumerate(T):
         if i in slack_col:
             row[slack_col[i]] = scale[i] if sense[i] == LESS else -scale[i]
         if i in art_col:
@@ -243,18 +217,12 @@ def solve_lp(
             basis.append(art_col[i])
         else:
             basis.append(slack_col[i])
-        if b:
-            row[ncol] = b
-        T.append(row)
 
     if art_col:
-        pcost = [0] * ncol
-        for col in art_col.values():
-            pcost[col] = 1
-        status, red = _run(T, basis, pcost, 1)
+        status, red = _run(T, basis, dict.fromkeys(art_col.values(), 1), 1)
         if status != "optimal":
             raise AssertionError("phase one is bounded below by zero")
-        if red[ncol] != 0:
+        if _RHS in red:
             return LpSolution(status=LpStatus.INFEASIBLE, objective=None, x=None)
         # Clear leftover degenerate artificials from the basis, dropping rows
         # that turn out redundant, then discard the artificial columns.
@@ -262,26 +230,20 @@ def solve_lp(
         for i in range(len(T) - 1, -1, -1):
             if basis[i] not in arts:
                 continue
-            pivot_col = min((j for j in T[i] if j < art_start), default=None)
+            pivot_col = min((j for j in T[i] if 0 <= j < art_start), default=None)
             if pivot_col is None:
                 del T[i]
                 del basis[i]
             else:
                 _pivot(T, basis, red, i, pivot_col)
-        for i, row in enumerate(T):
-            b = row.get(ncol, 0)
-            row = {j: v for j, v in row.items() if j < art_start}
-            if b:
-                row[art_start] = b
-            T[i] = row
-        ncol = art_start
+        T = [{j: v for j, v in row.items() if j < art_start} for row in T]
 
-    status, red = _run(T, basis, c_struct + [0] * (ncol - n), c_den)
+    status, red = _run(T, basis, cost, c_den)
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, objective=None, x=None)
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Fraction(T[i].get(ncol, 0), T[i][bi])
-    objective = Fraction(-red[ncol], red[ncol + 1]) * sign
+            x[bi] = Fraction(T[i].get(_RHS, 0), T[i][bi])
+    objective = Fraction(-red.get(_RHS, 0), red[_DEN]) * sign
     return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))

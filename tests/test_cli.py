@@ -239,6 +239,20 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "uniform4")
         assert code == 1 and "exactly one" in err
 
+    def test_lp_dump_over_the_row_limit(self, capsys, tmp_path):
+        # Binary, r = 24, l = 12: 2 * C(24, 12) = 5,408,312 list rows. The
+        # count is refused before any row is built or the file is opened.
+        inst_file = tmp_path / "wide.json"
+        inst = listprivacy.Instance(pmf=(F(1, 24),) * 24, f=(0,) * 12 + (1,) * 12, l=12)
+        inst_file.write_text(instance_to_text(inst))
+        target = tmp_path / "program.lp"
+        code, out, err = run(
+            capsys, "oracle", str(inst_file), "--rho", "1/2", "--lp-dump", str(target)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: InstanceTooLarge:")
+        assert not target.exists()
+
 
 class TestOracleBytes:
     """The oracle's stdout and LP dump, byte for byte, on the catalog."""

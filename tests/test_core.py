@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from listprivacy import (
     top_elements,
     validate_instance,
 )
-from listprivacy.catalog import instance as catalog_instance
+from listprivacy.catalog import instance as catalog_instance, names as catalog_names
 from listprivacy.cli import main
 from listprivacy.errors import (
     BadFunctionRange,
@@ -343,3 +344,40 @@ class TestDigest:
             l=2,
         )
         assert instance_digest(perturbed) != base
+
+    def test_catalog_digests_are_pinned(self):
+        got = {name: instance_digest(catalog_instance(name)) for name in catalog_names()}
+        assert got == {
+            "skew7": "2879b042fbf17e3e",
+            "uniform4": "16533a3d96b5a9b1",
+            "ternary5": "c45080e5442b2245",
+        }
+
+    def test_digest_hashes_the_unlabeled_fields(self):
+        # The payload is the sorted, compact JSON of pmf, f, l and k.
+        rng = random.Random(9)
+        for _ in range(100):
+            inst = random_instance(rng, r_max=9, k_max=5)
+            if rng.random() < 0.5:
+                inst = Instance(
+                    pmf=inst.pmf, f=inst.f, l=inst.l, labels=tuple(f"s{x}" for x in range(inst.r))
+                )
+            payload = json.dumps(
+                {
+                    "pmf": [format_rational(p) for p in inst.pmf],
+                    "f": list(inst.f),
+                    "l": inst.l,
+                    "k": inst.k,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            want = hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+            assert instance_digest(inst) == want
+
+
+class TestCatalog:
+    @pytest.mark.parametrize("name", ["nope", "", 3, None, ["skew7"], {"a": 1}, {"skew7"}])
+    def test_unknown_or_unhashable_name(self, name):
+        with pytest.raises(InstanceFormatError, match="unknown catalog instance"):
+            catalog_instance(name)

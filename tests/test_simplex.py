@@ -295,20 +295,24 @@ class TestSparseRows:
 
     @pytest.fixture
     def stored(self, monkeypatch):
-        """Check around every pivot that each stored row holds only nonzeros,
-        and record the row count each `_run` phase starts with."""
+        """Check around every pivot that each stored row, the reduced-cost row
+        included, holds only nonzeros, and record the row count each `_run`
+        phase starts with."""
         pivots = []
         phases = []
         pivot = simplex._pivot
         run = simplex._run
 
-        def nonzero_only(T):
-            assert all(type(row) is dict and 0 not in row.values() for row in T)
+        def nonzero_only(T, red):
+            assert all(type(row) is dict and 0 not in row.values() for row in (*T, red))
+            # Columns, then the fixed keys: the rhs and a positive denominator.
+            assert all(j >= 0 or j in (simplex._RHS, simplex._DEN) for j in red)
+            assert red[simplex._DEN] > 0
 
         def spy(T, basis, red, row, col):
-            nonzero_only(T)
+            nonzero_only(T, red)
             pivot(T, basis, red, row, col)
-            nonzero_only(T)
+            nonzero_only(T, red)
             pivots.append((row, col))
 
         def count(T, basis, cost, den):
