@@ -198,19 +198,16 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
     exact intersection arithmetic, then reads kinks and anchor sizes off the
     surviving pieces.
     """
-    # For equal slopes only the highest intercept can ever lead; among equal
-    # lines keep the preferred witness.
-    pick: dict[Fraction, EnvelopeLine] = {}
-    for line in enumerate_lines(inst):
-        kept = pick.get(line.slope)
-        if kept is None or _preference(line, Fraction(0)) < _preference(kept, Fraction(0)):
-            pick[line.slope] = line
-    lines = sorted(pick.values(), key=lambda ln: ln.slope)
+    # For equal slopes only the highest intercept can ever lead, so each
+    # slope keeps its first line in preference order at rho = 0.
+    lines = sorted(enumerate_lines(inst), key=lambda ln: (ln.slope, _preference(ln, 0)))
     # Left-to-right sweep: keep (line, start) pairs where each line begins to
     # lead. A newcomer with a steeper slope evicts every line it overtakes at
     # or before that line's own start.
     hull: list[tuple[EnvelopeLine, Fraction]] = []
-    for line in lines:
+    for idx, line in enumerate(lines):
+        if idx and line.slope == lines[idx - 1].slope:
+            continue
         start = Fraction(0)
         while hull:
             leader, led_from = hull[-1]
@@ -220,8 +217,6 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
                 continue
             start = cross
             break
-        if not hull:
-            start = Fraction(0)
         if start < 1:
             hull.append((line, start))
     segments = []

@@ -16,6 +16,9 @@ objects in the same order, so its pivots are the ones a rebuilt program
 would get. A round reads each output's best list straight from the solution
 vector; only the final witness is built as a matrix and certified by
 `list_privacy`.
+
+Rows carry no names. `lp_text` writes each row as soon as it is built and
+names it only in the text, so the dump never holds the whole program.
 """
 
 from __future__ import annotations
@@ -70,34 +73,20 @@ def _list_row(inst: Instance, i: int, lst: tuple[int, ...]) -> list:
 
 
 def _fixed_rows(inst: Instance, rho: Fraction):
-    """Rows, senses, rhs and names of the stochastic rows, then the recover rows."""
+    """Rows, senses and rhs of the stochastic rows, then the recover rows."""
     r, k = inst.r, inst.k
-    n = r * k + k
-    rows: list[list] = []
-    senses: list[str] = []
-    rhs: list = []
-    names: list[str] = []
+    rows = [[0] * (r * k + k) for _ in range(2 * r if rho > 0 else r)]
     for x in range(r):
-        row = [0] * n
-        row[x * k : x * k + k] = [1] * k
-        rows.append(row)
-        senses.append(EQUAL)
-        rhs.append(1)
-        names.append(f"row_{x}")
-    if rho > 0:
-        for x in range(r):
-            row = [0] * n
-            row[x * k + inst.f[x]] = 1
-            rows.append(row)
-            senses.append(GREATER)
-            rhs.append(rho)
-            names.append(f"recover_{x}")
-    return rows, senses, rhs, names
+        rows[x][x * k : x * k + k] = [1] * k
+        if rho > 0:
+            rows[r + x][x * k + inst.f[x]] = 1
+    m = len(rows) - r
+    return rows, [EQUAL] * r + [GREATER] * m, [1] * r + [rho] * m
 
 
 def _program(inst: Instance, list_rows: list, fixed) -> tuple[list, list, list, list]:
     """Costs, rows, senses and rhs: the list rows, then the `_fixed_rows`."""
-    rows, senses, rhs, _ = fixed
+    rows, senses, rhs = fixed
     m = len(list_rows)
     costs = [0] * (inst.r * inst.k) + [1] * inst.k
     return costs, list_rows + rows, [LESS] * m + senses, [0] * m + rhs
@@ -109,14 +98,8 @@ def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int,
     `lists[i]` are the candidate l-lists whose mass bounds t(i) from below.
     Their rows come first, output by output, then the fixed rows.
     """
-    rows: list[list] = []
-    names: list[str] = []
-    for i in range(inst.k):
-        for lst in lists[i]:
-            rows.append(_list_row(inst, i, lst))
-            names.append(f"list_{i}_" + "_".join(str(x) for x in lst))
-    fixed = _fixed_rows(inst, rho)
-    return (*_program(inst, rows, fixed), names + fixed[3])
+    rows = [_list_row(inst, i, lst) for i in range(inst.k) for lst in lists[i]]
+    return _program(inst, rows, _fixed_rows(inst, rho))
 
 
 def _active_lists(inst: Instance, witness: StochasticMatrix):
@@ -222,9 +205,10 @@ def lp_text(inst: Instance, rho) -> str:
     """The privacy program in LP interchange text, for external solvers.
 
     Coefficients are shortest-repr decimals of the exact rationals; external
-    floating-point solvers should be compared at a small tolerance. Raises
-    InstanceTooLarge when the program has more than ACTIVE_LIST_LIMIT list
-    rows, k * C(r, l).
+    floating-point solvers should be compared at a small tolerance. Each
+    row is written as soon as it is built, list rows output by output, then
+    the fixed rows; row names exist only here. Raises InstanceTooLarge when
+    the program has more than ACTIVE_LIST_LIMIT list rows, k * C(r, l).
     """
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
@@ -238,15 +222,7 @@ def lp_text(inst: Instance, rho) -> str:
             return f"w_{j // k}_{j % k}"
         return f"t_{j - nw}"
 
-    every = tuple(combinations(range(inst.r), inst.l))
-    costs, rows, senses, rhs, names = _lp_parts(inst, rho, [every] * k)
-    out = [
-        f"\\ list privacy program, rho = {format_rational(rho)}",
-        "Minimize",
-        " obj: " + " + ".join(var(nw + i) for i in range(k)),
-        "Subject To",
-    ]
-    for name, row, sense, bound in zip(names, rows, senses, rhs):
+    def line(name: str, row: list, sense: str, bound) -> str:
         terms = []
         for j, coef in enumerate(row):
             if coef == 0:
@@ -255,6 +231,20 @@ def lp_text(inst: Instance, rho) -> str:
             mag = abs(coef)
             piece = var(j) if mag == 1 else f"{float(mag)!r} {var(j)}"
             terms.append(f"{lead} {piece}".strip())
-        out.append(f" {name}: " + " ".join(terms) + f" {sense} {float(bound)!r}")
+        return f" {name}: " + " ".join(terms) + f" {sense} {float(bound)!r}"
+
+    out = [
+        f"\\ list privacy program, rho = {format_rational(rho)}",
+        "Minimize",
+        " obj: " + " + ".join(var(nw + i) for i in range(k)),
+        "Subject To",
+    ]
+    for i in range(k):
+        for lst in combinations(range(r), inst.l):
+            name = f"list_{i}_" + "_".join(str(x) for x in lst)
+            out.append(line(name, _list_row(inst, i, lst), LESS, 0))
+    # map stops after the stochastic rows when rho = 0 leaves no recover rows.
+    names = [f"row_{x}" for x in range(r)] + [f"recover_{x}" for x in range(r)]
+    out.extend(map(line, names, *_fixed_rows(inst, rho)))
     out.append("End")
     return "\n".join(out) + "\n"

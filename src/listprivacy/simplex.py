@@ -12,6 +12,10 @@ pivot row's nonzeros, cleared in place by `_eliminate`, and the ratio test
 cross-multiplies. Scaling a row by a positive number changes no sign and no
 ratio, so every decision is the one the rational tableau makes.
 
+`solve_lp` builds each tableau row whole in one pass: its ints, its rhs,
+then its slack and its artificial. Slacks are numbered from n in row order,
+and artificials after every slack.
+
 The entering rule is steepest Dantzig descent until the objective stalls on
 degenerate pivots, at which point Bland's rule takes over so cycling is
 impossible; the leaving rule always breaks ratio ties toward the smallest
@@ -175,11 +179,12 @@ def solve_lp(
     nonzero, c_den = _integers(costs)
     cost = {j: v * sign for j, v in nonzero.items()}
 
-    # Each row with its rhs under _RHS, and its scale.
-    T: list[dict[int, int]] = []
-    scale: list[int] = []
-    sense: list[str] = []
+    # A row flipped for its negative rhs keeps its count toward the slacks.
     flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
+    art_start = art = n + sum(s != EQUAL for s in senses)
+    slack = n
+    T: list[dict[int, int]] = []
+    basis: list[int] = []
     for row, s, bv in zip(rows, senses, rhs):
         if len(row) != n:
             raise ValueError("row width does not match the cost vector")
@@ -191,44 +196,25 @@ def solve_lp(
             s = flip[s]
         if b:
             ints[_RHS] = b
-        T.append(ints)
-        scale.append(den)
-        sense.append(s)
-
-    slack_col: dict[int, int] = {}
-    ncol = n
-    for i, s in enumerate(sense):
         if s != EQUAL:
-            slack_col[i] = ncol
-            ncol += 1
-    art_start = ncol
-    art_col: dict[int, int] = {}
-    for i, s in enumerate(sense):
+            ints[slack] = den if s == LESS else -den
+            slack += 1
         if s != LESS:
-            art_col[i] = ncol
-            ncol += 1
+            ints[art] = den
+            art += 1
+        T.append(ints)
+        basis.append(slack - 1 if s == LESS else art - 1)
 
-    basis: list[int] = []
-    for i, row in enumerate(T):
-        if i in slack_col:
-            row[slack_col[i]] = scale[i] if sense[i] == LESS else -scale[i]
-        if i in art_col:
-            row[art_col[i]] = scale[i]
-            basis.append(art_col[i])
-        else:
-            basis.append(slack_col[i])
-
-    if art_col:
-        status, red = _run(T, basis, dict.fromkeys(art_col.values(), 1), 1)
+    if art > art_start:
+        status, red = _run(T, basis, dict.fromkeys(range(art_start, art), 1), 1)
         if status != "optimal":
             raise AssertionError("phase one is bounded below by zero")
         if _RHS in red:
             return LpSolution(status=LpStatus.INFEASIBLE, objective=None, x=None)
         # Clear leftover degenerate artificials from the basis, dropping rows
         # that turn out redundant, then discard the artificial columns.
-        arts = set(art_col.values())
         for i in range(len(T) - 1, -1, -1):
-            if basis[i] not in arts:
+            if basis[i] < art_start:
                 continue
             pivot_col = min((j for j in T[i] if 0 <= j < art_start), default=None)
             if pivot_col is None:

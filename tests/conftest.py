@@ -349,7 +349,7 @@ def reference_exact_privacy(inst: Instance, rho) -> OracleResult:
     r, k = inst.r, inst.k
     lists = [[top_elements(range(r), inst.l, inst.pmf)] for _ in range(k)]
     while True:
-        costs, rows, senses, rhs, _ = _lp_parts(inst, rho, lists)
+        costs, rows, senses, rhs = _lp_parts(inst, rho, lists)
         sol = solve_lp(costs, rows, senses, rhs)
         if sol.status is not LpStatus.OPTIMAL:
             raise AssertionError(f"privacy program should always solve, got {sol.status}")

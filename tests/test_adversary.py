@@ -203,3 +203,9 @@ class TestReportExport:
         assert payload["privacy_decimal"] == 0.35
         assert len(payload["per_output_mass"]) == 2
         assert "7/20" in report_to_text(report, SKEW7)
+
+    def test_jsonable_without_instance_lists_symbols(self):
+        report = list_privacy(SKEW7, uniform_qr(SKEW7))
+        payload = report_to_jsonable(report)
+        assert payload["estimator"] == [list(lst) for lst in report.estimator.lists]
+        assert all(type(x) is int for lst in payload["estimator"] for x in lst)

@@ -64,6 +64,7 @@ ORACLE_STDOUT_SHA256 = {
 LP_DUMP_SHA256 = {
     ("skew7", "7/10"): "b9d9f15ed186dcd88aa1cbfc489ad8f9c312eafee62a4d2dcfb0b8c4a93ae8a4",
     ("uniform4", "0"): "6c6fb5f4280d21671f6e080d79b3a169d43ac0415321dd8cbb0de3cff8624d4e",
+    ("ternary5", "1/2"): "aca618952bb628b440ef8364517f7b7e93fe573bcd88a37d5b85b9991569e5de",
 }
 
 
@@ -324,6 +325,25 @@ class TestSimulate:
         assert rows[1].split(",")[0] == "0"
         assert rows[3].split(",")[0] == "1"
 
+    def test_ternary_example_sweep_starts_at_one_half(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "simulate",
+            "ternary5",
+            "--kind",
+            "ternary-example",
+            "--grid",
+            "3",
+            "--trials",
+            "1000",
+            "--seed",
+            "1",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1/2", "3/4", "1"]
+        assert [row[2] for row in rows] == ["1/2", "1/4", "0"]
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "uniform4", "--kind", "optimal-binary", "--grid", "3", "--trials", "10"])
@@ -383,6 +403,9 @@ class TestMalformedFiles:
     )
     def test_oversized_numbers(self, capsys, tmp_path, content):
         self._reject_everywhere(capsys, tmp_path, content)
+
+    def test_no_rows_field(self, capsys, tmp_path):
+        self._reject_everywhere(capsys, tmp_path, b'{"x": 1}')
 
     @staticmethod
     def _reject_everywhere(capsys, tmp_path, content):

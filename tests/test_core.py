@@ -167,6 +167,7 @@ def _with(**fields):
 SINGLE_FAULTS = [
     ("not_a_mapping", [["1/2", "1/2"], [0, 1], 1], InstanceFormatError),
     ("pmf_missing", _with(pmf=None), InstanceFormatError),
+    ("pmf_empty", _with(pmf=[], f=[], l=1), InstanceFormatError),
     ("f_missing", _with(f=None), InstanceFormatError),
     ("l_missing", _with(l=None), InstanceFormatError),
     ("pmf_number", _with(pmf=5), InstanceFormatError),
@@ -252,6 +253,11 @@ class TestStochasticMatrix:
         with pytest.raises(InstanceFormatError):
             StochasticMatrix(rows=rows)
 
+    @pytest.mark.parametrize("rows", [(), ((),)], ids=["no_rows", "empty_row"])
+    def test_no_entries(self, rows):
+        with pytest.raises(NotRowStochastic, match="no entries"):
+            StochasticMatrix(rows=rows)
+
     def test_sum_too_long_to_write_is_still_reported(self):
         with pytest.raises(NotRowStochastic, match="sums to less than 1"):
             StochasticMatrix(rows=(TOO_LONG_SUM_PMF[:2],))
@@ -293,6 +299,15 @@ class TestListEstimator:
     )
     def test_entries_must_be_ints(self, lists):
         with pytest.raises(InstanceFormatError):
+            ListEstimator(lists=lists)
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [((), "no lists"), (((-1, 2),), "negative element"), (((), ()), "nonempty")],
+        ids=["no_lists", "negative", "empty_lists"],
+    )
+    def test_malformed_lists(self, lists, message):
+        with pytest.raises(InstanceFormatError, match=message):
             ListEstimator(lists=lists)
 
 

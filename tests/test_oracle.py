@@ -160,7 +160,7 @@ class TestAgainstFullProgram:
             inst = random_instance(rng, r_max=7, k_max=3, l_max=3)
             for rho in (F(2, 5), F(3, 5), F(4, 5)):
                 result = exact_privacy(inst, rho)
-                costs, rows, senses, rhs, _ = _lp_parts(inst, rho, every_list(inst))
+                costs, rows, senses, rhs = _lp_parts(inst, rho, every_list(inst))
                 assert result.optimum == 1 - solve_lp(costs, rows, senses, rhs).objective
                 # Brute-force reference: filter every l-list by its mass.
                 best = list_privacy(inst, result.witness).per_output_mass
@@ -248,7 +248,7 @@ class TestScipyCrossCheck:
         for _ in range(5):
             inst = random_instance(rng, r_max=5, k_max=3, l_max=2)
             rho = F(rng.randint(0, 10), 10)
-            costs, rows, senses, rhs, _ = _lp_parts(inst, rho, every_list(inst))
+            costs, rows, senses, rhs = _lp_parts(inst, rho, every_list(inst))
             a_ub, b_ub, a_eq, b_eq = [], [], [], []
             for row, sense, b in zip(rows, senses, rhs):
                 vals = [float(v) for v in row]

@@ -241,7 +241,7 @@ def oracle_program(rng: random.Random, inst, rho):
     """The oracle's rows for one to three random l-lists per output."""
     every = list(combinations(range(inst.r), inst.l))
     lists = [rng.sample(every, rng.randint(1, 3)) for _ in range(inst.k)]
-    costs, rows, senses, rhs, _ = _lp_parts(inst, rho, lists)
+    costs, rows, senses, rhs = _lp_parts(inst, rho, lists)
     return costs, rows, senses, rhs
 
 
@@ -267,7 +267,7 @@ def compact_program(inst, rho, sense):
             senses.append(sense)
             rhs.append(0)
     # The oracle's stochastic and recover rows, with zeros for the v columns.
-    fixed_rows, fixed_senses, fixed_rhs, _ = _fixed_rows(inst, rho)
+    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows(inst, rho)
     rows += [row + [0] * (r * k) for row in fixed_rows]
     return costs, rows, senses + fixed_senses, rhs + fixed_rhs
 
