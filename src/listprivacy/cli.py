@@ -3,6 +3,12 @@
 Instances are JSON files or bundled catalog names (skew7, uniform4,
 ternary5). Artifacts go to stdout unless --output names a file. Any library
 error prints `error: <Code>: <message>` on stderr and exits nonzero.
+
+Each subcommand's handler is `cmd_x(inst, args) -> str`: it only computes its
+artifact's text. `main` resolves the instance first, then writes the text the
+handler returns, so every subcommand shares one read path and one write path.
+The one artifact a handler writes itself is the `--lp-dump` file, streamed
+line by line.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .mechanisms import (
     ternary_example_qr,
     uniform_qr,
 )
-from .oracle import exact_privacy, exact_privacy_curve, lp_text
+from .oracle import exact_privacy, exact_privacy_curve, lp_lines
 from .simulate import (
     privacy_sweep,
     report_to_jsonable as sim_report_jsonable,
@@ -77,13 +83,6 @@ def _resolve_instance(name: str) -> Instance:
     return parse_instance(_read_text(path))
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _build_mechanism(inst: Instance, kind: str, rho, noise: str | None):
     if kind == "uniform":
         return uniform_qr(inst)
@@ -101,10 +100,9 @@ def _build_mechanism(inst: Instance, kind: str, rho, noise: str | None):
                 "bundled ternary5 instance"
             )
         return mech
-    if kind == "noise-file":
-        _require(noise is not None, "--noise is required for noise-file")
-        return add_noise_qr(inst, parse_noise(_read_text(noise)))
-    raise InstanceFormatError(f"unknown mechanism kind {kind!r}")
+    # argparse `choices` leaves noise-file as the only other kind.
+    _require(noise is not None, "--noise is required for noise-file")
+    return add_noise_qr(inst, parse_noise(_read_text(noise)))
 
 
 def _require(cond: bool, message: str):
@@ -112,37 +110,28 @@ def _require(cond: bool, message: str):
         raise InstanceFormatError(message)
 
 
-def cmd_validate(args) -> int:
-    inst = _resolve_instance(args.instance)
+def cmd_validate(inst: Instance, args) -> str:
     sizes = [len(block) for block in inst.preimages]
-    line = f"r={inst.r} k={inst.k} l={inst.l}, preimages [{','.join(map(str, sizes))}]"
-    print(line)
-    print(f"digest {instance_digest(inst)}")
-    return 0
+    return (
+        f"r={inst.r} k={inst.k} l={inst.l}, preimages [{','.join(map(str, sizes))}]\n"
+        f"digest {instance_digest(inst)}\n"
+    )
 
 
-def cmd_curve(args) -> int:
-    inst = _resolve_instance(args.instance)
+def cmd_curve(inst: Instance, args) -> str:
     curve = privacy_curve(inst)
     if args.samples is not None:
-        text = curve_samples_csv(curve, args.samples)
-    elif args.format == "csv":
-        text = curve_segments_csv(curve)
-    else:
-        text = curve_to_text(curve)
-    _emit(text, args.output)
-    return 0
+        return curve_samples_csv(curve, args.samples)
+    if args.format == "csv":
+        return curve_segments_csv(curve)
+    return curve_to_text(curve)
 
 
-def cmd_mechanism(args) -> int:
-    inst = _resolve_instance(args.instance)
-    mech = _build_mechanism(inst, args.kind, args.rho, args.noise)
-    _emit(matrix_to_text(mech, inst), args.output)
-    return 0
+def cmd_mechanism(inst: Instance, args) -> str:
+    return matrix_to_text(_build_mechanism(inst, args.kind, args.rho, args.noise), inst)
 
 
-def cmd_eval(args) -> int:
-    inst = _resolve_instance(args.instance)
+def cmd_eval(inst: Instance, args) -> str:
     mech = parse_matrix(_read_text(args.mechanism), inst)
     report = list_privacy(inst, mech)
     payload = report_to_jsonable(report, inst)
@@ -153,19 +142,20 @@ def cmd_eval(args) -> int:
         payload["recoverable"] = is_recoverable(mech, inst, rho)
         payload["privacy_bound"] = format_rational(bound)
         payload["gap"] = format_rational(bound - report.privacy)
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_oracle(args) -> int:
-    inst = _resolve_instance(args.instance)
+def cmd_oracle(inst: Instance, args) -> str:
     _require(
         (args.rho is None) != (args.grid is None),
         "exactly one of --rho or --grid is required",
     )
     if args.lp_dump is not None:
         _require(args.rho is not None, "--lp-dump needs --rho")
-        Path(args.lp_dump).write_text(lp_text(inst, args.rho))
+        # lp_lines checks rho and the row count before the file is opened.
+        lines = lp_lines(inst, args.rho)
+        with open(args.lp_dump, "w") as dump:
+            dump.writelines(lines)
     if args.rho is not None:
         result = exact_privacy(inst, args.rho)
         payload = {
@@ -177,8 +167,7 @@ def cmd_oracle(args) -> int:
                 [list(lst) for lst in per_output] for per_output in result.active_lists
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
+        return json.dumps(payload, indent=2) + "\n"
     _require(args.grid >= 2, "--grid needs at least two points")
     lines = ["rho,oracle,envelope,equal"]
     grid = [Fraction(j, args.grid - 1) for j in range(args.grid)]
@@ -188,12 +177,10 @@ def cmd_oracle(args) -> int:
             f"{format_rational(rho)},{format_rational(got)},"
             f"{format_rational(want)},{str(got == want).lower()}"
         )
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args) -> int:
-    inst = _resolve_instance(args.instance)
+def cmd_simulate(inst: Instance, args) -> str:
     if args.grid is not None:
         _require(args.kind is not None, "--grid needs --kind")
         _require(args.kind != "noise-file", "--grid does not support noise-file")
@@ -207,9 +194,7 @@ def cmd_simulate(args) -> int:
         def factory(rho):
             return _build_mechanism(inst, args.kind, rho, None)
 
-        points = privacy_sweep(inst, factory, rhos, args.trials, args.seed)
-        _emit(sweep_to_csv(points), args.output)
-        return 0
+        return sweep_to_csv(privacy_sweep(inst, factory, rhos, args.trials, args.seed))
     _require(args.mechanism is not None, "--mechanism (or --kind with --grid) is required")
     mech = parse_matrix(_read_text(args.mechanism), inst)
     exact = list_privacy(inst, mech)
@@ -217,8 +202,7 @@ def cmd_simulate(args) -> int:
     payload = sim_report_jsonable(report)
     payload["analytic_privacy"] = format_rational(exact.privacy)
     payload["abs_error"] = abs(report.empirical_privacy - float(exact.privacy))
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @functools.cache
@@ -233,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check an instance and print its shape")
     p.add_argument("instance", help="catalog name or JSON file")
-    p.set_defaults(handler=cmd_validate)
+    p.set_defaults(handler=cmd_validate, output=None)
 
     p = sub.add_parser("curve", help="piecewise-affine privacy bound over [0,1]")
     p.add_argument("instance")
@@ -281,7 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text = args.handler(_resolve_instance(args.instance), args)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except ListPrivacyError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1

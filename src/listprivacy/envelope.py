@@ -285,20 +285,13 @@ def curve_to_text(curve: PrivacyCurve) -> str:
 
 
 def curve_segments_csv(curve: PrivacyCurve) -> str:
-    """Segment table with exact rational strings."""
+    """Segment table with exact rational strings: the `curve_to_jsonable`
+    segments, one row each, under their field names."""
+    segments = curve_to_jsonable(curve)["segments"]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rho_lo", "rho_hi", "slope", "intercept", "anchor_size"])
-    for seg, size in zip(curve.segments, curve.lambda_sizes):
-        writer.writerow(
-            [
-                format_rational(seg.rho_lo),
-                format_rational(seg.rho_hi),
-                format_rational(seg.slope),
-                format_rational(seg.intercept),
-                size,
-            ]
-        )
+    writer = csv.DictWriter(buf, fieldnames=list(segments[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(segments)
     return buf.getvalue()
 
 

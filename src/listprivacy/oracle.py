@@ -17,8 +17,9 @@ would get. A round reads each output's best list straight from the solution
 vector; only the final witness is built as a matrix and certified by
 `list_privacy`.
 
-Rows carry no names. `lp_text` writes each row as soon as it is built and
-names it only in the text, so the dump never holds the whole program.
+Rows carry no names. `lp_lines` formats each row as soon as it is built and
+names it only in its line, and the CLI's `--lp-dump` writes each line as it
+comes, so a dump holds neither the program's rows nor its text.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .adversary import best_list, list_privacy
 from .core import (
@@ -41,7 +42,7 @@ from .core import (
 from .errors import InstanceTooLarge
 from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
 
-# Most active lists an OracleResult may carry, and most list rows `lp_text`
+# Most active lists an OracleResult may carry, and most list rows `lp_lines`
 # writes; each count is taken before any list is built.
 ACTIVE_LIST_LIMIT = 100_000
 
@@ -90,16 +91,6 @@ def _program(inst: Instance, list_rows: list, fixed) -> tuple[list, list, list, 
     m = len(list_rows)
     costs = [0] * (inst.r * inst.k) + [1] * inst.k
     return costs, list_rows + rows, [LESS] * m + senses, [0] * m + rhs
-
-
-def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int, ...]]]):
-    """Cost vector and constraint rows; variables are w(x,i) then t(i).
-
-    `lists[i]` are the candidate l-lists whose mass bounds t(i) from below.
-    Their rows come first, output by output, then the fixed rows.
-    """
-    rows = [_list_row(inst, i, lst) for i in range(inst.k) for lst in lists[i]]
-    return _program(inst, rows, _fixed_rows(inst, rho))
 
 
 def _active_lists(inst: Instance, witness: StochasticMatrix):
@@ -201,14 +192,16 @@ def exact_privacy_curve(
     return tuple(results)
 
 
-def lp_text(inst: Instance, rho) -> str:
-    """The privacy program in LP interchange text, for external solvers.
+def lp_lines(inst: Instance, rho) -> Iterator[str]:
+    """The privacy program in LP interchange text, one line at a time.
 
     Coefficients are shortest-repr decimals of the exact rationals; external
-    floating-point solvers should be compared at a small tolerance. Each
-    row is written as soon as it is built, list rows output by output, then
-    the fixed rows; row names exist only here. Raises InstanceTooLarge when
-    the program has more than ACTIVE_LIST_LIMIT list rows, k * C(r, l).
+    floating-point solvers should be compared at a small tolerance. rho and
+    the row count are checked at the call, so an error comes before the first
+    line; each row is then formatted only when its line is asked for, list
+    rows output by output, then the fixed rows. Row names exist only here.
+    Raises InstanceTooLarge when the program has more than ACTIVE_LIST_LIMIT
+    list rows, k * C(r, l).
     """
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
@@ -231,20 +224,25 @@ def lp_text(inst: Instance, rho) -> str:
             mag = abs(coef)
             piece = var(j) if mag == 1 else f"{float(mag)!r} {var(j)}"
             terms.append(f"{lead} {piece}".strip())
-        return f" {name}: " + " ".join(terms) + f" {sense} {float(bound)!r}"
+        return f" {name}: " + " ".join(terms) + f" {sense} {float(bound)!r}\n"
 
-    out = [
-        f"\\ list privacy program, rho = {format_rational(rho)}",
-        "Minimize",
-        " obj: " + " + ".join(var(nw + i) for i in range(k)),
-        "Subject To",
-    ]
-    for i in range(k):
-        for lst in combinations(range(r), inst.l):
-            name = f"list_{i}_" + "_".join(str(x) for x in lst)
-            out.append(line(name, _list_row(inst, i, lst), LESS, 0))
-    # map stops after the stochastic rows when rho = 0 leaves no recover rows.
-    names = [f"row_{x}" for x in range(r)] + [f"recover_{x}" for x in range(r)]
-    out.extend(map(line, names, *_fixed_rows(inst, rho)))
-    out.append("End")
-    return "\n".join(out) + "\n"
+    def lines() -> Iterator[str]:
+        yield f"\\ list privacy program, rho = {format_rational(rho)}\n"
+        yield "Minimize\n"
+        yield " obj: " + " + ".join(var(nw + i) for i in range(k)) + "\n"
+        yield "Subject To\n"
+        for i in range(k):
+            for lst in combinations(range(r), inst.l):
+                name = f"list_{i}_" + "_".join(str(x) for x in lst)
+                yield line(name, _list_row(inst, i, lst), LESS, 0)
+        # map stops after the stochastic rows when rho = 0 leaves no recover rows.
+        names = [f"row_{x}" for x in range(r)] + [f"recover_{x}" for x in range(r)]
+        yield from map(line, names, *_fixed_rows(inst, rho))
+        yield "End\n"
+
+    return lines()
+
+
+def lp_text(inst: Instance, rho) -> str:
+    """The whole of `lp_lines(inst, rho)` as one string."""
+    return "".join(lp_lines(inst, rho))

@@ -34,6 +34,7 @@ from .core import (
     ListEstimator,
     StochasticMatrix,
     _check_sequence,
+    _is_int,
     check_dims,
     ensure_rho,
     format_rational,
@@ -120,9 +121,9 @@ def simulate_game(
     for i, lst in enumerate(estimator.lists):
         if lst and lst[-1] >= inst.r:
             raise DimensionMismatch(f"list {i} names symbol {lst[-1]}, alphabet is {inst.r}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise InstanceFormatError(f"need a whole number of trials >= 1, got {trials!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise InstanceFormatError(f"need an integer seed, got {seed!r}")
     rng = random.Random(seed)
     x_cuts = _thresholds(inst.pmf)

@@ -19,7 +19,7 @@ from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.adversary import PrivacyReport
 from listprivacy.core import check_dims, ensure_rho
 from listprivacy.envelope import EnvelopeLine
-from listprivacy.oracle import OracleResult, _active_lists, _lp_parts
+from listprivacy.oracle import OracleResult, _active_lists, _fixed_rows, _list_row, _program
 from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpSolution, LpStatus, solve_lp
 from listprivacy.simulate import _thresholds
 
@@ -336,6 +336,16 @@ def reference_list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyRep
         estimator=ListEstimator(lists=tuple(lists)),
         per_output_mass=tuple(masses),
     )
+
+
+def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int, ...]]]):
+    """Cost vector and constraint rows; variables are w(x,i) then t(i).
+
+    `lists[i]` are the candidate l-lists whose mass bounds t(i) from below.
+    Their rows come first, output by output, then the fixed rows.
+    """
+    rows = [_list_row(inst, i, lst) for i in range(inst.k) for lst in lists[i]]
+    return _program(inst, rows, _fixed_rows(inst, rho))
 
 
 def reference_exact_privacy(inst: Instance, rho) -> OracleResult:

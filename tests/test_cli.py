@@ -273,6 +273,54 @@ class TestOracleBytes:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == LP_DUMP_SHA256[name, rho]
 
 
+class TestOutputPath:
+    """Every artifact goes through one write path: `--output FILE` holds the
+    bytes the same call prints without it, and stdout stays empty."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "skew7"],
+            ["curve", "uniform4", "--format", "csv"],
+            ["curve", "ternary5", "--samples", "10"],
+            ["mechanism", "skew7", "--kind", "optimal-binary", "--rho", "1/2"],
+            ["eval", "skew7", "--mechanism", "MECH"],
+            ["eval", "skew7", "--mechanism", "MECH", "--rho", "1/2"],
+            ["oracle", "ternary5", "--rho", "3/4"],
+            ["oracle", "uniform4", "--grid", "5"],
+            ["simulate", "skew7", "--mechanism", "MECH", "--trials", "2000", "--seed", "3"],
+            ["simulate", "uniform4", "--kind", "optimal-binary", "--grid", "3",
+             "--trials", "2000", "--seed", "9"],
+        ],
+    )
+    def test_file_holds_the_printed_bytes(self, capsys, tmp_path, argv):
+        mech_file = tmp_path / "w.json"
+        mech_file.write_text(matrix_to_text(uniform_qr(SKEW7), SKEW7))
+        argv = [str(mech_file) if a == "MECH" else a for a in argv]
+        code, printed, err = run(capsys, *argv)
+        assert code == 0 and err == "" and printed
+        target = tmp_path / "artifact"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 0 and out == "" and err == ""
+        assert target.read_bytes() == printed.encode()
+
+    def test_bad_rho_creates_no_dump(self, capsys, tmp_path):
+        target = tmp_path / "program.lp"
+        code, out, err = run(
+            capsys, "oracle", "uniform4", "--rho", "3/2", "--lp-dump", str(target)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: RhoOutOfRange:")
+        assert not target.exists()
+
+    def test_validate_takes_no_output(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "skew7", "--output", str(target)])
+        assert exc.value.code == 2
+        assert not target.exists()
+
+
 class TestSimulate:
     def test_deterministic_mechanism_is_exact(self, capsys, tmp_path):
         inst_file = tmp_path / "u4l3.json"

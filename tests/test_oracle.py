@@ -19,10 +19,10 @@ import listprivacy.oracle as oracle
 import listprivacy.simplex as simplex
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
-from listprivacy.errors import InstanceFormatError, InstanceTooLarge
-from listprivacy.oracle import OracleResult, _lp_parts
+from listprivacy.errors import InstanceFormatError, InstanceTooLarge, RhoOutOfRange
+from listprivacy.oracle import OracleResult, lp_lines
 from listprivacy.simplex import solve_lp
-from conftest import random_instance, random_rho, reference_exact_privacy, reference_solve_lp
+from conftest import _lp_parts, random_instance, random_rho, reference_exact_privacy, reference_solve_lp
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -300,3 +300,17 @@ class TestLpDump:
     def test_zero_rho_has_no_recover_rows(self):
         text = lp_text(UNIFORM4, F(0))
         assert "recover_" not in text
+
+    def test_lines_join_to_the_text(self):
+        lines = list(lp_lines(TERNARY5, F(1, 2)))
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == lp_text(TERNARY5, F(1, 2))
+
+    def test_checks_come_at_the_call(self):
+        # Both errors come before the first line is asked for, so a caller
+        # can open its file only once the call has returned.
+        with pytest.raises(RhoOutOfRange):
+            lp_lines(UNIFORM4, F(3, 2))
+        wide = Instance(pmf=(F(1, 24),) * 24, f=(0,) * 12 + (1,) * 12, l=12)
+        with pytest.raises(InstanceTooLarge):
+            lp_lines(wide, F(1, 2))

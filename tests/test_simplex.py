@@ -7,9 +7,9 @@ import pytest
 import conftest
 import listprivacy.simplex as simplex
 from listprivacy import exact_privacy
-from listprivacy.oracle import _fixed_rows, _lp_parts
+from listprivacy.oracle import _fixed_rows
 from listprivacy.simplex import GREATER, LESS, EQUAL, LpStatus, solve_lp
-from conftest import random_instance, random_rho, reference_solve_lp
+from conftest import _lp_parts, random_instance, random_rho, reference_solve_lp
 
 
 class TestKnownPrograms:
