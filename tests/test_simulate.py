@@ -151,6 +151,57 @@ DYADIC_MECH = StochasticMatrix(
 )
 
 
+def _hits_on_even(pmf):
+    # Even symbols are in every list and odd ones in none, so every x cut
+    # separates a hit from a miss.
+    r = len(pmf)
+    inst = Instance(pmf=pmf, f=tuple(x % 2 for x in range(r)), l=(r + 1) // 2)
+    return inst, uniform_qr(inst), ListEstimator(lists=(tuple(range(0, r, 2)),) * 2)
+
+
+def _edge_r300():
+    # x is past one byte.
+    inst = Instance(pmf=(F(1, 300),) * 300, f=tuple(x % 3 for x in range(300)), l=2)
+    mech = random_mechanism(random.Random(300), inst)
+    return inst, mech, map_list_estimator(inst, mech)
+
+
+def _edge_cut_on_second_byte_boundary():
+    # Every x cut is a multiple of 2**48 inside a leading-byte bucket.
+    return _hits_on_even((F(1001, 1 << 16),) * 39 + (F(65536 - 39 * 1001, 1 << 16),))
+
+
+def _edge_cut_second_byte_255():
+    # Cut i is in bucket i, second byte 255, halfway into that cell.
+    first = F(511, 1 << 17)
+    return _hits_on_even((first,) + (F(1, 256),) * 99 + (1 - first - F(99, 256),))
+
+
+def _edge_symbol_in_every_list():
+    # Symbol 1 always hits, 5 and 6 always miss, the rest are mixed.
+    mech = random_mechanism(random.Random(7), SKEW7)
+    return SKEW7, mech, ListEstimator(lists=((0, 1, 2), (1, 3, 4)))
+
+
+def _edge_many_mixed_symbols():
+    # Symbols 0-277 are each in one list and draw both responses: 278 mixed
+    # symbols, more than one byte has classes for. 278-298 always miss and
+    # 299 always hits.
+    inst = Instance(pmf=(F(1, 300),) * 300, f=tuple(x % 2 for x in range(300)), l=140)
+    mech = StochasticMatrix(rows=((F(1, 3), F(2, 3)),) * 300)
+    lists = (tuple(range(0, 278, 2)) + (299,), tuple(range(1, 278, 2)) + (299,))
+    return inst, mech, ListEstimator(lists=lists)
+
+
+EDGE_CASES = {
+    "r300": _edge_r300,
+    "cut_on_second_byte_boundary": _edge_cut_on_second_byte_boundary,
+    "cut_second_byte_255": _edge_cut_second_byte_255,
+    "symbol_in_every_list": _edge_symbol_in_every_list,
+    "many_mixed_symbols": _edge_many_mixed_symbols,
+}
+
+
 class TestGuideTable:
     CASES = [
         _thresholds(SKEWED.pmf),
@@ -213,6 +264,10 @@ class TestAgainstReferenceLoop:
 
     def test_several_cuts_in_one_bucket(self):
         self.assert_same(SKEWED, SKEWED_MECH, trials=self.TRIALS + (1 << 17,))
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_edge_cases(self, case):
+        self.assert_same(*EDGE_CASES[case](), trials=self.TRIALS + (1 << 17,))
 
 
 class TestSweep:
