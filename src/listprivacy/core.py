@@ -264,8 +264,13 @@ def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tup
 
     Ranking is by probability descending with index ascending as the
     tie-break, so the result is unique even under tied masses. t = 0 gives ().
+    Every member must be a symbol of the pmf: a non-bool int in range(len(pmf)).
     """
-    pool = sorted({int(x) for x in members})
+    members = tuple(members)
+    for x in members:
+        if not _is_int(x) or not 0 <= x < len(pmf):
+            raise InstanceFormatError(f"{x!r} is not a symbol of a {len(pmf)}-symbol pmf")
+    pool = sorted(set(members))
     if not 0 <= t <= len(pool):
         raise TooManyRequested(f"asked for {t} of {len(pool)} elements")
     ranked = sorted(pool, key=lambda x: (-pmf[x], x))

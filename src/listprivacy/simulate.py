@@ -12,9 +12,10 @@ lane per trial: bytes.translate through 256-entry tables, and big-int
 arithmetic on the lanes.
 
 - Classes. A symbol hits when the list of every response it can draw holds
-  it, misses when none does, and is otherwise mixed, with a class byte of
-  its own. Neighbouring symbols of one class are one run, so only cuts
-  between runs of different classes count.
+  it, misses when none does, and is otherwise mixed. One byte holds 253
+  lane classes: the first 253 mixed symbols in index order get one each,
+  and every later mixed symbol is unsure. Neighbouring symbols of one class
+  are one run, so only cuts between runs of different classes count.
 - x. The x draw's leading byte names one of 256 buckets, and a translate
   gives the class at the bucket's start. A cut inside the bucket is passed
   exactly when the draw's second byte s is at least the cut's second-byte
@@ -28,11 +29,10 @@ arithmetic on the lanes.
   symbols share byte lanes, 8 to a group: per group, a translate of the class
   bytes gives each trial's lane bit, translates of the z draw's leading byte
   give the bits that miss and the bits whose bucket a cut splits, and & with
-  int.bit_count count the misses. One byte holds 253 mixed classes; past
-  that, mixed symbols take further pages of classes, each with its own x
-  tables over the same cuts.
-- Unsure trials (an x draw on its cut's second byte, or a z bucket that a
-  cut splits) are placed by bisecting their two full 64-bit draws.
+  int.bit_count count the misses.
+- Unsure trials (an x draw on its cut's second byte, a z bucket that a cut
+  splits, or a mixed symbol without a lane) are placed by bisecting their
+  two full 64-bit draws.
 
 Every bulk decision is one that bisection on the full draw would make, and
 every trial sees the same two draws as a loop of getrandbits(64) calls, so
@@ -73,8 +73,6 @@ _CELL = _SCALE >> 16
 # Trial classes, one byte each: x is in the list of every response it can
 # draw, of none, is the mixed symbol of lane class _MIXED + m, or is unsure.
 _HIT, _MISS, _MIXED, _UNSURE = 0, 1, 2, 255
-# Mixed symbols per page of lane classes.
-_PAGE = _UNSURE - _MIXED
 # Byte-lane masks, one lane per trial of a chunk: 1, the low seven bits and
 # the top bit of every lane.
 _ONES = int.from_bytes(b"\x01" * _CHUNK, "little")
@@ -114,26 +112,27 @@ def derive_stream_seed(seed: int, stream: int) -> int:
 
 def _thresholds(probs: Sequence[Fraction]) -> list[int]:
     # Integer cut points on [0, 2**64): a uniform draw u selects the first
-    # index whose threshold exceeds u.
+    # index whose threshold exceeds u. Cut i is 2**64 times the sum of masses
+    # 0 to i, rounded up; the sums are integers over the common denominator.
+    den = math.lcm(*(p.denominator for p in probs))
     out = []
-    acc = Fraction(0)
+    acc = 0
     for p in probs:
-        acc += p
-        out.append(math.ceil(acc * _SCALE))
+        acc += p.numerator * (den // p.denominator)
+        out.append(-(-acc * _SCALE // den))
     return out
 
 
-def _guide(cuts: Sequence[int], bits: int, cells: Sequence, unsure) -> list:
-    """Guide table over the 2**bits equal buckets of [0, 2**64).
+def _guide(cuts: Sequence[int], cells: Sequence, unsure) -> list:
+    """Guide table over the 256 buckets that a draw's leading byte names.
 
     Bucket b holds cells[i] when every draw u in it has bisect_right(cuts, u)
     == i, and `unsure` when a cut splits it.
     """
-    width = _SCALE >> bits
-    table = [unsure] * (1 << bits)
+    table = [unsure] * 256
     lo = 0
     for cell, hi in zip(cells, cuts):
-        first, end = -(-lo // width), hi // width
+        first, end = -(-lo // _BUCKET), hi // _BUCKET
         if end > first:
             table[first:end] = [cell] * (end - first)
         lo = hi
@@ -169,9 +168,7 @@ def _x_tables(cuts: Sequence[int], classes: Sequence[int]) -> tuple[bytes, list]
     level, level j holding the j-th interior cut of each bucket: 256 minus
     the cut's second-byte ceiling, the xor of the classes on its two sides,
     and 0x80 when those differ and a draw's second byte cannot place it. A
-    bucket with more interior cuts than levels is _UNSURE. The depth and the
-    _UNSURE buckets depend on the cuts alone, so tables over the same cuts
-    agree on them.
+    bucket with more interior cuts than levels is _UNSURE.
     """
     interior = [i for i, c in enumerate(cuts) if c % _BUCKET]
     counts: dict[int, int] = {}
@@ -181,7 +178,7 @@ def _x_tables(cuts: Sequence[int], classes: Sequence[int]) -> tuple[bytes, list]
     # path: take the depth that minimizes the two together.
     ranked = sorted(counts.values(), reverse=True) + [0]
     depth = min((m + i, m) for i, m in enumerate(ranked))[1]
-    first = bytearray(_guide(cuts, 8, classes, _UNSURE))
+    first = bytearray(_guide(cuts, classes, _UNSURE))
     levels = [(bytearray(256), bytearray(256), bytearray(256)) for _ in range(depth)]
     j = b = -1
     for i in interior:
@@ -216,8 +213,8 @@ def _lane_tables(
         bit = 1 << j
         pick[_MIXED + offset + j] = bit
         cells = [0 if hit else bit for hit in hits]
-        miss |= int.from_bytes(bytes(_guide(cuts, 8, cells, 0)), "little")
-        split |= int.from_bytes(bytes(_guide(cuts, 8, [0] * len(cuts), bit)), "little")
+        miss |= int.from_bytes(bytes(_guide(cuts, cells, 0)), "little")
+        split |= int.from_bytes(bytes(_guide(cuts, [0] * len(cuts), bit)), "little")
     return bytes(pick), miss.to_bytes(256, "little"), split.to_bytes(256, "little")
 
 
@@ -246,31 +243,18 @@ def simulate_game(
     z_cuts = [_thresholds(row) for row in mech.rows]
     members = [frozenset(lst) for lst in estimator.lists]
     # Per symbol, the runs of its z draw that hit and miss its list. A symbol
-    # with one run has a constant class; a mixed symbol x keys a run of x
-    # alone, with a key above every class.
+    # with one run has a constant class; the first 253 mixed symbols each
+    # have a lane class of their own, and later ones are unsure.
     z_runs = [_runs(cuts, [x in m for m in members]) for x, cuts in enumerate(z_cuts)]
-    mixed = [x for x, (_, hits) in enumerate(z_runs) if len(hits) > 1]
-    keys = [
-        x + 256 if len(hits) > 1 else _HIT if hits[0] else _MISS
+    laned = [x for x, (_, hits) in enumerate(z_runs) if len(hits) > 1][:_UNSURE - _MIXED]
+    lane_class = {x: _MIXED + j for j, x in enumerate(laned)}
+    classes = [
+        lane_class.get(x, _UNSURE) if len(hits) > 1 else _HIT if hits[0] else _MISS
         for x, (_, hits) in enumerate(z_runs)
     ]
-    run_cuts, run_keys = _runs(x_cuts, keys)
-    # Each page of mixed symbols has its own class tables over the same cuts.
-    # Symbols off the page are _HIT there and count nothing, and constant
-    # misses count on the first page only. A page that cannot place a trial
-    # has a class change at the trial's cut, and so has every page on which
-    # the trial would count, so only the exact path counts it.
-    pages = []
-    for start in range(0, max(len(mixed), 1), _PAGE):
-        page = mixed[start:start + _PAGE]
-        lane_class = {x + 256: _MIXED + j for j, x in enumerate(page)}
-        misses_here = _MISS if start == 0 else _HIT
-        classes = [
-            lane_class.get(key, misses_here if key == _MISS else _HIT) for key in run_keys
-        ]
-        group = [z_runs[x] for x in page]
-        lanes = [_lane_tables(group[m:m + 8], m) for m in range(0, len(group), 8)]
-        pages.append((*_x_tables(run_cuts, classes), lanes))
+    first, levels = _x_tables(*_runs(x_cuts, classes))
+    group = [z_runs[x] for x in laned]
+    lanes = [_lane_tables(group[m:m + 8], m) for m in range(0, len(group), 8)]
     misses = 0
     for start in range(0, trials, _CHUNK):
         n = min(_CHUNK, trials - start)
@@ -282,30 +266,29 @@ def simulate_game(
         # One byte lane per trial: the x draw's second byte.
         second = int.from_bytes(draws[6::16], "little")
         low7 = second & _LOW7
-        unsure = 0
-        for first, levels, lanes in pages:
-            cls = int.from_bytes(lead.translate(first), "little")
-            ambiguous = 0
-            for add, flip, amb in levels:
-                step = int.from_bytes(lead.translate(add), "little")
-                # Lane sums of the low seven bits: no carry leaves its lane.
-                low = low7 + (step & _LOW7)
-                # The carry out of second + step: the draw is past the cut.
-                passed = ((second & step) | ((second | step) & low)) & _TOP
-                cls ^= (passed >> 7) * 255 & int.from_bytes(lead.translate(flip), "little")
-                # A lane sum of 255: the draw's second byte is the cut's.
-                is_255 = ((low & _LOW7) + _ONES) & (low ^ second ^ step)
-                ambiguous |= is_255 & int.from_bytes(lead.translate(amb), "little")
-            cls_bytes = (cls | (ambiguous >> 7) * 255).to_bytes(n, "little")
-            misses += cls_bytes.count(_MISS)
-            unsure |= int.from_bytes(cls_bytes.translate(_IS_255), "little")
-            for pick, miss, split in lanes:
-                lane = int.from_bytes(cls_bytes.translate(pick), "little")
-                misses += (lane & int.from_bytes(z_lead.translate(miss), "little")).bit_count()
-                unsure |= lane & int.from_bytes(z_lead.translate(split), "little")
+        cls = int.from_bytes(lead.translate(first), "little")
+        ambiguous = 0
+        for add, flip, amb in levels:
+            step = int.from_bytes(lead.translate(add), "little")
+            # Lane sums of the low seven bits: no carry leaves its lane.
+            low = low7 + (step & _LOW7)
+            # The carry out of second + step: the draw is past the cut.
+            passed = ((second & step) | ((second | step) & low)) & _TOP
+            cls ^= (passed >> 7) * 255 & int.from_bytes(lead.translate(flip), "little")
+            # A lane sum of 255: the draw's second byte is the cut's.
+            is_255 = ((low & _LOW7) + _ONES) & (low ^ second ^ step)
+            ambiguous |= is_255 & int.from_bytes(lead.translate(amb), "little")
+        cls_bytes = (cls | (ambiguous >> 7) * 255).to_bytes(n, "little")
+        misses += cls_bytes.count(_MISS)
+        unsure = int.from_bytes(cls_bytes.translate(_IS_255), "little")
+        for pick, miss, split in lanes:
+            lane = int.from_bytes(cls_bytes.translate(pick), "little")
+            misses += (lane & int.from_bytes(z_lead.translate(miss), "little")).bit_count()
+            unsure |= lane & int.from_bytes(z_lead.translate(split), "little")
         if not unsure:
             continue
-        # A cut splits this trial's x cell or z bucket: bisect its two draws.
+        # A cut splits this trial's x cell or z bucket, or its symbol has no
+        # lane: bisect its two draws.
         exact = unsure.to_bytes(n, "little").translate(_NONZERO)
         t = exact.find(1)
         while t >= 0:

@@ -7,6 +7,7 @@ normalized, which keeps everything an exact Fraction.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -21,7 +22,6 @@ from listprivacy.core import check_dims, ensure_rho
 from listprivacy.envelope import EnvelopeLine
 from listprivacy.oracle import OracleResult, _active_lists, _fixed_rows, _list_row, _program
 from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpSolution, LpStatus, solve_lp
-from listprivacy.simulate import _thresholds
 
 
 def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instance:
@@ -290,6 +290,17 @@ def reference_solve_lp(
     return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))
 
 
+def reference_thresholds(probs: Sequence[Fraction]) -> list[int]:
+    """Reference for simulate._thresholds: a Fraction running sum of the
+    masses, times 2**64, rounded up after each one."""
+    out = []
+    acc = Fraction(0)
+    for p in probs:
+        acc += p
+        out.append(math.ceil(acc * (1 << 64)))
+    return out
+
+
 def reference_simulate_game(
     inst: Instance,
     mech: StochasticMatrix,
@@ -304,8 +315,8 @@ def reference_simulate_game(
     """
     rng = random.Random(seed)
     draw = rng.getrandbits
-    x_cuts = _thresholds(inst.pmf)
-    z_cuts = [_thresholds(row) for row in mech.rows]
+    x_cuts = reference_thresholds(inst.pmf)
+    z_cuts = [reference_thresholds(row) for row in mech.rows]
     members = [frozenset(lst) for lst in estimator.lists]
     misses = 0
     for _ in range(trials):

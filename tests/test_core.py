@@ -231,6 +231,11 @@ class TestTopElements:
     def test_zero_is_empty(self):
         assert top_elements((0, 1), 0, UNIFORM4.pmf) == ()
 
+    @pytest.mark.parametrize("member", [-1, 10, "a", 1.7, True])
+    def test_non_symbols_rejected(self, member):
+        with pytest.raises(InstanceFormatError):
+            top_elements((member,), 1, SKEW7.pmf)
+
 
 class TestEnsureRho:
     def test_accepts_boundaries(self):

@@ -22,7 +22,12 @@ from listprivacy import (
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.errors import DimensionMismatch, InstanceFormatError, RhoOutOfRange
 from listprivacy.simulate import _CHUNK, _guide, _thresholds, report_to_jsonable, sweep_to_csv
-from conftest import random_instance, random_mechanism, reference_simulate_game
+from conftest import (
+    random_instance,
+    random_mechanism,
+    reference_simulate_game,
+    reference_thresholds,
+)
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -193,13 +198,66 @@ def _edge_many_mixed_symbols():
     return inst, mech, ListEstimator(lists=lists)
 
 
+def _mixed_at_the_lane_limit(mixed):
+    # Symbols 0-253 are each in one list, 299 in both. Every symbol draws
+    # both responses, except that symbol 253 draws only response 1, whose
+    # list holds it, when only 253 symbols are to be mixed.
+    inst = Instance(pmf=(F(1, 300),) * 300, f=tuple(x % 2 for x in range(300)), l=128)
+    rows = [(F(1, 3), F(2, 3))] * 300
+    if mixed == 253:
+        rows[253] = (F(0), F(1))
+    lists = (tuple(range(0, 254, 2)) + (299,), tuple(range(1, 254, 2)) + (299,))
+    return inst, StochasticMatrix(rows=tuple(rows)), ListEstimator(lists=lists)
+
+
+def _edge_overflow_runs_merge():
+    # Symbols 0-252 take every lane class. The mixed symbols after them,
+    # 253-262, 271-280 and 291-299, have none; each such block is one run of
+    # unsure trials, between a laned symbol and misses (263-270) or hits
+    # (281-290). The pmf puts several runs in some x buckets.
+    rng = random.Random(254)
+    weights = [rng.randint(1, 12) for _ in range(300)]
+    inst = Instance(
+        pmf=tuple(F(w, sum(weights)) for w in weights), f=tuple(x % 2 for x in range(300)), l=151
+    )
+    mech = StochasticMatrix(rows=((F(1, 3), F(2, 3)),) * 300)
+    mixed = [*range(253), *range(253, 263), *range(271, 281), *range(291, 300)]
+    hits = tuple(range(281, 291))
+    lists = tuple(tuple(x for x in mixed if x % 2 == z) + hits for z in (0, 1))
+    return inst, mech, ListEstimator(lists=lists)
+
+
 EDGE_CASES = {
     "r300": _edge_r300,
     "cut_on_second_byte_boundary": _edge_cut_on_second_byte_boundary,
     "cut_second_byte_255": _edge_cut_second_byte_255,
     "symbol_in_every_list": _edge_symbol_in_every_list,
     "many_mixed_symbols": _edge_many_mixed_symbols,
+    "mixed_253": lambda: _mixed_at_the_lane_limit(253),
+    "mixed_254": lambda: _mixed_at_the_lane_limit(254),
+    "overflow_runs_merge": _edge_overflow_runs_merge,
 }
+
+
+def _random_row(rng: random.Random, kind: str) -> list[F]:
+    # Up to 11 masses summing to 1: with zeros, below 2**-8 but the last,
+    # dyadic, or over denominators of 20-30 digits.
+    n = rng.randint(1, 10)
+    if kind == "zeros":
+        weights = [rng.choice((0, 0, 1, 2, 7)) for _ in range(n)] + [1]
+        return [F(w, sum(weights)) for w in weights]
+    if kind == "tiny":
+        head = [F(rng.randrange(256), 1 << rng.randint(16, 70)) for _ in range(n)]
+    elif kind == "dyadic":
+        m = rng.randint(0, 80)
+        ends = sorted(rng.randrange((1 << m) + 1) for _ in range(n))
+        return [F(b - a, 1 << m) for a, b in zip([0] + ends, ends + [1 << m])]
+    else:
+        head = []
+        for _ in range(n):
+            den = rng.randrange(10**20, 10**30)
+            head.append(F(rng.randrange(den // n), den))
+    return head + [1 - sum(head)]
 
 
 class TestGuideTable:
@@ -213,17 +271,25 @@ class TestGuideTable:
         _thresholds([F(1, 7)] * 7),
     ]
 
-    @pytest.mark.parametrize("bits", [8, 16])
-    def test_a_cell_names_the_bin_of_every_draw_in_its_bucket(self, bits):
+    def test_a_cell_names_the_bin_of_every_draw_in_its_bucket(self):
         # A bucket holds its bin exactly when no cut splits it.
-        width = 1 << (64 - bits)
+        width = 1 << 56
         for cuts in self.CASES:
-            table = _guide(cuts, bits, range(len(cuts)), None)
-            assert len(table) == 1 << bits
+            table = _guide(cuts, range(len(cuts)), None)
+            assert len(table) == 256
             for b, cell in enumerate(table):
                 first = bisect_right(cuts, b * width)
                 last = bisect_right(cuts, (b + 1) * width - 1)
                 assert cell == (first if first == last else None)
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("kind", ["zeros", "tiny", "dyadic", "large"])
+    def test_integer_cuts_match_the_fraction_reference(self, kind):
+        rng = random.Random(kind)
+        for _ in range(500):
+            row = _random_row(rng, kind)
+            assert _thresholds(row) == reference_thresholds(row), row
 
 
 class TestAgainstReferenceLoop:
