@@ -49,7 +49,7 @@ from .mechanisms import (
     uniform_qr,
 )
 from .adversary import PrivacyReport, list_privacy, map_list_estimator
-from .oracle import OracleResult, exact_privacy, exact_privacy_curve, lp_text
+from .oracle import OracleResult, active_lists, exact_privacy, exact_privacy_curve, lp_text
 from .simulate import (
     SimReport,
     SweepPoint,

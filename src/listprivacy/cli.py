@@ -48,7 +48,7 @@ from .mechanisms import (
     ternary_example_qr,
     uniform_qr,
 )
-from .oracle import exact_privacy, exact_privacy_curve, lp_lines
+from .oracle import active_lists, exact_privacy, exact_privacy_curve, lp_lines
 from .simulate import (
     privacy_sweep,
     report_to_jsonable as sim_report_jsonable,
@@ -158,21 +158,22 @@ def cmd_oracle(inst: Instance, args) -> str:
             dump.writelines(lines)
     if args.rho is not None:
         result = exact_privacy(inst, args.rho)
+        rows = result.witness.rows
         payload = {
             "optimum": format_rational(result.optimum),
             "optimum_decimal": float(result.optimum),
-            "witness": [[format_rational(v) for v in row] for row in result.witness.rows],
-            "witness_is_add_noise": result.witness_is_add_noise,
-            "active_lists": [
-                [list(lst) for lst in per_output] for per_output in result.active_lists
-            ],
+            "witness": [[format_rational(v) for v in row] for row in rows],
+            # True when the rows agree inside each preimage.
+            "witness_is_add_noise": all(rows[x] == rows[b[0]] for b in inst.preimages for x in b),
+            "active_lists": [list(map(list, per)) for per in active_lists(inst, result.witness)],
         }
         return json.dumps(payload, indent=2) + "\n"
     _require(args.grid >= 2, "--grid needs at least two points")
     lines = ["rho,oracle,envelope,equal"]
     grid = [Fraction(j, args.grid - 1) for j in range(args.grid)]
+    curve = privacy_curve(inst)
     for rho, result in exact_privacy_curve(inst, grid):
-        got, want = result.optimum, privacy_bound(inst, rho)
+        got, want = result.optimum, curve.value_at(rho)
         lines.append(
             f"{format_rational(rho)},{format_rational(got)},"
             f"{format_rational(want)},{str(got == want).lower()}"

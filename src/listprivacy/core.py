@@ -89,9 +89,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical exact string, e.g. 3/10, 1, 0."""
-    return str(Fraction(value))
+def format_rational(value) -> str:
+    """Canonical exact string (e.g. 3/10, 1, 0) of any value parse_rational reads."""
+    return str(parse_rational(value))
 
 
 def ensure_rho(rho) -> Fraction:
@@ -264,8 +264,11 @@ def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tup
 
     Ranking is by probability descending with index ascending as the
     tie-break, so the result is unique even under tied masses. t = 0 gives ().
-    Every member must be a symbol of the pmf: a non-bool int in range(len(pmf)).
+    Every member must be a symbol of the pmf: a non-bool int in range(len(pmf)),
+    and t a non-bool int.
     """
+    if not _is_int(t):
+        raise InstanceFormatError(f"need a whole number of elements, got {t!r}")
     members = tuple(members)
     for x in members:
         if not _is_int(x) or not 0 <= x < len(pmf):

@@ -58,8 +58,9 @@ class NotBinaryFunction(ListPrivacyError):
 
 
 class InstanceTooLarge(ListPrivacyError):
-    """The oracle's witness ties on more active lists, or its LP dump needs more
-    list rows, than its fixed limit allows."""
+    """`active_lists` (and so `oracle --rho`) meets more tied lists, or an LP
+    dump needs more list rows, than its fixed limit allows; `exact_privacy`
+    itself never raises it."""
 
 
 class NotRowStochastic(ListPrivacyError):

@@ -15,7 +15,9 @@ row when its cut is generated. Every round hands the solver the same row
 objects in the same order, so its pivots are the ones a rebuilt program
 would get. A round reads each output's best list straight from the solution
 vector; only the final witness is built as a matrix and certified by
-`list_privacy`.
+`list_privacy`. The result holds just the optimum and that witness: only
+`active_lists`, which `oracle --rho` prints, enumerates a witness's tied
+best lists.
 
 Rows carry no names. `lp_lines` formats each row as soon as it is built and
 names it only in its line, and the CLI's `--lp-dump` writes each line as it
@@ -35,6 +37,7 @@ from .core import (
     Instance,
     StochasticMatrix,
     _check_sequence,
+    check_dims,
     ensure_rho,
     format_rational,
     top_elements,
@@ -42,25 +45,17 @@ from .core import (
 from .errors import InstanceTooLarge
 from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
 
-# Most active lists an OracleResult may carry, and most list rows `lp_lines`
-# writes; each count is taken before any list is built.
+# Most tied lists `active_lists` (and so `oracle --rho`) enumerates, and most
+# list rows `lp_lines` writes; each count is taken before any list is built.
 ACTIVE_LIST_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact optimum with a certified witness mechanism.
-
-    `active_lists[i]` holds every l-list attaining the adversary's best mass on
-    output i under the witness. `witness_is_add_noise` records whether the
-    witness rows agree inside each preimage, i.e. whether the LP happened to
-    return a mechanism that only looks at the function value.
-    """
+    """Exact optimum with a witness mechanism that `list_privacy` certifies."""
 
     optimum: Fraction
     witness: StochasticMatrix
-    active_lists: tuple[tuple[tuple[int, ...], ...], ...]
-    witness_is_add_noise: bool
 
 
 def _list_row(inst: Instance, i: int, lst: tuple[int, ...]) -> list:
@@ -93,23 +88,25 @@ def _program(inst: Instance, list_rows: list, fixed) -> tuple[list, list, list, 
     return costs, list_rows + rows, [LESS] * m + senses, [0] * m + rhs
 
 
-def _active_lists(inst: Instance, witness: StochasticMatrix):
-    """Per output, every l-list of largest mass under the witness, ascending.
+def active_lists(inst: Instance, mech: StochasticMatrix):
+    """Per output, every l-list of largest mass under the mechanism, ascending.
 
     Such a list is every symbol scoring above the l-th best score plus a choice
     among the symbols tied with it. Raises InstanceTooLarge when there are more
-    than ACTIVE_LIST_LIMIT of them.
+    than ACTIVE_LIST_LIMIT of them, and DimensionMismatch unless the matrix
+    is r x k.
     """
+    check_dims(inst, mech)
     ties = []
     for i in range(inst.k):
-        scores = [inst.pmf[x] * witness.rows[x][i] for x in range(inst.r)]
+        scores = [inst.pmf[x] * mech.rows[x][i] for x in range(inst.r)]
         cut = sorted(scores, reverse=True)[inst.l - 1]
         above = [x for x, s in enumerate(scores) if s > cut]
         tied = [x for x, s in enumerate(scores) if s == cut]
         ties.append((above, tied, inst.l - len(above)))
     count = sum(math.comb(len(tied), need) for _, tied, need in ties)
     if count > ACTIVE_LIST_LIMIT:
-        raise InstanceTooLarge(f"witness ties on {count} active lists, over {ACTIVE_LIST_LIMIT}")
+        raise InstanceTooLarge(f"mechanism ties on {count} active lists, over {ACTIVE_LIST_LIMIT}")
     # Picks come in ascending order, and so do their unions with `above`.
     return tuple(
         [
@@ -125,8 +122,7 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     Cutting planes: each round adds, for every output whose best list under
     the candidate witness outweighs its epigraph variable, that list as a
     row; rounds stop once the witness's exact privacy equals the program's
-    optimum. Raises InstanceTooLarge when the witness ties on more than
-    ACTIVE_LIST_LIMIT active lists.
+    optimum.
     """
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
@@ -155,17 +151,7 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     certified = list_privacy(inst, witness).privacy
     if certified != optimum:
         raise AssertionError(f"witness certifies {certified}, program claims {optimum}")
-    within = all(
-        witness.rows[x] == witness.rows[block[0]]
-        for block in inst.preimages
-        for x in block
-    )
-    return OracleResult(
-        optimum=optimum,
-        witness=witness,
-        active_lists=_active_lists(inst, witness),
-        witness_is_add_noise=within,
-    )
+    return OracleResult(optimum=optimum, witness=witness)
 
 
 def exact_privacy_curve(

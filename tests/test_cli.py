@@ -60,6 +60,16 @@ ORACLE_STDOUT_SHA256 = {
     ),
 }
 
+# SHA-256 of `oracle NAME --grid N` stdout.
+ORACLE_GRID_SHA256 = {
+    ("skew7", 11): "74c6a96102d2523478af5fef782ba27fcd91d4470716b047b6992f4eed36afa3",
+    ("skew7", 21): "42b00e8912ef71cff55534e3713b932e48f914c8136e107299a3bdab3e0d286d",
+    ("ternary5", 11): "e14e269b3934fcdf300ad06460ead32f581e7665db7b6541548fbc9145526c71",
+    ("ternary5", 21): "674a56b467a31cb7fe76d9a1724ecc02ee23aa2568718ccc936a79c13a8cac12",
+    ("uniform4", 11): "f57249ebd1c19d83538f5095e8c6518e8488bddcea3aae03814ca9727281d638",
+    ("uniform4", 21): "25807b67fba0282d7368e8ea0a21f009a6866fffd308deac9e8f629dc81ab3ad",
+}
+
 # SHA-256 of the `oracle NAME --rho RHO --lp-dump FILE` file.
 LP_DUMP_SHA256 = {
     ("skew7", "7/10"): "b9d9f15ed186dcd88aa1cbfc489ad8f9c312eafee62a4d2dcfb0b8c4a93ae8a4",
@@ -254,6 +264,20 @@ class TestOracle:
         assert err.startswith("error: InstanceTooLarge:")
         assert not target.exists()
 
+    def test_tie_heavy_instance(self, capsys, tmp_path):
+        # Binary uniform, r = 26, l = 13: each witness ties on 20,801,200
+        # lists. The grid prints none of them; --rho refuses to list them.
+        inst_file = tmp_path / "ties.json"
+        inst = listprivacy.Instance(pmf=(F(1, 26),) * 26, f=(0, 1) * 13, l=13)
+        inst_file.write_text(instance_to_text(inst))
+        code, out, err = run(capsys, "oracle", str(inst_file), "--grid", "3")
+        assert code == 0 and err == ""
+        rows = out.splitlines()
+        assert len(rows) == 4 and all(row.endswith(",true") for row in rows[1:])
+        code, out, err = run(capsys, "oracle", str(inst_file), "--rho", "1/2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: InstanceTooLarge:")
+
 
 class TestOracleBytes:
     """The oracle's stdout and LP dump, byte for byte, on the catalog."""
@@ -264,6 +288,12 @@ class TestOracleBytes:
         code, out, err = run(capsys, "oracle", name, "--rho", f"{j}/10")
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_STDOUT_SHA256[name][j]
+
+    @pytest.mark.parametrize("name, points", sorted(ORACLE_GRID_SHA256))
+    def test_grid_stdout(self, capsys, name, points):
+        code, out, err = run(capsys, "oracle", name, "--grid", str(points))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_GRID_SHA256[name, points]
 
     @pytest.mark.parametrize("name, rho", sorted(LP_DUMP_SHA256))
     def test_lp_dump(self, capsys, tmp_path, name, rho):

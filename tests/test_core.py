@@ -80,6 +80,12 @@ class TestParseRational:
             q = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
             assert parse_rational(format_rational(q)) == q
 
+    def test_format_reads_its_input_like_parse(self):
+        # A float goes through its shortest repr, as in parse_rational.
+        assert format_rational(0.1) == "1/10"
+        with pytest.raises(InstanceFormatError):
+            format_rational("x")
+
 
 class TestInstanceValidation:
     def test_catalog_shapes(self):
@@ -235,6 +241,11 @@ class TestTopElements:
     def test_non_symbols_rejected(self, member):
         with pytest.raises(InstanceFormatError):
             top_elements((member,), 1, SKEW7.pmf)
+
+    @pytest.mark.parametrize("t", [1.5, "1", True])
+    def test_non_int_counts_rejected(self, t):
+        with pytest.raises(InstanceFormatError):
+            top_elements(range(3), t, SKEW7.pmf)
 
 
 class TestEnsureRho:

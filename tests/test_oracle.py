@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -5,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from listprivacy import (
+    StochasticMatrix,
+    active_lists,
     exact_privacy,
     exact_privacy_curve,
     is_recoverable,
@@ -18,8 +21,14 @@ import conftest
 import listprivacy.oracle as oracle
 import listprivacy.simplex as simplex
 from listprivacy.catalog import instance as catalog_instance
-from listprivacy.core import Instance
-from listprivacy.errors import InstanceFormatError, InstanceTooLarge, RhoOutOfRange
+from listprivacy.cli import main
+from listprivacy.core import Instance, instance_to_text
+from listprivacy.errors import (
+    DimensionMismatch,
+    InstanceFormatError,
+    InstanceTooLarge,
+    RhoOutOfRange,
+)
 from listprivacy.oracle import OracleResult, lp_lines
 from listprivacy.simplex import solve_lp
 from conftest import _lp_parts, random_instance, random_rho, reference_exact_privacy, reference_solve_lp
@@ -76,23 +85,30 @@ class TestCertificates:
     def test_active_lists_attain_per_output_mass(self):
         result = exact_privacy(SKEW7, F(7, 10))
         report = list_privacy(SKEW7, result.witness)
+        lists = active_lists(SKEW7, result.witness)
         for i in range(SKEW7.k):
-            assert report.estimator.lists[i] in result.active_lists[i]
-            for members in result.active_lists[i]:
+            assert report.estimator.lists[i] in lists[i]
+            for members in lists[i]:
                 mass = sum(SKEW7.pmf[x] * result.witness.entry(x, i) for x in members)
                 assert mass == report.per_output_mass[i]
 
-    def test_add_noise_flag_matches_witness_shape(self):
+    def test_add_noise_flag_matches_witness_shape(self, capsys, tmp_path):
         rng = random.Random(53)
-        for _ in range(6):
+        for n in range(6):
             inst = random_instance(rng, r_max=5, k_max=3, l_max=2)
-            result = exact_privacy(inst, F(3, 5))
-            shaped = all(
-                result.witness.rows[x] == result.witness.rows[block[0]]
-                for block in inst.preimages
-                for x in block
-            )
-            assert result.witness_is_add_noise == shaped
+            path = tmp_path / f"inst{n}.json"
+            path.write_text(instance_to_text(inst))
+            assert main(["oracle", str(path), "--rho", "3/5"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            rows = payload["witness"]
+            shaped = all(rows[x] == rows[block[0]] for block in inst.preimages for x in block)
+            assert payload["witness_is_add_noise"] == shaped
+
+    def test_active_lists_need_the_instance_shape(self):
+        witness = exact_privacy(UNIFORM4, F(1, 2)).witness
+        for rows in (witness.rows[:-1], tuple(row + (F(0),) for row in witness.rows)):
+            with pytest.raises(DimensionMismatch):
+                active_lists(UNIFORM4, StochasticMatrix(rows=rows))
 
 
 class TestCurve:
@@ -126,9 +142,7 @@ class TestCurve:
             monkeypatch.setattr(
                 oracle,
                 "exact_privacy",
-                lambda inst, rho: OracleResult(
-                    optimum=table[rho], witness=None, active_lists=(), witness_is_add_noise=False
-                ),
+                lambda inst, rho: OracleResult(optimum=table[rho], witness=None),
             )
             grid = sorted(table, reverse=True) + [F(1, 2)]
             if message is None:
@@ -164,8 +178,9 @@ class TestAgainstFullProgram:
                 assert result.optimum == 1 - solve_lp(costs, rows, senses, rhs).objective
                 # Brute-force reference: filter every l-list by its mass.
                 best = list_privacy(inst, result.witness).per_output_mass
+                lists = active_lists(inst, result.witness)
                 for i in range(inst.k):
-                    assert result.active_lists[i] == tuple(
+                    assert lists[i] == tuple(
                         lst
                         for lst in combinations(range(inst.r), inst.l)
                         if sum(inst.pmf[x] * result.witness.rows[x][i] for x in lst) == best[i]
@@ -197,7 +212,6 @@ class TestAgainstFullProgram:
             assert len(rounds) == wanted  # one reference solve per round
             assert result.optimum == reference.optimum
             assert result.witness == reference.witness
-            assert result.active_lists == reference.active_lists
         assert sum(wanted_rounds) > len(cases)  # some cases take several rounds
 
 
@@ -221,8 +235,6 @@ class TestAgainstReferenceLoop:
             want = reference_exact_privacy(inst, rho)
             assert got.optimum == want.optimum
             assert got.witness == want.witness
-            assert got.active_lists == want.active_lists
-            assert got.witness_is_add_noise == want.witness_is_add_noise
             assert got_rounds == rounds
             return len(rounds)
 
@@ -282,10 +294,14 @@ class TestCaps:
         assert exact_privacy(inst, F(7, 10)).optimum == privacy_bound(inst, F(7, 10))
 
     def test_oversized_instance(self):
+        # The oracle solves it; only the witness's tied lists are too many.
         pmf = tuple(F(1, 26) for _ in range(26))
         inst = Instance(pmf=pmf, f=tuple(x % 2 for x in range(26)), l=13)
+        results = {rho: exact_privacy(inst, rho) for rho in (F(0), F(1, 2), F(1))}
+        for rho, result in results.items():
+            assert result.optimum == privacy_bound(inst, rho)
         with pytest.raises(InstanceTooLarge):
-            exact_privacy(inst, F(1, 2))
+            active_lists(inst, results[F(1, 2)].witness)
 
 
 class TestLpDump:
