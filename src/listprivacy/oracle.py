@@ -10,14 +10,19 @@ adversary, run on the candidate witness, finds each output's violated list.
 The loop stops when the witness's exact privacy equals the program's optimum,
 which certifies the witness against every l-list.
 
-Within one call each row is built once: the fixed rows up front, each list
-row when its cut is generated. Every round hands the solver the same row
-objects in the same order, so its pivots are the ones a rebuilt program
-would get. A round reads each output's best list straight from the solution
-vector; only the final witness is built as a matrix and certified by
-`list_privacy`. The result holds just the optimum and that witness: only
-`active_lists`, which `oracle --rho` prints, enumerates a witness's tied
-best lists.
+Within one call the program stays in integers. The pmf is scaled once to
+ints over its common denominator D, and each row is built once, as the
+sparse `{column: int}` row with its own scale that `simplex.solve_rows`
+takes: the fixed rows up front, each recover row scaled by rho's
+denominator, and each list row, scaled by D, when its cut is generated.
+Every round hands the core these rows in the same order, so its pivots are
+the ones `solve_lp` makes on a program rebuilt each round. A round reads its
+vertex as ints over one common scale, the lcm of the basic scales, and
+finds each output's best list on integer scores; the cut and stop tests
+cross-multiply. Fractions appear only for the returned optimum and the
+final witness, which `list_privacy` certifies. The result holds just the
+optimum and that witness: only `active_lists`, which `oracle --rho` prints,
+enumerates a witness's tied best lists.
 
 Rows carry no names. `lp_lines` formats each row as soon as it is built and
 names it only in its line, and the CLI's `--lp-dump` writes each line as it
@@ -32,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .adversary import best_list, list_privacy
+from .adversary import list_privacy
 from .core import (
     Instance,
     StochasticMatrix,
@@ -43,7 +48,7 @@ from .core import (
     top_elements,
 )
 from .errors import InstanceTooLarge
-from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
+from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_rows
 
 # Most tied lists `active_lists` (and so `oracle --rho`) enumerates, and most
 # list rows `lp_lines` writes; each count is taken before any list is built.
@@ -58,34 +63,48 @@ class OracleResult:
     witness: StochasticMatrix
 
 
-def _list_row(inst: Instance, i: int, lst: tuple[int, ...]) -> list:
-    """The row `mass of lst under output i - t(i) <= 0`: pmf entries, else int."""
+def _scaled_pmf(inst: Instance) -> tuple[list[int], int]:
+    """The pmf as ints over its common denominator D, and D."""
+    den = 1
+    for p in inst.pmf:
+        den = den * p.denominator // math.gcd(den, p.denominator)
+    return [p.numerator * (den // p.denominator) for p in inst.pmf], den
+
+
+def _list_row(inst: Instance, pw: list[int], den: int, i: int, lst: tuple[int, ...]):
+    """The row `mass of lst under output i - t(i) <= 0`, scaled by den."""
     k = inst.k
-    row = [0] * (inst.r * k + k)
-    for x in lst:
-        row[x * k + i] = inst.pmf[x]
-    row[inst.r * k + i] = -1
-    return row
+    row = {x * k + i: pw[x] for x in lst}
+    row[inst.r * k + i] = -den
+    return row, LESS, 0, den
 
 
-def _fixed_rows(inst: Instance, rho: Fraction):
-    """Rows, senses and rhs of the stochastic rows, then the recover rows."""
+def _fixed_rows(inst: Instance, rho: Fraction) -> list:
+    """The stochastic rows, then the recover rows, each of these scaled by
+    rho's denominator; there are no recover rows when rho is 0."""
     r, k = inst.r, inst.k
-    rows = [[0] * (r * k + k) for _ in range(2 * r if rho > 0 else r)]
-    for x in range(r):
-        rows[x][x * k : x * k + k] = [1] * k
-        if rho > 0:
-            rows[r + x][x * k + inst.f[x]] = 1
-    m = len(rows) - r
-    return rows, [EQUAL] * r + [GREATER] * m, [1] * r + [rho] * m
+    rows = [(dict.fromkeys(range(x * k, x * k + k), 1), EQUAL, 1, 1) for x in range(r)]
+    if rho > 0:
+        q = rho.denominator
+        rows += [({x * k + inst.f[x]: q}, GREATER, rho.numerator, q) for x in range(r)]
+    return rows
 
 
-def _program(inst: Instance, list_rows: list, fixed) -> tuple[list, list, list, list]:
-    """Costs, rows, senses and rhs: the list rows, then the `_fixed_rows`."""
-    rows, senses, rhs = fixed
-    m = len(list_rows)
-    costs = [0] * (inst.r * inst.k) + [1] * inst.k
-    return costs, list_rows + rows, [LESS] * m + senses, [0] * m + rhs
+def _best_lists(pw: list[int], w: list[int], k: int, l: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Per output i, the heaviest l-list under the integer scores pw[x] * w[x*k+i],
+    as (mass, ascending indices).
+
+    Ties break as in `best_list`, by score descending then index ascending, so
+    on scores that share one positive scale the lists are its lists and the
+    masses its masses times that scale.
+    """
+    order = range(len(pw))
+    out = []
+    for i in range(k):
+        scores = [p * w[x * k + i] for x, p in enumerate(pw)]
+        picked = sorted(order, key=scores.__getitem__, reverse=True)[:l]
+        out.append((sum([scores[x] for x in picked]), tuple(sorted(picked))))
+    return out
 
 
 def active_lists(inst: Instance, mech: StochasticMatrix):
@@ -127,27 +146,44 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
     nw = r * k
+    pw, den = _scaled_pmf(inst)
     fixed = _fixed_rows(inst, rho)
+    cost = dict.fromkeys(range(nw, nw + k), 1)
     top = top_elements(range(r), inst.l, inst.pmf)
     # Each output's list rows, in the order their cuts were generated.
-    cuts = [[_list_row(inst, i, top)] for i in range(k)]
+    cuts = [[_list_row(inst, pw, den, i, top)] for i in range(k)]
     while True:
         rows = [row for per_output in cuts for row in per_output]
-        sol = solve_lp(*_program(inst, rows, fixed))
-        if sol.status is not LpStatus.OPTIMAL:
-            raise AssertionError(f"privacy program should always solve, got {sol.status}")
-        optimum = 1 - sol.objective
-        w = sol.x
-        best = [best_list([inst.pmf[x] * w[x * k + i] for x in range(r)], inst.l) for i in range(k)]
-        privacy = 1 - sum(mass for mass, _ in best)
-        if privacy == optimum:
+        status, basic, objective = solve_rows(nw + k, cost, 1, rows + fixed)
+        if status is not LpStatus.OPTIMAL:
+            raise AssertionError(f"privacy program should always solve, got {status}")
+        num, dnm = objective
+        # The vertex as ints over one scale, the lcm of the basic scales, so
+        # the scores pw[x] * w[x*k+i] and the masses are ints over den * scale.
+        scale = 1
+        for _, s in basic.values():
+            scale = scale * s // math.gcd(scale, s)
+        w = [0] * (nw + k)
+        for j, (v, s) in basic.items():
+            w[j] = v * (scale // s)
+        best = _best_lists(pw, w, k, inst.l)
+        # The witness's privacy is 1 - total / (den * scale), the optimum 1 - num / dnm.
+        total = sum([mass for mass, _ in best])
+        found, claimed = total * dnm, num * den * scale
+        if found == claimed:
             break
-        if privacy > optimum:
-            raise AssertionError(f"witness certifies {privacy}, program claims {optimum}")
+        if found < claimed:
+            raise AssertionError(
+                f"witness certifies {1 - Fraction(total, den * scale)}, "
+                f"program claims {1 - Fraction(num, dnm)}"
+            )
         for i, (mass, lst) in enumerate(best):
-            if mass > w[nw + i]:
-                cuts[i].append(_list_row(inst, i, lst))
-    witness = StochasticMatrix(rows=tuple([tuple(w[x * k : x * k + k]) for x in range(r)]))
+            if mass > w[nw + i] * den:
+                cuts[i].append(_list_row(inst, pw, den, i, lst))
+    optimum = 1 - Fraction(num, dnm)
+    witness = StochasticMatrix(
+        rows=tuple([tuple([Fraction(v, scale) for v in w[x * k : x * k + k]]) for x in range(r)])
+    )
     certified = list_privacy(inst, witness).privacy
     if certified != optimum:
         raise AssertionError(f"witness certifies {certified}, program claims {optimum}")
@@ -195,22 +231,24 @@ def lp_lines(inst: Instance, rho) -> Iterator[str]:
     if count > ACTIVE_LIST_LIMIT:
         raise InstanceTooLarge(f"LP dump needs {count} list rows, over {ACTIVE_LIST_LIMIT}")
     nw = r * k
+    pw, den = _scaled_pmf(inst)
 
     def var(j: int) -> str:
         if j < nw:
             return f"w_{j // k}_{j % k}"
         return f"t_{j - nw}"
 
-    def line(name: str, row: list, sense: str, bound) -> str:
+    def line(name: str, row) -> str:
+        coeffs, sense, bound, scale = row
         terms = []
-        for j, coef in enumerate(row):
-            if coef == 0:
-                continue
+        # Each quotient of ints is correctly rounded: the float of the rational.
+        for j in sorted(coeffs):
+            coef = coeffs[j]
             lead = "-" if coef < 0 else ("+" if terms else "")
             mag = abs(coef)
-            piece = var(j) if mag == 1 else f"{float(mag)!r} {var(j)}"
+            piece = var(j) if mag == scale else f"{mag / scale!r} {var(j)}"
             terms.append(f"{lead} {piece}".strip())
-        return f" {name}: " + " ".join(terms) + f" {sense} {float(bound)!r}\n"
+        return f" {name}: " + " ".join(terms) + f" {sense} {bound / scale!r}\n"
 
     def lines() -> Iterator[str]:
         yield f"\\ list privacy program, rho = {format_rational(rho)}\n"
@@ -220,10 +258,10 @@ def lp_lines(inst: Instance, rho) -> Iterator[str]:
         for i in range(k):
             for lst in combinations(range(r), inst.l):
                 name = f"list_{i}_" + "_".join(str(x) for x in lst)
-                yield line(name, _list_row(inst, i, lst), LESS, 0)
+                yield line(name, _list_row(inst, pw, den, i, lst))
         # map stops after the stochastic rows when rho = 0 leaves no recover rows.
         names = [f"row_{x}" for x in range(r)] + [f"recover_{x}" for x in range(r)]
-        yield from map(line, names, *_fixed_rows(inst, rho))
+        yield from map(line, names, _fixed_rows(inst, rho))
         yield "End\n"
 
     return lines()

@@ -12,9 +12,16 @@ pivot row's nonzeros, cleared in place by `_eliminate`, and the ratio test
 cross-multiplies. Scaling a row by a positive number changes no sign and no
 ratio, so every decision is the one the rational tableau makes.
 
-`solve_lp` builds each tableau row whole in one pass: its ints, its rhs,
-then its slack and its artificial. Slacks are numbered from n in row order,
-and artificials after every slack.
+There is one solve path. `solve_lp` is the rational intake: it writes each
+row as ints over the lcm of its denominators, with a nonnegative rhs, and
+hands the rows to the integer core `solve_rows`, whose answer it wraps in
+Fractions. The core takes sparse `{column: int}` rows, each with its own
+positive scale, which is also its slack's and artificial's coefficient, and
+builds each tableau row whole from one: its ints, its rhs, then its slack
+and its artificial. Slacks are numbered from n in row order, and
+artificials after every slack. It returns each basic structural variable as
+(numerator, scale) and the objective as (numerator, denominator), so a
+caller that works in integers, as the oracle does, never builds a Fraction.
 
 The entering rule is steepest Dantzig descent until the objective stalls on
 degenerate pivots, at which point Bland's rule takes over so cycling is
@@ -156,6 +163,63 @@ def _run(T: list, basis: list, cost: dict, den: int) -> tuple[str, dict]:
         _pivot(T, basis, red, leave, enter)
 
 
+def solve_rows(
+    n: int, cost: dict[int, int], den: int, rows: Sequence[tuple[dict[int, int], str, int, int]]
+) -> tuple[LpStatus, dict[int, tuple[int, int]] | None, tuple[int, int] | None]:
+    """Minimize cost/den over x >= 0 subject to integer rows: the core of `solve_lp`.
+
+    `cost` holds the nonzero cost numerators over `den` > 0, by column below
+    n. Each row is `(coeffs, sense, rhs, scale)`: `coeffs` a `{column: int}`
+    dict over columns below n, rhs >= 0, and the row is `coeffs op rhs` divided
+    by its positive `scale`, which is also its slack's and artificial's
+    coefficient. The rows are copied, never changed. Returns the status, then,
+    when optimal, each basic structural variable as `{column: (numerator,
+    scale)}`, every other one being zero, and the objective as `(numerator,
+    denominator)`.
+    """
+    art_start = art = n + sum(s != EQUAL for _, s, _, _ in rows)
+    slack = n
+    T: list[dict[int, int]] = []
+    basis: list[int] = []
+    for coeffs, s, b, scale in rows:
+        row = dict(coeffs)
+        if b:
+            row[_RHS] = b
+        if s != EQUAL:
+            row[slack] = scale if s == LESS else -scale
+            slack += 1
+        if s != LESS:
+            row[art] = scale
+            art += 1
+        T.append(row)
+        basis.append(slack - 1 if s == LESS else art - 1)
+
+    if art > art_start:
+        status, red = _run(T, basis, dict.fromkeys(range(art_start, art), 1), 1)
+        if status != "optimal":
+            raise AssertionError("phase one is bounded below by zero")
+        if _RHS in red:
+            return LpStatus.INFEASIBLE, None, None
+        # Clear leftover degenerate artificials from the basis, dropping rows
+        # that turn out redundant, then discard the artificial columns.
+        for i in range(len(T) - 1, -1, -1):
+            if basis[i] < art_start:
+                continue
+            pivot_col = min((j for j in T[i] if 0 <= j < art_start), default=None)
+            if pivot_col is None:
+                del T[i]
+                del basis[i]
+            else:
+                _pivot(T, basis, red, i, pivot_col)
+        T = [{j: v for j, v in row.items() if j < art_start} for row in T]
+
+    status, red = _run(T, basis, cost, den)
+    if status == "unbounded":
+        return LpStatus.UNBOUNDED, None, None
+    x = {bi: (T[i].get(_RHS, 0), T[i][bi]) for i, bi in enumerate(basis) if bi < n}
+    return LpStatus.OPTIMAL, x, (-red.get(_RHS, 0), red[_DEN])
+
+
 def solve_lp(
     costs: Sequence,
     rows: Sequence[Sequence],
@@ -179,12 +243,10 @@ def solve_lp(
     nonzero, c_den = _integers(costs)
     cost = {j: v * sign for j, v in nonzero.items()}
 
-    # A row flipped for its negative rhs keeps its count toward the slacks.
+    # Each row as ints over the lcm of its denominators, which is its scale; a
+    # row with a negative rhs is negated and its sense flipped.
     flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
-    art_start = art = n + sum(s != EQUAL for s in senses)
-    slack = n
-    T: list[dict[int, int]] = []
-    basis: list[int] = []
+    int_rows = []
     for row, s, bv in zip(rows, senses, rhs):
         if len(row) != n:
             raise ValueError("row width does not match the cost vector")
@@ -194,42 +256,12 @@ def solve_lp(
             ints = {j: -v for j, v in ints.items()}
             b = -b
             s = flip[s]
-        if b:
-            ints[_RHS] = b
-        if s != EQUAL:
-            ints[slack] = den if s == LESS else -den
-            slack += 1
-        if s != LESS:
-            ints[art] = den
-            art += 1
-        T.append(ints)
-        basis.append(slack - 1 if s == LESS else art - 1)
+        int_rows.append((ints, s, b, den))
 
-    if art > art_start:
-        status, red = _run(T, basis, dict.fromkeys(range(art_start, art), 1), 1)
-        if status != "optimal":
-            raise AssertionError("phase one is bounded below by zero")
-        if _RHS in red:
-            return LpSolution(status=LpStatus.INFEASIBLE, objective=None, x=None)
-        # Clear leftover degenerate artificials from the basis, dropping rows
-        # that turn out redundant, then discard the artificial columns.
-        for i in range(len(T) - 1, -1, -1):
-            if basis[i] < art_start:
-                continue
-            pivot_col = min((j for j in T[i] if 0 <= j < art_start), default=None)
-            if pivot_col is None:
-                del T[i]
-                del basis[i]
-            else:
-                _pivot(T, basis, red, i, pivot_col)
-        T = [{j: v for j, v in row.items() if j < art_start} for row in T]
-
-    status, red = _run(T, basis, cost, c_den)
-    if status == "unbounded":
-        return LpSolution(status=LpStatus.UNBOUNDED, objective=None, x=None)
+    status, basic, objective = solve_rows(n, cost, c_den, int_rows)
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status=status, objective=None, x=None)
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = Fraction(T[i].get(_RHS, 0), T[i][bi])
-    objective = Fraction(-red.get(_RHS, 0), red[_DEN]) * sign
-    return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))
+    for j, (num, scale) in basic.items():
+        x[j] = Fraction(num, scale)
+    return LpSolution(status=status, objective=Fraction(*objective) * sign, x=tuple(x))

@@ -113,8 +113,11 @@ def derive_stream_seed(seed: int, stream: int) -> int:
 def _thresholds(probs: Sequence[Fraction]) -> list[int]:
     # Integer cut points on [0, 2**64): a uniform draw u selects the first
     # index whose threshold exceeds u. Cut i is 2**64 times the sum of masses
-    # 0 to i, rounded up; the sums are integers over the common denominator.
-    den = math.lcm(*(p.denominator for p in probs))
+    # 0 to i, rounded up; the sums are integers over the common denominator,
+    # folded pairwise: math.lcm(*...) grows the allocator on many calls.
+    den = 1
+    for p in probs:
+        den = den * p.denominator // math.gcd(den, p.denominator)
     out = []
     acc = 0
     for p in probs:

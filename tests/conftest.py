@@ -20,7 +20,7 @@ from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.adversary import PrivacyReport
 from listprivacy.core import check_dims, ensure_rho
 from listprivacy.envelope import EnvelopeLine
-from listprivacy.oracle import OracleResult, _fixed_rows, _list_row, _program
+from listprivacy.oracle import OracleResult
 from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpSolution, LpStatus, solve_lp
 
 
@@ -290,6 +290,27 @@ def reference_solve_lp(
     return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))
 
 
+def dense_program(n: int, cost: dict, den: int, rows: Sequence) -> tuple[list, list, list, list]:
+    """A `solve_rows` program as `solve_lp` takes it: costs, rows, senses and
+    rhs, each row's entries and rhs divided by its scale as Fractions."""
+    costs = [Fraction(cost.get(j, 0), den) for j in range(n)]
+    dense = [[Fraction(coeffs.get(j, 0), scale) for j in range(n)] for coeffs, _, _, scale in rows]
+    senses = [s for _, s, _, _ in rows]
+    rhs = [Fraction(b, scale) for _, _, b, scale in rows]
+    return costs, dense, senses, rhs
+
+
+def reference_solve_rows(n: int, cost: dict, den: int, rows: Sequence):
+    """Dense-`Fraction` reference for `solve_rows`: `reference_solve_lp` on the
+    `dense_program`, its answer in `solve_rows`' shape, every nonzero
+    structural variable as its (numerator, denominator)."""
+    sol = reference_solve_lp(*dense_program(n, cost, den, rows))
+    if sol.status is not LpStatus.OPTIMAL:
+        return sol.status, None, None
+    x = {j: (v.numerator, v.denominator) for j, v in enumerate(sol.x) if v}
+    return sol.status, x, (sol.objective.numerator, sol.objective.denominator)
+
+
 def reference_thresholds(probs: Sequence[Fraction]) -> list[int]:
     """Reference for simulate._thresholds: a Fraction running sum of the
     masses, times 2**64, rounded up after each one."""
@@ -347,6 +368,36 @@ def reference_list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyRep
         estimator=ListEstimator(lists=tuple(lists)),
         per_output_mass=tuple(masses),
     )
+
+
+def _list_row(inst: Instance, i: int, lst: tuple[int, ...]) -> list:
+    """The dense row `mass of lst under output i - t(i) <= 0`: pmf entries, else int."""
+    k = inst.k
+    row = [0] * (inst.r * k + k)
+    for x in lst:
+        row[x * k + i] = inst.pmf[x]
+    row[inst.r * k + i] = -1
+    return row
+
+
+def _fixed_rows(inst: Instance, rho: Fraction):
+    """Dense rows, senses and rhs of the stochastic rows, then the recover rows."""
+    r, k = inst.r, inst.k
+    rows = [[0] * (r * k + k) for _ in range(2 * r if rho > 0 else r)]
+    for x in range(r):
+        rows[x][x * k : x * k + k] = [1] * k
+        if rho > 0:
+            rows[r + x][x * k + inst.f[x]] = 1
+    m = len(rows) - r
+    return rows, [EQUAL] * r + [GREATER] * m, [1] * r + [rho] * m
+
+
+def _program(inst: Instance, list_rows: list, fixed) -> tuple[list, list, list, list]:
+    """Costs, rows, senses and rhs: the list rows, then the `_fixed_rows`."""
+    rows, senses, rhs = fixed
+    m = len(list_rows)
+    costs = [0] * (inst.r * inst.k) + [1] * inst.k
+    return costs, list_rows + rows, [LESS] * m + senses, [0] * m + rhs
 
 
 def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int, ...]]]):

@@ -631,6 +631,8 @@ def run_module(*argv):
 def test_imports_only_the_standard_library():
     # -I drops PYTHONPATH, user site-packages and the working directory, so
     # the child finds only the standard library, site-packages and this package.
+    # -I also drops PYTHONDONTWRITEBYTECODE, so -B keeps the child from writing
+    # bytecode into the package.
     home = str(Path(listprivacy.__file__).parents[1])
     code = (
         "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
@@ -638,7 +640,7 @@ def test_imports_only_the_standard_library():
         "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", code, home], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-B", "-c", code, home], capture_output=True, text=True, check=True
     )
     loaded = set(proc.stdout.split())
     assert "listprivacy" in loaded

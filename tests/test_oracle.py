@@ -31,7 +31,14 @@ from listprivacy.errors import (
 )
 from listprivacy.oracle import OracleResult, lp_lines
 from listprivacy.simplex import solve_lp
-from conftest import _lp_parts, random_instance, random_rho, reference_exact_privacy, reference_solve_lp
+from conftest import (
+    _lp_parts,
+    dense_program,
+    random_instance,
+    random_rho,
+    reference_exact_privacy,
+    reference_solve_rows,
+)
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -43,13 +50,23 @@ CATALOG_LEVELS = tuple(
 
 
 def logged(solve, log: list, pivots: list):
-    """`solve`, appending each call's row count and the pivots it logged to `log`."""
+    """`solve_rows`, appending each call's row count and the pivots it logged to `log`."""
+
+    def run(n, cost, den, rows):
+        start = len(pivots)
+        result = solve(n, cost, den, rows)
+        log.append((len(rows), pivots[start:]))
+        return result
+
+    return run
+
+
+def recorded(solve, programs: list):
+    """`solve_lp`, appending each call's program to `programs`."""
 
     def run(costs, rows, senses, rhs):
-        start = len(pivots)
-        sol = solve(costs, rows, senses, rhs)
-        log.append((len(rows), pivots[start:]))
-        return sol
+        programs.append((costs, rows, senses, rhs))
+        return solve(costs, rows, senses, rhs)
 
     return run
 
@@ -189,8 +206,10 @@ class TestAgainstFullProgram:
     def test_dense_reference_solver_gives_the_same_answers(self, monkeypatch):
         # The witness is printed by `oracle --rho`, so the integer solver must
         # land on the reference solver's vertex in every cutting-plane round.
-        # The rounds are counted on the reference loop, out of the oracle's
-        # reach, so a solve that went round the patch cannot pass unseen.
+        # Each round's program is recorded on the reference loop, out of the
+        # oracle's reach, and the oracle must hand the solver that program,
+        # densified, in the same rounds, so a solve that went round the patch
+        # cannot pass unseen.
         rng = random.Random(57)
         cases = [
             (inst, rho)
@@ -198,21 +217,26 @@ class TestAgainstFullProgram:
             for rho in (F(2, 5), F(3, 5), F(4, 5))
         ]
         results = [exact_privacy(inst, rho) for inst, rho in cases]
-        rounds = []
-        monkeypatch.setattr(conftest, "solve_lp", logged(conftest.solve_lp, rounds, []))
-        wanted_rounds = []
+        programs = []
+        monkeypatch.setattr(conftest, "solve_lp", recorded(conftest.solve_lp, programs))
+        wanted_programs = []
         for inst, rho in cases:
-            rounds.clear()
+            programs.clear()
             reference_exact_privacy(inst, rho)
-            wanted_rounds.append(len(rounds))
-        monkeypatch.setattr(oracle, "solve_lp", logged(reference_solve_lp, rounds, []))
-        for (inst, rho), result, wanted in zip(cases, results, wanted_rounds):
-            rounds.clear()
+            wanted_programs.append(programs[:])
+
+        def dense_core(n, cost, den, rows):
+            programs.append(dense_program(n, cost, den, rows))
+            return reference_solve_rows(n, cost, den, rows)
+
+        monkeypatch.setattr(oracle, "solve_rows", dense_core)
+        for (inst, rho), result, wanted in zip(cases, results, wanted_programs):
+            programs.clear()
             reference = exact_privacy(inst, rho)
-            assert len(rounds) == wanted  # one reference solve per round
+            assert programs == wanted  # one reference solve per round, on its program
             assert result.optimum == reference.optimum
             assert result.witness == reference.witness
-        assert sum(wanted_rounds) > len(cases)  # some cases take several rounds
+        assert sum(map(len, wanted_programs)) > len(cases)  # some cases take several rounds
 
 
 class TestAgainstReferenceLoop:
@@ -224,8 +248,9 @@ class TestAgainstReferenceLoop:
     def same_rounds(self, pivot_log, monkeypatch):
         pivots = pivot_log(simplex, "_pivot")
         rounds = []
-        monkeypatch.setattr(oracle, "solve_lp", logged(oracle.solve_lp, rounds, pivots))
-        monkeypatch.setattr(conftest, "solve_lp", logged(conftest.solve_lp, rounds, pivots))
+        # The reference loop reaches the core through `solve_lp`.
+        monkeypatch.setattr(oracle, "solve_rows", logged(oracle.solve_rows, rounds, pivots))
+        monkeypatch.setattr(simplex, "solve_rows", logged(simplex.solve_rows, rounds, pivots))
 
         def check(inst, rho):
             rounds.clear()

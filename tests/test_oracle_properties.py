@@ -1,0 +1,63 @@
+"""Property suite: the oracle's integer separation is `best_list` on Fractions.
+
+Random instances, uniform pmfs among them, and random vertices whose entries
+repeat and include zeros, so many scores tie and the index tie-break decides
+the lists. The vertex is written as ints over a common scale, the lcm of its
+denominators times a random factor, as the oracle reads each round's vertex.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from listprivacy import Instance  # noqa: E402
+from listprivacy.adversary import best_list  # noqa: E402
+from listprivacy.oracle import _best_lists, _scaled_pmf  # noqa: E402
+
+
+@st.composite
+def instances(draw):
+    r = draw(st.integers(2, 12))
+    k = draw(st.integers(2, min(r, 4)))
+    f = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=r - k, max_size=r - k))
+    if draw(st.booleans()):
+        weights = [1] * r
+    else:
+        weights = draw(st.lists(st.integers(1, 12), min_size=r, max_size=r))
+    pmf = tuple(F(w, sum(weights)) for w in weights)
+    return Instance(pmf=pmf, f=tuple(draw(st.permutations(f))), l=draw(st.integers(1, r - 1)))
+
+
+@st.composite
+def vertices(draw, inst):
+    """r * k entries, then k epigraph values, drawn from a few small values."""
+    values = st.sampled_from([F(0), F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 7)])
+    n = inst.r * inst.k + inst.k
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+@st.composite
+def cases(draw):
+    inst = draw(instances())
+    return inst, draw(vertices(inst)), draw(st.integers(1, 6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=cases())
+def test_integer_lists_match_best_list(case):
+    inst, w, factor = case
+    pw, den = _scaled_pmf(inst)
+    assert [F(p, den) for p in pw] == list(inst.pmf)
+    scale = math.lcm(*(v.denominator for v in w)) * factor
+    ints = [v.numerator * (scale // v.denominator) for v in w]
+    k = inst.k
+    got = _best_lists(pw, ints, k, inst.l)
+    for i, (mass, lst) in enumerate(got):
+        want_mass, want_lst = best_list([inst.pmf[x] * w[x * k + i] for x in range(inst.r)], inst.l)
+        assert lst == want_lst
+        assert F(mass, den * scale) == want_mass

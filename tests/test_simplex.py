@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -7,9 +8,15 @@ import pytest
 import conftest
 import listprivacy.simplex as simplex
 from listprivacy import exact_privacy
-from listprivacy.oracle import _fixed_rows
-from listprivacy.simplex import GREATER, LESS, EQUAL, LpStatus, solve_lp
-from conftest import _lp_parts, random_instance, random_rho, reference_solve_lp
+from listprivacy.simplex import GREATER, LESS, EQUAL, LpStatus, solve_lp, solve_rows
+from conftest import (
+    _fixed_rows,
+    _lp_parts,
+    random_instance,
+    random_rho,
+    reference_solve_lp,
+    reference_solve_rows,
+)
 
 
 class TestKnownPrograms:
@@ -154,6 +161,62 @@ def same_solution(pivot_log):
         return got
 
     return check
+
+
+def scaled_rows(rng: random.Random, costs, rows, senses, rhs, maximize):
+    """A `random_program` as `solve_rows` takes it: each row negated when its
+    rhs is negative, then written as ints over the lcm of its denominators
+    times a random factor, which is its scale."""
+    flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
+    out = []
+    for row, s, b in zip(rows, senses, rhs):
+        if b < 0:
+            row, s, b = [-v for v in row], flip[s], -b
+        scale = math.lcm(*(v.denominator for v in (*row, b))) * rng.randint(1, 5)
+        coeffs = {j: int(v * scale) for j, v in enumerate(row) if v}
+        out.append((coeffs, s, int(b * scale), scale))
+    den = math.lcm(*(c.denominator for c in costs))
+    sign = -1 if maximize else 1
+    cost = {j: int(c * den) * sign for j, c in enumerate(costs) if c}
+    return len(costs), cost, den, out
+
+
+class TestIntegerCore:
+    """`solve_rows` on rows of any positive scale against the dense reference."""
+
+    def test_random_scaled_programs(self, pivot_log):
+        integer = pivot_log(simplex, "_pivot")
+        reference = pivot_log(conftest, "_reference_pivot")
+        rng = random.Random(62)
+        seen = dict.fromkeys(LpStatus, 0)
+        for _ in range(1200):
+            program = scaled_rows(rng, *random_program(rng))
+            integer.clear()
+            reference.clear()
+            status, x, objective = solve_rows(*program)
+            want_status, want_x, want_objective = reference_solve_rows(*program)
+            seen[status] += 1
+            assert status is want_status
+            if status is LpStatus.OPTIMAL:
+                # Basic variables may sit at zero, and their pairs are not reduced.
+                assert {j: F(*v) for j, v in x.items() if v[0]} == {
+                    j: F(*v) for j, v in want_x.items()
+                }
+                assert F(*objective) == F(*want_objective)
+            else:
+                assert x is None and objective is None
+            assert integer == reference
+        assert min(seen.values()) >= 200
+
+    def test_rows_are_left_as_given(self):
+        # max x + y subject to x/3 + y/2 <= 1 and x >= 1/5: x = 3, y = 0.
+        # The oracle hands the same row objects to every round's solve.
+        rows = [({0: 2, 1: 3}, LESS, 6, 6), ({0: 5}, GREATER, 1, 5)]
+        status, x, objective = solve_rows(2, {0: -1, 1: -1}, 1, rows)
+        assert status is LpStatus.OPTIMAL
+        assert F(*objective) == F(-3)
+        assert {j: F(*v) for j, v in x.items() if v[0]} == {0: F(3)}
+        assert rows == [({0: 2, 1: 3}, LESS, 6, 6), ({0: 5}, GREATER, 1, 5)]
 
 
 class TestAgainstDenseReference:
