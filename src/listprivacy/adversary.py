@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Instance, ListEstimator, StochasticMatrix, check_dims, format_rational
+from .core import Instance, ListEstimator, StochasticMatrix, check_dims, format_rational, ranked
 
 
 @dataclass(frozen=True)
@@ -26,23 +26,19 @@ class PrivacyReport:
 
 
 def map_list_estimator(inst: Instance, mech: StochasticMatrix) -> ListEstimator:
-    """Optimal estimator: per output, the l symbols of largest posterior mass.
-
-    Ties break by score descending then index ascending, so the witness is
-    deterministic; any other tie-break attains the same privacy.
-    """
+    """Optimal estimator: per output, the l symbols of largest posterior mass as
+    `best_list` picks them; any other tie-break attains the same privacy."""
     return list_privacy(inst, mech).estimator
 
 
-def best_list(scores: Sequence[Fraction], l: int) -> tuple[Fraction, tuple[int, ...]]:
-    """One output's heaviest l-list, as (mass, ascending indices).
+def best_list(scores: Sequence, l: int) -> tuple[Fraction | int, tuple[int, ...]]:
+    """One output's heaviest l-list by `ranked`'s rule, as (mass, ascending indices).
 
-    `scores[x]` is the joint mass pmf[x] * W(i|x). Ties break by score
-    descending then index ascending: the sort is stable, so reverse=True
-    keeps tied indices in ascending order.
+    `scores[x]` is the joint mass pmf[x] * W(i|x): Fractions here, ints over one
+    positive scale in the oracle's rounds. The mass keeps their type, l = 0 included.
     """
-    picked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)[:l]
-    return sum([scores[x] for x in picked], Fraction(0)), tuple(sorted(picked))
+    picked = ranked(scores, range(len(scores)))[:l]
+    return sum([scores[x] for x in picked], scores[0] * 0 if scores else 0), tuple(sorted(picked))
 
 
 def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Instance
+from .core import Instance, _shown
 from .errors import InstanceFormatError
 
 F = Fraction
@@ -42,5 +42,5 @@ def instance(name: str) -> Instance:
         return CATALOG[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise InstanceFormatError(
-            f"unknown catalog instance {name!r}; available: {', '.join(CATALOG)}"
+            f"unknown catalog instance {_shown(name)}; available: {', '.join(CATALOG)}"
         ) from None

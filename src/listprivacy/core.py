@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,33 +39,32 @@ _MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digit
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from "p/q", a decimal literal, or an int.
+    """Parse an exact rational from "p/q", a decimal literal, an int or a Fraction.
 
     Decimal strings are exact: "0.3" becomes 3/10, never a float. Floats are
-    accepted for convenience and go through their shortest decimal repr. A
-    string too long to write back (sys.get_int_max_str_digits) is rejected,
+    accepted for convenience and go through their shortest decimal repr. Any
+    value too long to write back (sys.get_int_max_str_digits) is rejected,
     and so is, before it is expanded, an exponent that makes this certain.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise InstanceFormatError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         value = repr(value)
-    if not isinstance(value, str):
-        raise InstanceFormatError(f"not a rational: {value!r}")
     try:
-        exponent = value.lower().partition("e")[2]
-        # int() caps the mantissa at _MAX_DIGITS digits, so past twice that an
-        # exponent leaves a part too long to write; Fraction would expand it.
-        if exponent and abs(int(exponent)) > 2 * _MAX_DIGITS:
-            raise ValueError("exponent too large")
-        q = Fraction(value.strip())
+        if isinstance(value, Fraction):
+            q = value
+        elif _is_int(value):
+            q = Fraction(value)
+        elif isinstance(value, str):
+            exponent = value.lower().partition("e")[2]
+            # int() caps the mantissa at _MAX_DIGITS digits, so past twice that an
+            # exponent leaves a part too long to write; Fraction would expand it.
+            if exponent and abs(int(exponent)) > 2 * _MAX_DIGITS:
+                raise ValueError("exponent too large")
+            q = Fraction(value.strip())
+        else:
+            raise ValueError("not a number")
         str(q)  # ValueError when a part is too long to write back
     except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceFormatError(f"not a rational: {value[:80]!r}") from exc
+        raise InstanceFormatError(f"not a rational: {_shown(value)}") from exc
     return q
 
 
@@ -76,12 +76,22 @@ def _check_sequence(name: str, value):
         raise InstanceFormatError(f"{name} must be a sequence, got {type(value).__name__}")
 
 
-def _sum_text(total: Fraction) -> str:
-    """A sum for an error message: exact when str() can write it, else its side of 1."""
-    limit = sys.get_int_max_str_digits()
-    if not limit or max(abs(total.numerator), total.denominator) < 10**limit:
-        return str(total)
-    return f"{'more' if total > 1 else 'less'} than 1 (a fraction too long to write)"
+def _check_type(name: str, value, kind: type):
+    """Raise InstanceFormatError unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise InstanceFormatError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+
+
+def _shown(value) -> str:
+    """A value as an error message echoes it: a Fraction as its str, anything else
+    as its repr cut to 80 characters, and a number too long to write
+    (sys.get_int_max_str_digits) as its side of 1."""
+    try:
+        return str(value) if isinstance(value, Fraction) else repr(value)[:80]
+    except ValueError:  # a part too long to write, perhaps inside a container
+        if isinstance(value, (int, Fraction)):
+            return f"{'more' if value > 1 else 'less'} than 1 (a number too long to write)"
+        return f"a {type(value).__name__} too long to write"
 
 
 def _is_int(value) -> bool:
@@ -134,28 +144,28 @@ class Instance:
             raise InstanceFormatError(f"pmf has {r} entries but f has {len(f)}")
         for v in f:
             if not _is_int(v) or v < 0:
-                raise BadFunctionRange(f"function value {v!r} is not a nonnegative integer")
+                raise BadFunctionRange(f"function value {_shown(v)} is not a nonnegative integer")
         k = self.k if self.k is not None else max(f) + 1
         if not _is_int(k):
-            raise InstanceFormatError(f"k must be an integer, got {self.k!r}")
+            raise InstanceFormatError(f"k must be an integer, got {_shown(self.k)}")
         object.__setattr__(self, "k", k)
         if k < 2 or k > r:
-            raise BadFunctionRange(f"need 2 <= k <= r, got k={k} with r={r}")
+            raise BadFunctionRange(f"need 2 <= k <= r, got k={_shown(k)} with r={r}")
         for x, v in enumerate(f):
             if v >= k:
-                raise BadFunctionRange(f"f({x})={v} outside {{0..{k - 1}}}")
+                raise BadFunctionRange(f"f({x})={_shown(v)} outside {{0..{k - 1}}}")
         for x, p in enumerate(pmf):
             if p <= 0:
                 raise ZeroMassSymbol(f"pmf entry {x} is {p}; every symbol needs positive mass")
         total = sum(pmf)
         if total != 1:
-            raise PmfNotNormalized(f"pmf sums to {_sum_text(total)}")
+            raise PmfNotNormalized(f"pmf sums to {_shown(total)}")
         seen = set(f)
         for i in range(k):
             if i not in seen:
                 raise EmptyPreimage(f"output symbol {i} is never taken")
         if not _is_int(self.l) or not 1 <= self.l < r:
-            raise ListSizeOutOfRange(f"need 1 <= l < r, got l={self.l!r} with r={r}")
+            raise ListSizeOutOfRange(f"need 1 <= l < r, got l={_shown(self.l)} with r={r}")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != r:
@@ -216,7 +226,7 @@ class StochasticMatrix:
                     raise NotRowStochastic(f"row {x} has negative entry {v}")
             total = sum(row)
             if total != 1:
-                raise NotRowStochastic(f"row {x} sums to {_sum_text(total)}")
+                raise NotRowStochastic(f"row {x} sums to {_shown(total)}")
 
     @property
     def r(self) -> int:
@@ -243,7 +253,7 @@ class ListEstimator:
             raise InstanceFormatError(f"estimator lists are not lists of integers: {exc}") from exc
         # type() is the cheap test here (one estimator per list_privacy call); it refuses bools.
         if not all(type(x) is int for lst in lists for x in lst):
-            raise InstanceFormatError(f"estimator lists are not lists of integers: {lists!r}")
+            raise InstanceFormatError(f"estimator lists must hold integers, got {_shown(lists)}")
         object.__setattr__(self, "lists", lists)
         if not lists:
             raise InstanceFormatError("estimator has no lists")
@@ -259,29 +269,47 @@ class ListEstimator:
             raise InstanceFormatError("lists must be nonempty")
 
 
-def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tuple[int, ...]:
-    """The t heaviest symbols of a pool, as an ascending index tuple.
+def ranked(scores: Sequence, members: Iterable[int]) -> list[int]:
+    """Ascending members by score descending, ties by index ascending: the one tie
+    rule of every top-l pick (best lists, so the oracle's cuts and active lists,
+    `top_elements` and the envelope's per-preimage orders). The sort is stable,
+    so reverse=True keeps tied members in their ascending input order."""
+    return sorted(members, key=scores.__getitem__, reverse=True)
 
-    Ranking is by probability descending with index ascending as the
-    tie-break, so the result is unique even under tied masses. t = 0 gives ().
-    Every member must be a symbol of the pmf: a non-bool int in range(len(pmf)),
-    and t a non-bool int.
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as ints over their common denominator D, the lcm of theirs,
+    and D; folded pairwise, as math.lcm(*...) grows the allocator on many calls."""
+    den = 1
+    for v in values:
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tuple[int, ...]:
+    """The t heaviest symbols of a pool by `ranked`'s rule, as an ascending index tuple.
+
+    The tie-break makes the result unique even under tied masses. t = 0 gives
+    (). Every member must be a symbol of the pmf: a non-bool int in
+    range(len(pmf)), and t a non-bool int.
     """
     if not _is_int(t):
-        raise InstanceFormatError(f"need a whole number of elements, got {t!r}")
+        raise InstanceFormatError(f"need a whole number of elements, got {_shown(t)}")
+    _check_type("symbol pool", members, Iterable)
     members = tuple(members)
     for x in members:
         if not _is_int(x) or not 0 <= x < len(pmf):
-            raise InstanceFormatError(f"{x!r} is not a symbol of a {len(pmf)}-symbol pmf")
+            raise InstanceFormatError(f"{_shown(x)} is not a symbol of a {len(pmf)}-symbol pmf")
     pool = sorted(set(members))
     if not 0 <= t <= len(pool):
-        raise TooManyRequested(f"asked for {t} of {len(pool)} elements")
-    ranked = sorted(pool, key=lambda x: (-pmf[x], x))
-    return tuple(sorted(ranked[:t]))
+        raise TooManyRequested(f"asked for {_shown(t)} of {len(pool)} elements")
+    return tuple(sorted(ranked(pmf, pool)[:t]))
 
 
 def check_dims(inst: Instance, mech: StochasticMatrix):
-    """Raise DimensionMismatch unless the matrix is r x k for this instance."""
+    """Raise InstanceFormatError on other types, DimensionMismatch unless mech is r x k."""
+    _check_type("instance", inst, Instance)
+    _check_type("mechanism", mech, StochasticMatrix)
     if mech.r != inst.r or mech.k != inst.k:
         raise DimensionMismatch(
             f"matrix is {mech.r}x{mech.k}, instance needs {inst.r}x{inst.k}"
@@ -337,7 +365,8 @@ def instance_to_text(inst: Instance) -> str:
 
 
 def load_json(text: str):
-    """Parsed JSON text; malformed, too deep or overlong text is an InstanceFormatError."""
+    """Parsed JSON; a non-str or malformed, too deep or overlong text is an InstanceFormatError."""
+    _check_type("JSON text", text, str)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -354,6 +383,7 @@ def instance_digest(inst: Instance) -> str:
     Labels are excluded: a mechanism built for a pmf/function/list-size triple
     is valid regardless of display names.
     """
+    _check_type("instance", inst, Instance)
     fields = instance_to_jsonable(inst)
     fields.pop("labels", None)
     payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))

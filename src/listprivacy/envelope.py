@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .core import Instance, _is_int, ensure_rho, format_rational, top_elements
+from .core import Instance, _is_int, _shown, ensure_rho, format_rational, ranked, top_elements
 from .errors import InstanceFormatError
 
 
@@ -93,15 +93,10 @@ class PrivacyCurve:
     def samples(self, n: int) -> list[tuple[Fraction, Fraction]]:
         """n+1 equispaced exact samples of the bound on [0, 1]."""
         if not _is_int(n) or n < 1:
-            raise InstanceFormatError(f"need a whole number of sampling intervals >= 1, got {n!r}")
+            raise InstanceFormatError(
+                f"need a whole number of sampling intervals >= 1, got {_shown(n)}"
+            )
         return [(Fraction(j, n), self.value_at(Fraction(j, n))) for j in range(n + 1)]
-
-
-def _class_orders(inst: Instance) -> list[list[int]]:
-    # Heaviest-first canonical order inside each preimage (ties to lower index).
-    return [
-        sorted(block, key=lambda x: (-inst.pmf[x], x)) for block in inst.preimages
-    ]
 
 
 def _count_vectors(sizes: list[int], budget: int) -> Iterator[tuple[int, ...]]:
@@ -122,7 +117,7 @@ def enumerate_lines(inst: Instance) -> list[EnvelopeLine]:
     [0, 1] by the canonical anchor with the same per-preimage counts, so these
     lines have the same upper envelope as the lines of all such subsets.
     """
-    orders = _class_orders(inst)
+    orders = [ranked(inst.pmf, block) for block in inst.preimages]
     # prefix[i][c] is the mass of the c heaviest symbols of preimage i.
     prefix = [
         list(accumulate((inst.pmf[x] for x in order), initial=Fraction(0)))

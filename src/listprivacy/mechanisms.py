@@ -17,6 +17,7 @@ from . import catalog
 from .core import (
     Instance,
     StochasticMatrix,
+    _check_type,
     check_dims,
     ensure_rho,
     format_rational,
@@ -79,6 +80,8 @@ def add_noise_qr(inst: Instance, noise: NoisePmf) -> StochasticMatrix:
     row i of the noise channel is the offset distribution used by preimage i.
     Rows agree inside every preimage by construction.
     """
+    _check_type("instance", inst, Instance)
+    _check_type("noise channel", noise, NoisePmf)
     if noise.k != inst.k:
         raise DimensionMismatch(f"noise channel is {noise.k}-ary, instance needs {inst.k}")
     k = inst.k

@@ -3,26 +3,24 @@
 Maximizing privacy over admissible mechanisms is a linear program once the
 adversary's best-list mass per output is replaced by an epigraph variable
 bounded below by every candidate list. The program is solved with the exact
-rational simplex, entirely independent of the analytic bound machinery, so the
-two routes can be compared at face value. Most of the k * C(r, l) list rows
-are slack, so they are generated by Kelley's cutting-plane method: the optimal
-adversary, run on the candidate witness, finds each output's violated list.
-The loop stops when the witness's exact privacy equals the program's optimum,
-which certifies the witness against every l-list.
+rational simplex and shares only the ranking rule of `core.ranked` with the
+analytic bound, so the two routes can be compared at face value. Most of the
+k * C(r, l) list rows are slack, so they are generated by Kelley's
+cutting-plane method: the optimal adversary, run on the candidate witness,
+finds each output's violated list. The loop stops when the witness's exact
+privacy equals the program's optimum, which certifies it against every l-list.
 
 Within one call the program stays in integers. The pmf is scaled once to
 ints over its common denominator D, and each row is built once, as the
 sparse `{column: int}` row with its own scale that `simplex.solve_rows`
-takes: the fixed rows up front, each recover row scaled by rho's
-denominator, and each list row, scaled by D, when its cut is generated.
-Every round hands the core these rows in the same order, so its pivots are
-the ones `solve_lp` makes on a program rebuilt each round. A round reads its
-vertex as ints over one common scale, the lcm of the basic scales, and
-finds each output's best list on integer scores; the cut and stop tests
-cross-multiply. Fractions appear only for the returned optimum and the
-final witness, which `list_privacy` certifies. The result holds just the
-optimum and that witness: only `active_lists`, which `oracle --rho` prints,
-enumerates a witness's tied best lists.
+takes; a list row, scaled by D, is built when its cut is generated. Every
+round hands the core these rows in the same order, so its pivots are those
+of a program rebuilt each round. A round reads its vertex as ints over one
+common scale and finds each output's best list with the adversary's own
+`best_list` on integer scores: the separation oracle is the adversary
+itself. Fractions appear only for the returned optimum and the final
+witness, which `list_privacy` certifies; only `active_lists`, which
+`oracle --rho` prints, enumerates a witness's tied best lists.
 
 Rows carry no names. `lp_lines` formats each row as soon as it is built and
 names it only in its line, and the CLI's `--lp-dump` writes each line as it
@@ -37,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .adversary import list_privacy
+from .adversary import best_list, list_privacy
 from .core import (
     Instance,
     StochasticMatrix,
@@ -45,6 +43,8 @@ from .core import (
     check_dims,
     ensure_rho,
     format_rational,
+    over_common_denominator,
+    ranked,
     top_elements,
 )
 from .errors import InstanceTooLarge
@@ -61,14 +61,6 @@ class OracleResult:
 
     optimum: Fraction
     witness: StochasticMatrix
-
-
-def _scaled_pmf(inst: Instance) -> tuple[list[int], int]:
-    """The pmf as ints over its common denominator D, and D."""
-    den = 1
-    for p in inst.pmf:
-        den = den * p.denominator // math.gcd(den, p.denominator)
-    return [p.numerator * (den // p.denominator) for p in inst.pmf], den
 
 
 def _list_row(inst: Instance, pw: list[int], den: int, i: int, lst: tuple[int, ...]):
@@ -90,23 +82,6 @@ def _fixed_rows(inst: Instance, rho: Fraction) -> list:
     return rows
 
 
-def _best_lists(pw: list[int], w: list[int], k: int, l: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Per output i, the heaviest l-list under the integer scores pw[x] * w[x*k+i],
-    as (mass, ascending indices).
-
-    Ties break as in `best_list`, by score descending then index ascending, so
-    on scores that share one positive scale the lists are its lists and the
-    masses its masses times that scale.
-    """
-    order = range(len(pw))
-    out = []
-    for i in range(k):
-        scores = [p * w[x * k + i] for x, p in enumerate(pw)]
-        picked = sorted(order, key=scores.__getitem__, reverse=True)[:l]
-        out.append((sum([scores[x] for x in picked]), tuple(sorted(picked))))
-    return out
-
-
 def active_lists(inst: Instance, mech: StochasticMatrix):
     """Per output, every l-list of largest mass under the mechanism, ascending.
 
@@ -119,7 +94,7 @@ def active_lists(inst: Instance, mech: StochasticMatrix):
     ties = []
     for i in range(inst.k):
         scores = [inst.pmf[x] * mech.rows[x][i] for x in range(inst.r)]
-        cut = sorted(scores, reverse=True)[inst.l - 1]
+        cut = scores[ranked(scores, range(inst.r))[inst.l - 1]]
         above = [x for x, s in enumerate(scores) if s > cut]
         tied = [x for x, s in enumerate(scores) if s == cut]
         ties.append((above, tied, inst.l - len(above)))
@@ -146,7 +121,7 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
     nw = r * k
-    pw, den = _scaled_pmf(inst)
+    pw, den = over_common_denominator(inst.pmf)
     fixed = _fixed_rows(inst, rho)
     cost = dict.fromkeys(range(nw, nw + k), 1)
     top = top_elements(range(r), inst.l, inst.pmf)
@@ -158,15 +133,15 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
         if status is not LpStatus.OPTIMAL:
             raise AssertionError(f"privacy program should always solve, got {status}")
         num, dnm = objective
-        # The vertex as ints over one scale, the lcm of the basic scales, so
-        # the scores pw[x] * w[x*k+i] and the masses are ints over den * scale.
+        # The vertex as ints over one scale, the lcm of the basic scales: the scores
+        # then share the scale den * scale, so best_list picks the Fraction lists.
         scale = 1
         for _, s in basic.values():
             scale = scale * s // math.gcd(scale, s)
         w = [0] * (nw + k)
         for j, (v, s) in basic.items():
             w[j] = v * (scale // s)
-        best = _best_lists(pw, w, k, inst.l)
+        best = [best_list([p * w[x * k + i] for x, p in enumerate(pw)], inst.l) for i in range(k)]
         # The witness's privacy is 1 - total / (den * scale), the optimum 1 - num / dnm.
         total = sum([mass for mass, _ in best])
         found, claimed = total * dnm, num * den * scale
@@ -231,7 +206,7 @@ def lp_lines(inst: Instance, rho) -> Iterator[str]:
     if count > ACTIVE_LIST_LIMIT:
         raise InstanceTooLarge(f"LP dump needs {count} list rows, over {ACTIVE_LIST_LIMIT}")
     nw = r * k
-    pw, den = _scaled_pmf(inst)
+    pw, den = over_common_denominator(inst.pmf)
 
     def var(j: int) -> str:
         if j < nw:

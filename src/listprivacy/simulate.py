@@ -48,6 +48,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .adversary import list_privacy
@@ -56,10 +57,13 @@ from .core import (
     ListEstimator,
     StochasticMatrix,
     _check_sequence,
+    _check_type,
     _is_int,
+    _shown,
     check_dims,
     ensure_rho,
     format_rational,
+    over_common_denominator,
 )
 from .errors import DimensionMismatch, InstanceFormatError
 
@@ -107,23 +111,17 @@ class SweepPoint:
 
 def derive_stream_seed(seed: int, stream: int) -> int:
     """Seed for the given sweep stream: seed + stream index."""
+    if not (_is_int(seed) and _is_int(stream)):
+        raise InstanceFormatError(f"need integers, got {_shown(seed)} and {_shown(stream)}")
     return seed + stream
 
 
 def _thresholds(probs: Sequence[Fraction]) -> list[int]:
     # Integer cut points on [0, 2**64): a uniform draw u selects the first
     # index whose threshold exceeds u. Cut i is 2**64 times the sum of masses
-    # 0 to i, rounded up; the sums are integers over the common denominator,
-    # folded pairwise: math.lcm(*...) grows the allocator on many calls.
-    den = 1
-    for p in probs:
-        den = den * p.denominator // math.gcd(den, p.denominator)
-    out = []
-    acc = 0
-    for p in probs:
-        acc += p.numerator * (den // p.denominator)
-        out.append(-(-acc * _SCALE // den))
-    return out
+    # 0 to i, rounded up; the sums are integers over the common denominator.
+    nums, den = over_common_denominator(probs)
+    return [-(-acc * _SCALE // den) for acc in accumulate(nums)]
 
 
 def _guide(cuts: Sequence[int], cells: Sequence, unsure) -> list:
@@ -230,17 +228,18 @@ def simulate_game(
 ) -> SimReport:
     """Play the guessing game `trials` times and count list misses."""
     check_dims(inst, mech)
+    _check_type("estimator", estimator, ListEstimator)
     if len(estimator.lists) != inst.k:
         raise DimensionMismatch(
             f"estimator has {len(estimator.lists)} lists, instance needs {inst.k}"
         )
     for i, lst in enumerate(estimator.lists):
         if lst and lst[-1] >= inst.r:
-            raise DimensionMismatch(f"list {i} names symbol {lst[-1]}, alphabet is {inst.r}")
+            raise DimensionMismatch(f"list {i} names {_shown(lst[-1])}, alphabet is {inst.r}")
     if not _is_int(trials) or trials < 1:
-        raise InstanceFormatError(f"need a whole number of trials >= 1, got {trials!r}")
+        raise InstanceFormatError(f"need a whole number of trials >= 1, got {_shown(trials)}")
     if not _is_int(seed):
-        raise InstanceFormatError(f"need an integer seed, got {seed!r}")
+        raise InstanceFormatError(f"need an integer seed, got {_shown(seed)}")
     rng = random.Random(seed)
     x_cuts = _thresholds(inst.pmf)
     z_cuts = [_thresholds(row) for row in mech.rows]

@@ -92,6 +92,18 @@ class TestBestList:
                 tied_out = [x for x in range(r) if x not in members and scores[x] == cut]
                 assert not tied_out or max(tied_in) < min(tied_out)
 
+    def test_int_scores_keep_their_type_and_ascending_ties(self):
+        # The oracle's rounds pass ints over one common scale.
+        rng = random.Random(39)
+        for _ in range(400):
+            r = rng.randint(1, 9)
+            scores = [rng.randint(0, 3) for _ in range(r)]
+            l = rng.randint(0, r)
+            mass, members = best_list(scores, l)
+            ranked = sorted(range(r), key=lambda x: (-scores[x], x))[:l]
+            assert members == tuple(sorted(ranked))
+            assert mass == sum(scores[x] for x in ranked) and type(mass) is int
+
     def test_list_privacy_matches_the_sort_key_reference(self):
         rng = random.Random(38)
         for _ in range(60):

@@ -9,15 +9,29 @@ from listprivacy import (
     Instance,
     ListEstimator,
     StochasticMatrix,
+    active_lists,
+    add_noise_qr,
+    anchor_set,
     ensure_rho,
+    exact_privacy,
     format_rational,
     instance_digest,
     instance_to_text,
     is_recoverable,
+    list_privacy,
+    lp_text,
+    optimal_binary_qr,
     parse_instance,
+    parse_matrix,
+    parse_noise,
     parse_rational,
+    privacy_bound,
+    privacy_curve,
     recoverability_level,
+    simulate_game,
+    ternary_example_qr,
     top_elements,
+    uniform_qr,
     validate_instance,
 )
 from listprivacy.catalog import instance as catalog_instance, names as catalog_names
@@ -27,6 +41,7 @@ from listprivacy.errors import (
     DimensionMismatch,
     EmptyPreimage,
     InstanceFormatError,
+    ListPrivacyError,
     ListSizeOutOfRange,
     NotRowStochastic,
     PmfNotNormalized,
@@ -34,10 +49,13 @@ from listprivacy.errors import (
     TooManyRequested,
     ZeroMassSymbol,
 )
+from listprivacy.simulate import derive_stream_seed
 from conftest import random_instance
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
+# Past sys.get_int_max_str_digits (4300 by default): str() of it raises ValueError.
+HUGE = 10**5000
 
 
 class TestParseRational:
@@ -412,3 +430,66 @@ class TestCatalog:
     def test_unknown_or_unhashable_name(self, name):
         with pytest.raises(InstanceFormatError, match="unknown catalog instance"):
             catalog_instance(name)
+
+
+class TestPublicApiErrors:
+    """Each call surfaces a ListPrivacyError code, not a ValueError, AttributeError
+    or TypeError from inside the library."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ensure_rho(HUGE),
+            lambda: ensure_rho(Fraction(1, HUGE)),
+            lambda: privacy_bound(SKEW7, HUGE),
+            lambda: anchor_set(SKEW7, HUGE),
+            lambda: exact_privacy(UNIFORM4, HUGE),
+            lambda: lp_text(UNIFORM4, HUGE),
+            lambda: optimal_binary_qr(SKEW7, HUGE),
+            lambda: ternary_example_qr(HUGE),
+            lambda: format_rational(HUGE),
+            lambda: SKEW7.with_list_size(HUGE),
+            lambda: privacy_curve(SKEW7).value_at(HUGE),
+            lambda: catalog_instance(HUGE),
+            lambda: Instance(pmf=UNIFORM4.pmf, f=UNIFORM4.f, l=-HUGE),
+            lambda: Instance(pmf=UNIFORM4.pmf, f=UNIFORM4.f, l=1, k=HUGE),
+            lambda: Instance(pmf=UNIFORM4.pmf, f=(0, 1, 1, HUGE), l=1, k=2),
+            lambda: top_elements(range(4), -HUGE, UNIFORM4.pmf),
+            lambda: parse_rational([HUGE]),
+        ],
+        ids=[
+            "ensure_rho", "ensure_rho_fraction", "privacy_bound", "anchor_set",
+            "exact_privacy", "lp_text", "optimal_binary_qr", "ternary_example_qr",
+            "format_rational", "with_list_size", "value_at", "catalog_instance",
+            "instance_l", "instance_k", "instance_f", "top_elements", "in_a_list",
+        ],
+    )
+    def test_huge_ints(self, call):
+        with pytest.raises(ListPrivacyError):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: list_privacy(SKEW7, None),
+            lambda: list_privacy(None, uniform_qr(SKEW7)),
+            lambda: active_lists(SKEW7, None),
+            lambda: add_noise_qr(SKEW7, None),
+            lambda: recoverability_level(None, SKEW7),
+            lambda: instance_digest(None),
+            lambda: simulate_game(SKEW7, uniform_qr(SKEW7), None, 10, 1),
+            lambda: parse_instance(None),
+            lambda: parse_matrix(None),
+            lambda: parse_noise(None),
+            lambda: top_elements(None, 1, SKEW7.pmf),
+            lambda: derive_stream_seed(None, 1),
+        ],
+        ids=[
+            "list_privacy", "list_privacy_instance", "active_lists", "add_noise_qr",
+            "recoverability_level", "instance_digest", "simulate_game", "parse_instance",
+            "parse_matrix", "parse_noise", "top_elements", "derive_stream_seed",
+        ],
+    )
+    def test_wrong_typed_objects(self, call):
+        with pytest.raises(ListPrivacyError):
+            call()

@@ -1,9 +1,11 @@
-"""Property suite: the oracle's integer separation is `best_list` on Fractions.
+"""Property suite: the oracle's separation is `best_list` on integer scores.
 
 Random instances, uniform pmfs among them, and random vertices whose entries
 repeat and include zeros, so many scores tie and the index tie-break decides
 the lists. The vertex is written as ints over a common scale, the lcm of its
-denominators times a random factor, as the oracle reads each round's vertex.
+denominators times a random factor, as the oracle reads each round's vertex;
+with the pmf over its common denominator, the integer scores are the Fraction
+scores times one positive scale.
 """
 
 import math
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from listprivacy import Instance  # noqa: E402
 from listprivacy.adversary import best_list  # noqa: E402
-from listprivacy.oracle import _best_lists, _scaled_pmf  # noqa: E402
+from listprivacy.core import over_common_denominator  # noqa: E402
 
 
 @st.composite
@@ -51,13 +53,14 @@ def cases(draw):
 @given(case=cases())
 def test_integer_lists_match_best_list(case):
     inst, w, factor = case
-    pw, den = _scaled_pmf(inst)
+    pw, den = over_common_denominator(inst.pmf)
     assert [F(p, den) for p in pw] == list(inst.pmf)
     scale = math.lcm(*(v.denominator for v in w)) * factor
     ints = [v.numerator * (scale // v.denominator) for v in w]
     k = inst.k
-    got = _best_lists(pw, ints, k, inst.l)
-    for i, (mass, lst) in enumerate(got):
+    for i in range(k):
+        mass, lst = best_list([p * ints[x * k + i] for x, p in enumerate(pw)], inst.l)
         want_mass, want_lst = best_list([inst.pmf[x] * w[x * k + i] for x in range(inst.r)], inst.l)
         assert lst == want_lst
+        assert type(mass) is int
         assert F(mass, den * scale) == want_mass
