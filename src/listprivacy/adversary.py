@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Instance, ListEstimator, StochasticMatrix, check_dims, format_rational, ranked
+from .core import (
+    Instance,
+    ListEstimator,
+    StochasticMatrix,
+    _check_type,
+    check_dims,
+    format_rational,
+    ranked,
+)
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,9 @@ def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
 
 def report_to_jsonable(report: PrivacyReport, inst: Instance | None = None) -> dict:
     """Structured form with exact strings, a decimal, and labeled lists when known."""
+    _check_type("report", report, PrivacyReport)
     if inst is not None:
+        _check_type("instance", inst, Instance)
         lists = [[inst.label_of(x) for x in lst] for lst in report.estimator.lists]
     else:
         lists = [list(lst) for lst in report.estimator.lists]

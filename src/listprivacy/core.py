@@ -167,7 +167,13 @@ class Instance:
         if not _is_int(self.l) or not 1 <= self.l < r:
             raise ListSizeOutOfRange(f"need 1 <= l < r, got l={_shown(self.l)} with r={r}")
         if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+            labels = []
+            for s in self.labels:
+                try:
+                    labels.append(str(s))
+                except ValueError as exc:  # a number too long to write, perhaps in a container
+                    raise InstanceFormatError(f"a label cannot be written: {_shown(s)}") from exc
+            labels = tuple(labels)
             if len(labels) != r:
                 raise InstanceFormatError(f"{len(labels)} labels for {r} symbols")
             object.__setattr__(self, "labels", labels)
@@ -349,6 +355,7 @@ def validate_instance(raw: Mapping) -> Instance:
 
 def instance_to_jsonable(inst: Instance) -> dict:
     """JSON-ready dict with exact rational strings; round-trips bit-identically."""
+    _check_type("instance", inst, Instance)
     out = {
         "pmf": [format_rational(p) for p in inst.pmf],
         "f": list(inst.f),

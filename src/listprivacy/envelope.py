@@ -18,7 +18,16 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .core import Instance, _is_int, _shown, ensure_rho, format_rational, ranked, top_elements
+from .core import (
+    Instance,
+    _check_type,
+    _is_int,
+    _shown,
+    ensure_rho,
+    format_rational,
+    ranked,
+    top_elements,
+)
 from .errors import InstanceFormatError
 
 
@@ -116,7 +125,9 @@ def enumerate_lines(inst: Instance) -> list[EnvelopeLine]:
     and sum(c) <= l. Any other anchor of at most l symbols is dominated on
     [0, 1] by the canonical anchor with the same per-preimage counts, so these
     lines have the same upper envelope as the lines of all such subsets.
+    Raises InstanceFormatError unless inst is an Instance.
     """
+    _check_type("instance", inst, Instance)
     orders = [ranked(inst.pmf, block) for block in inst.preimages]
     # prefix[i][c] is the mass of the c heaviest symbols of preimage i.
     prefix = [
@@ -175,11 +186,13 @@ def privacy_at_zero(inst: Instance) -> Fraction:
 
     Valid for every rho up to 1/k, where the response can be ignored.
     """
+    _check_type("instance", inst, Instance)
     return 1 - inst.mass(top_elements(range(inst.r), inst.l, inst.pmf))
 
 
 def privacy_at_one(inst: Instance) -> Fraction:
     """Exact privacy at full recoverability: guessing inside the revealed preimage."""
+    _check_type("instance", inst, Instance)
     covered = Fraction(0)
     for block in inst.preimages:
         covered += inst.mass(top_elements(block, min(inst.l, len(block)), inst.pmf))
@@ -260,6 +273,7 @@ def first_breakpoint(inst: Instance) -> Fraction:
 # --- exports -----------------------------------------------------------------
 
 def curve_to_jsonable(curve: PrivacyCurve) -> dict:
+    _check_type("curve", curve, PrivacyCurve)
     return {
         "breakpoints": [format_rational(b) for b in curve.breakpoints],
         "segments": [
@@ -292,6 +306,7 @@ def curve_segments_csv(curve: PrivacyCurve) -> str:
 
 def curve_samples_csv(curve: PrivacyCurve, n: int) -> str:
     """Sampled table for plotting: decimals carry 12 significant digits."""
+    _check_type("curve", curve, PrivacyCurve)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rho", "privacy_bound"])

@@ -59,12 +59,14 @@ class NoisePmf:
 
 def uniform_qr(inst: Instance) -> StochasticMatrix:
     """Every output equally likely regardless of the symbol; recoverable at 1/k."""
+    _check_type("instance", inst, Instance)
     row = (Fraction(1, inst.k),) * inst.k
     return StochasticMatrix(rows=(row,) * inst.r)
 
 
 def deterministic_qr(inst: Instance) -> StochasticMatrix:
     """Reports the function value outright; recoverable at 1."""
+    _check_type("instance", inst, Instance)
     rows = []
     for x in range(inst.r):
         row = [Fraction(0)] * inst.k
@@ -98,6 +100,7 @@ def optimal_binary_qr(inst: Instance, rho) -> StochasticMatrix:
     Reports the true value with probability max(rho, rho1) where rho1 is the
     curve's first kink, and flips it otherwise. Constant in rho below rho1.
     """
+    _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
     if inst.k != 2:
         raise NotBinaryFunction(f"function has {inst.k} output symbols")
@@ -133,6 +136,7 @@ def ternary_example_qr(rho) -> tuple[Instance, StochasticMatrix]:
 
 def matrix_to_jsonable(mech: StochasticMatrix, inst: Instance | None = None) -> dict:
     """Row-major exact strings, plus the instance digest when one is supplied."""
+    _check_type("mechanism", mech, StochasticMatrix)
     out: dict = {
         "rows": [[format_rational(v) for v in row] for row in mech.rows],
     }

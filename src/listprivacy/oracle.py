@@ -7,8 +7,8 @@ rational simplex and shares only the ranking rule of `core.ranked` with the
 analytic bound, so the two routes can be compared at face value. Most of the
 k * C(r, l) list rows are slack, so they are generated by Kelley's
 cutting-plane method: the optimal adversary, run on the candidate witness,
-finds each output's violated list. The loop stops when the witness's exact
-privacy equals the program's optimum, which certifies it against every l-list.
+finds each output's violated list. A round that adds no cut is the last,
+and `list_privacy` then certifies the witness against every l-list.
 
 Within one call the program stays in integers. The pmf is scaled once to
 ints over its common denominator D, and each row is built once, as the
@@ -40,12 +40,12 @@ from .core import (
     Instance,
     StochasticMatrix,
     _check_sequence,
+    _check_type,
     check_dims,
     ensure_rho,
     format_rational,
     over_common_denominator,
     ranked,
-    top_elements,
 )
 from .errors import InstanceTooLarge
 from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_rows
@@ -115,16 +115,18 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
 
     Cutting planes: each round adds, for every output whose best list under
     the candidate witness outweighs its epigraph variable, that list as a
-    row; rounds stop once the witness's exact privacy equals the program's
-    optimum.
+    row; the first round that adds none is the last. t(i) costs 1 and only
+    its own list rows bound it, so each t(i) is then its best list's mass and
+    the optimum is the witness's privacy, which `list_privacy` certifies.
     """
+    _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
     nw = r * k
     pw, den = over_common_denominator(inst.pmf)
     fixed = _fixed_rows(inst, rho)
     cost = dict.fromkeys(range(nw, nw + k), 1)
-    top = top_elements(range(r), inst.l, inst.pmf)
+    top = best_list(pw, inst.l)[1]
     # Each output's list rows, in the order their cuts were generated.
     cuts = [[_list_row(inst, pw, den, i, top)] for i in range(k)]
     while True:
@@ -132,7 +134,6 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
         status, basic, objective = solve_rows(nw + k, cost, 1, rows + fixed)
         if status is not LpStatus.OPTIMAL:
             raise AssertionError(f"privacy program should always solve, got {status}")
-        num, dnm = objective
         # The vertex as ints over one scale, the lcm of the basic scales: the scores
         # then share the scale den * scale, so best_list picks the Fraction lists.
         scale = 1
@@ -142,20 +143,12 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
         for j, (v, s) in basic.items():
             w[j] = v * (scale // s)
         best = [best_list([p * w[x * k + i] for x, p in enumerate(pw)], inst.l) for i in range(k)]
-        # The witness's privacy is 1 - total / (den * scale), the optimum 1 - num / dnm.
-        total = sum([mass for mass, _ in best])
-        found, claimed = total * dnm, num * den * scale
-        if found == claimed:
+        cut = [i for i, (mass, _) in enumerate(best) if mass > w[nw + i] * den]
+        if not cut:
             break
-        if found < claimed:
-            raise AssertionError(
-                f"witness certifies {1 - Fraction(total, den * scale)}, "
-                f"program claims {1 - Fraction(num, dnm)}"
-            )
-        for i, (mass, lst) in enumerate(best):
-            if mass > w[nw + i] * den:
-                cuts[i].append(_list_row(inst, pw, den, i, lst))
-    optimum = 1 - Fraction(num, dnm)
+        for i in cut:
+            cuts[i].append(_list_row(inst, pw, den, i, best[i][1]))
+    optimum = 1 - Fraction(*objective)
     witness = StochasticMatrix(
         rows=tuple([tuple([Fraction(v, scale) for v in w[x * k : x * k + k]]) for x in range(r)])
     )
@@ -198,8 +191,9 @@ def lp_lines(inst: Instance, rho) -> Iterator[str]:
     line; each row is then formatted only when its line is asked for, list
     rows output by output, then the fixed rows. Row names exist only here.
     Raises InstanceTooLarge when the program has more than ACTIVE_LIST_LIMIT
-    list rows, k * C(r, l).
+    list rows, k * C(r, l), and InstanceFormatError unless inst is an Instance.
     """
+    _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
     count = k * math.comb(r, inst.l)

@@ -13,9 +13,9 @@ cross-multiplies. Scaling a row by a positive number changes no sign and no
 ratio, so every decision is the one the rational tableau makes.
 
 There is one solve path. `solve_lp` is the rational intake: it writes each
-row as ints over the lcm of its denominators, with a nonnegative rhs, and
-hands the rows to the integer core `solve_rows`, whose answer it wraps in
-Fractions. The core takes sparse `{column: int}` rows, each with its own
+row as ints with `core.over_common_denominator`, makes its rhs nonnegative,
+and hands the rows to the integer core `solve_rows`, whose answer it wraps
+in Fractions. The core takes sparse `{column: int}` rows, each with its own
 positive scale, which is also its slack's and artificial's coefficient, and
 builds each tableau row whole from one: its ints, its rhs, then its slack
 and its artificial. Slacks are numbered from n in row order, and
@@ -37,6 +37,8 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
+
+from .core import over_common_denominator
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
@@ -63,21 +65,15 @@ class LpSolution:
 
 
 def _integers(values: Iterable) -> tuple[dict[int, int], int]:
-    """The nonzero values by index, as ints over one common denominator, the
-    lcm of theirs."""
+    """The nonzero values by index, as ints over the lcm of their denominators,
+    and that lcm; a value other than an int or a Fraction is read by `Fraction()`."""
     nonzero = {}
-    den = 1
     for j, v in enumerate(values):
-        if v == 0:  # no str equals 0: "0" is converted, then dropped below
-            continue
-        if not isinstance(v, (int, Fraction)):
-            v = Fraction(v)
+        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
         if v:
             nonzero[j] = v
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-    return {j: v.numerator * (den // v.denominator) for j, v in nonzero.items()}, den
+    ints, den = over_common_denominator(list(nonzero.values()))
+    return dict(zip(nonzero, ints)), den
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
@@ -123,7 +119,7 @@ def _pivot(T: list, basis: list, red: dict, row: int, col: int):
     basis[row] = col
 
 
-def _run(T: list, basis: list, cost: dict, den: int) -> tuple[str, dict]:
+def _run(T: list, basis: list, cost: dict, den: int) -> tuple[LpStatus, dict]:
     """Minimize cost/den over the current basic feasible solution, in place."""
     red = {**cost, _DEN: den}
     for i, bi in enumerate(basis):
@@ -139,7 +135,7 @@ def _run(T: list, basis: list, cost: dict, den: int) -> tuple[str, dict]:
             best = min(((v, j) for j, v in red.items() if v < 0 <= j), default=None)
             enter = -1 if best is None else best[1]
         if enter < 0:
-            return "optimal", red
+            return LpStatus.OPTIMAL, red
         leave = -1
         for i, Ti in enumerate(T):
             a = Ti.get(enter, 0)
@@ -152,7 +148,7 @@ def _run(T: list, basis: list, cost: dict, den: int) -> tuple[str, dict]:
                 if lhs < cur or (lhs == cur and basis[i] < basis[leave]):
                     leave, num, dnm = i, b, a
         if leave < 0:
-            return "unbounded", red
+            return LpStatus.UNBOUNDED, red
         if num == 0:
             stall += 1
             if stall >= _STALL_LIMIT:
@@ -196,7 +192,7 @@ def solve_rows(
 
     if art > art_start:
         status, red = _run(T, basis, dict.fromkeys(range(art_start, art), 1), 1)
-        if status != "optimal":
+        if status is not LpStatus.OPTIMAL:
             raise AssertionError("phase one is bounded below by zero")
         if _RHS in red:
             return LpStatus.INFEASIBLE, None, None
@@ -214,8 +210,8 @@ def solve_rows(
         T = [{j: v for j, v in row.items() if j < art_start} for row in T]
 
     status, red = _run(T, basis, cost, den)
-    if status == "unbounded":
-        return LpStatus.UNBOUNDED, None, None
+    if status is LpStatus.UNBOUNDED:
+        return status, None, None
     x = {bi: (T[i].get(_RHS, 0), T[i][bi]) for i, bi in enumerate(basis) if bi < n}
     return LpStatus.OPTIMAL, x, (-red.get(_RHS, 0), red[_DEN])
 

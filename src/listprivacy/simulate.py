@@ -46,10 +46,11 @@ import io
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .adversary import list_privacy
 from .core import (
@@ -317,8 +318,10 @@ def privacy_sweep(
 ) -> list[SweepPoint]:
     """Simulate across levels; stream j uses derive_stream_seed(seed, j).
 
-    Every level is checked before any is simulated.
+    Every level, and that mech_for_rho is callable, is checked before any
+    level is simulated.
     """
+    _check_type("mech_for_rho", mech_for_rho, Callable)
     _check_sequence("rhos", rhos)
     levels = [ensure_rho(rho) for rho in rhos]
     points = []
@@ -340,6 +343,7 @@ def privacy_sweep(
 
 
 def report_to_jsonable(report: SimReport) -> dict:
+    _check_type("report", report, SimReport)
     return {
         "trials": report.trials,
         "misses": report.misses,
@@ -350,6 +354,9 @@ def report_to_jsonable(report: SimReport) -> dict:
 
 
 def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
+    _check_sequence("sweep points", points)
+    for pt in points:
+        _check_type("sweep point", pt, SweepPoint)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rho", "empirical", "analytic", "abs_error"])

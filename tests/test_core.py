@@ -49,7 +49,20 @@ from listprivacy.errors import (
     TooManyRequested,
     ZeroMassSymbol,
 )
-from listprivacy.simulate import derive_stream_seed
+from listprivacy import adversary, simulate
+from listprivacy.core import instance_to_jsonable
+from listprivacy.envelope import (
+    curve_samples_csv,
+    curve_segments_csv,
+    curve_to_text,
+    enumerate_lines,
+    first_breakpoint,
+    privacy_at_one,
+    privacy_at_zero,
+)
+from listprivacy.mechanisms import deterministic_qr, matrix_to_text
+from listprivacy.oracle import exact_privacy_curve, lp_lines
+from listprivacy.simulate import derive_stream_seed, privacy_sweep, sweep_to_csv
 from conftest import random_instance
 
 SKEW7 = catalog_instance("skew7")
@@ -456,12 +469,14 @@ class TestPublicApiErrors:
             lambda: Instance(pmf=UNIFORM4.pmf, f=(0, 1, 1, HUGE), l=1, k=2),
             lambda: top_elements(range(4), -HUGE, UNIFORM4.pmf),
             lambda: parse_rational([HUGE]),
+            lambda: Instance(pmf=(Fraction(1, 2),) * 2, f=(0, 1), l=1, labels=(HUGE, "b")),
         ],
         ids=[
             "ensure_rho", "ensure_rho_fraction", "privacy_bound", "anchor_set",
             "exact_privacy", "lp_text", "optimal_binary_qr", "ternary_example_qr",
             "format_rational", "with_list_size", "value_at", "catalog_instance",
             "instance_l", "instance_k", "instance_f", "top_elements", "in_a_list",
+            "label",
         ],
     )
     def test_huge_ints(self, call):
@@ -483,11 +498,42 @@ class TestPublicApiErrors:
             lambda: parse_noise(None),
             lambda: top_elements(None, 1, SKEW7.pmf),
             lambda: derive_stream_seed(None, 1),
+            lambda: enumerate_lines(None),
+            lambda: anchor_set(None, 0),
+            lambda: privacy_bound(None, 0),
+            lambda: privacy_curve(None),
+            lambda: first_breakpoint(None),
+            lambda: privacy_at_zero(None),
+            lambda: privacy_at_one(None),
+            lambda: exact_privacy(None, 0),
+            lambda: exact_privacy_curve(None, [0]),
+            lambda: lp_lines(None, 0),
+            lambda: lp_text(None, 0),
+            lambda: uniform_qr(None),
+            lambda: deterministic_qr(None),
+            lambda: optimal_binary_qr(None, 0),
+            lambda: instance_to_jsonable(None),
+            lambda: instance_to_text(None),
+            lambda: curve_to_text(None),
+            lambda: curve_segments_csv(None),
+            lambda: curve_samples_csv(None, 10),
+            lambda: matrix_to_text(None),
+            lambda: adversary.report_to_jsonable(None),
+            lambda: simulate.report_to_jsonable(None),
+            lambda: sweep_to_csv(None),
+            lambda: privacy_sweep(SKEW7, None, [0], 10, 1),
         ],
         ids=[
             "list_privacy", "list_privacy_instance", "active_lists", "add_noise_qr",
             "recoverability_level", "instance_digest", "simulate_game", "parse_instance",
             "parse_matrix", "parse_noise", "top_elements", "derive_stream_seed",
+            "enumerate_lines", "anchor_set_instance", "privacy_bound_instance",
+            "privacy_curve", "first_breakpoint", "privacy_at_zero", "privacy_at_one",
+            "exact_privacy_instance", "exact_privacy_curve", "lp_lines", "lp_text_instance",
+            "uniform_qr", "deterministic_qr", "optimal_binary_qr_instance",
+            "instance_to_jsonable", "instance_to_text", "curve_to_text", "curve_segments_csv",
+            "curve_samples_csv", "matrix_to_text", "adversary_report_to_jsonable",
+            "simulate_report_to_jsonable", "sweep_to_csv", "privacy_sweep",
         ],
     )
     def test_wrong_typed_objects(self, call):

@@ -239,6 +239,37 @@ class TestAgainstFullProgram:
         assert sum(map(len, wanted_programs)) > len(cases)  # some cases take several rounds
 
 
+class TestWrongObjective:
+    """The one stop rule is the cut test, and the one fault check is the final
+    certification: a solve that reports its objective a unit off stops after
+    the same rounds as a true one and fails that check. A patched solve raises
+    RuntimeError past 50 calls, so a loop that would not stop fails too."""
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["low", "high"])
+    def test_is_refused_after_the_same_rounds(self, shift, monkeypatch):
+        solve = oracle.solve_rows
+        solves = []
+
+        def counted(n, cost, den, rows):
+            solves.append(len(rows))
+            if len(solves) > 50:
+                raise RuntimeError("still solving after 50 calls")
+            return solve(n, cost, den, rows)
+
+        def off(n, cost, den, rows):
+            status, basic, (num, dnm) = counted(n, cost, den, rows)
+            return status, basic, (num + shift, dnm)
+
+        monkeypatch.setattr(oracle, "solve_rows", counted)
+        exact_privacy(SKEW7, F(7, 10))
+        rounds = solves[:]
+        solves.clear()
+        monkeypatch.setattr(oracle, "solve_rows", off)
+        with pytest.raises(AssertionError, match="witness certifies 63/200"):
+            exact_privacy(SKEW7, F(7, 10))
+        assert solves == rounds
+
+
 class TestAgainstReferenceLoop:
     """The loop against `conftest.reference_exact_privacy`, which rebuilds
     every row and validates a witness matrix in every round: same result,
