@@ -22,6 +22,7 @@ from .core import (
     format_rational,
     ranked,
 )
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,16 @@ def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
 def report_to_jsonable(report: PrivacyReport, inst: Instance | None = None) -> dict:
     """Structured form with exact strings, a decimal, and labeled lists when known."""
     _check_type("report", report, PrivacyReport)
+    given = report.estimator.lists
     if inst is not None:
         _check_type("instance", inst, Instance)
-        lists = [[inst.label_of(x) for x in lst] for lst in report.estimator.lists]
+        if len(given) != inst.k:
+            raise DimensionMismatch(f"report has {len(given)} outputs, instance has {inst.k}")
+        if max(map(max, given)) >= inst.r:
+            raise DimensionMismatch(f"report lists a symbol past the instance's {inst.r} symbols")
+        lists = [[inst.label_of(x) for x in lst] for lst in given]
     else:
-        lists = [list(lst) for lst in report.estimator.lists]
+        lists = [list(lst) for lst in given]
     return {
         "privacy": format_rational(report.privacy),
         "privacy_decimal": float(report.privacy),

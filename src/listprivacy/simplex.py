@@ -2,15 +2,19 @@
 
 Minimization form, variables implicitly nonnegative. Every row is stored the
 same way, the reduced-cost row included: a `{column: int}` dict holding only
-its nonzero entries, a positive integer multiple of the true row divided by
-the gcd of its entries. The right-hand side sits under the fixed key `_RHS`,
-so a tableau row's entry in its basic column is the row's scale; the
-reduced-cost row holds minus the objective there and its positive
-denominator under `_DEN`. Pivots are fraction-free and sparse: only rows with
-a nonzero entry in the pivot column change, each as p*row - f*prow over the
-pivot row's nonzeros, cleared in place by `_eliminate`, and the ratio test
-cross-multiplies. Scaling a row by a positive number changes no sign and no
-ratio, so every decision is the one the rational tableau makes.
+its nonzero entries, a positive integer multiple of the true row. The
+right-hand side sits under the fixed key `_RHS`, so a tableau row's entry in
+its basic column is the row's scale; the reduced-cost row holds minus the
+objective there and its positive denominator under `_DEN`. Pivots are
+fraction-free and sparse: only rows with a nonzero entry in the pivot column
+change, each as p*row - f*prow over the pivot row's nonzeros, cleared in
+place by `_eliminate`, and the ratio test cross-multiplies. Scaling a row by
+a positive number changes no sign and no ratio, so every decision is the one
+the rational tableau makes, whatever multiple is stored.
+
+One rule keeps the integers small: an update divides its row by the row's
+content, the gcd of its entries, only once its first entry reaches
+`_CONTENT_BOUND`. The content divides that entry, so it stays below the bound.
 
 There is one solve path. `solve_lp` is the rational intake: it writes each
 row as ints with `core.over_common_denominator`, makes its rhs nonnegative,
@@ -44,6 +48,8 @@ LESS, EQUAL, GREATER = "<=", "=", ">="
 
 # Consecutive zero-progress pivots tolerated before switching to Bland's rule.
 _STALL_LIMIT = 12
+# An updated row whose first entry reaches this is divided by its content.
+_CONTENT_BOUND = 1 << 64
 
 # Fixed keys of a stored row, below every column, so no column numbering can
 # move them: the right-hand side (minus the objective, in the reduced-cost
@@ -78,7 +84,8 @@ def _integers(values: Iterable) -> tuple[dict[int, int], int]:
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
     """Clear `row[col]` with the pivot row, whose entry there is positive, in
-    place, then divide the row by the gcd of its entries."""
+    place, leaving a positive multiple of the updated true row; divide it by
+    its content only when its first entry has reached `_CONTENT_BOUND`."""
     p, f = prow[col], row[col]
     g = gcd(p, f)
     p //= g
@@ -94,13 +101,11 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
             row[j] = w
         else:
             del row[j]
-    # Pairwise, stopping once the gcd reaches 1: math.gcd(*row.values())
-    # would build a tuple of the whole row on every update.
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+    # A row is never empty: a tableau row keeps its basic entry, the
+    # reduced-cost row its denominator.
+    if -_CONTENT_BOUND < next(iter(row.values())) < _CONTENT_BOUND:
+        return
+    g = gcd(*row.values())
     if g > 1:
         for j in row:
             row[j] //= g
@@ -171,7 +176,7 @@ def solve_rows(
     coefficient. The rows are copied, never changed. Returns the status, then,
     when optimal, each basic structural variable as `{column: (numerator,
     scale)}`, every other one being zero, and the objective as `(numerator,
-    denominator)`.
+    denominator)`, neither pair reduced.
     """
     art_start = art = n + sum(s != EQUAL for _, s, _, _ in rows)
     slack = n

@@ -539,3 +539,16 @@ class TestPublicApiErrors:
     def test_wrong_typed_objects(self, call):
         with pytest.raises(ListPrivacyError):
             call()
+
+    @pytest.mark.parametrize("render", [adversary.report_to_jsonable, adversary.report_to_text])
+    def test_report_of_another_shape(self, render):
+        # A report lists symbols 0-6 over 2 outputs: a 3-symbol instance must
+        # not look up their labels, and a 3-output one must not pair them up.
+        report = list_privacy(SKEW7, deterministic_qr(SKEW7))
+        smaller = Instance(pmf=(Fraction(1, 3),) * 3, f=(0, 0, 1), l=1, labels=("a", "b", "c"))
+        wider = Instance(pmf=(Fraction(1, 7),) * 7, f=(0, 1, 2, 0, 1, 2, 0), l=3)
+        for inst in (smaller, wider):
+            with pytest.raises(DimensionMismatch):
+                render(report, inst)
+        # Its own instance still renders it.
+        render(report, SKEW7)

@@ -401,6 +401,54 @@ class TestSparseRows:
             assert phases[-1] <= len(program[1]) - copies
         assert len(pivots) > 400
 
+    @pytest.fixture
+    def tableaux(self, monkeypatch):
+        """Record both solvers' tableaux after every pivot as rational rows:
+        each stored row divided by its entry in its basic column, the
+        reduced-cost row by its denominator, and the dense reference rows with
+        their zeros left out and their rhs under `_RHS`."""
+        integer, reference = [], []
+        pivot, reference_pivot = simplex._pivot, conftest._reference_pivot
+
+        def spy(T, basis, red, row, col):
+            pivot(T, basis, red, row, col)
+            den = red[simplex._DEN]
+            integer.append(
+                [{j: F(v, Ti[bi]) for j, v in Ti.items()} for Ti, bi in zip(T, basis)]
+                + [{j: F(v, den) for j, v in red.items() if j != simplex._DEN}]
+            )
+
+        def sparse(row):
+            out = {j: v for j, v in enumerate(row[:-1]) if v}
+            if row[-1]:
+                out[simplex._RHS] = row[-1]
+            return out
+
+        def reference_spy(T, basis, red, row, col):
+            reference_pivot(T, basis, red, row, col)
+            reference.append([sparse(Ti) for Ti in T] + [sparse(red)])
+
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        monkeypatch.setattr(conftest, "_reference_pivot", reference_spy)
+        return integer, reference
+
+    def test_rows_are_positive_multiples_of_the_true_rows(self, same_solution, tableaux):
+        # Pivots rest on this alone: every stored row, the reduced-cost row
+        # included, is a positive multiple of the rational tableau's row.
+        integer, reference = tableaux
+        rng = random.Random(81)
+        pivots = 0
+        for _ in range(30):
+            inst = wide_instance(rng)
+            rho = random_rho(rng) if rng.random() < 0.8 else F(0)
+            program, _ = with_redundant_rows(rng, oracle_program(rng, inst, rho))
+            integer.clear()
+            reference.clear()
+            same_solution(*program)
+            assert integer == reference
+            pivots += len(integer)
+        assert pivots > 400
+
     @pytest.mark.parametrize("sense", [GREATER, LESS])
     def test_compact_programs(self, same_solution, stored, sense):
         pivots, phases = stored
@@ -433,6 +481,72 @@ class TestSparseRows:
         sol = same_solution(costs, rows, [LESS, EQUAL, GREATER], [4, "1", "0"])
         assert sol.status is LpStatus.OPTIMAL
         assert pivots
+
+
+def degenerate_program(rng: random.Random, n=25, m=40):
+    """`solve_rows` rows for a program that pivots long at the origin: m rows
+    `a.x <= 0` with three to six entries of size at most 3 each, then
+    `sum(x) <= 1`, and costs from -5 to 1. Pivots on zero-rhs rows run long
+    and their multipliers stay small."""
+    rows = []
+    for _ in range(m):
+        columns = rng.sample(range(n), rng.randint(3, 6))
+        rows.append(({j: rng.choice([-3, -2, -1, 1, 2, 3]) for j in columns}, LESS, 0, 1))
+    rows.append((dict.fromkeys(range(n), 1), LESS, 1, 1))
+    cost = {j: c for j in range(n) if (c := rng.randint(-5, 1))}
+    return n, cost, 1, rows
+
+
+class TestContentBound:
+    """`_eliminate` divides a row by its content only once its first entry
+    reaches `_CONTENT_BOUND`; the content divides that entry, so it stays
+    below the bound, and every entry below the bound times its entry in the
+    primitive row."""
+
+    @pytest.fixture
+    def solve(self, pivot_log, monkeypatch):
+        """Solve a program with `solve_rows` and the reference, checking after
+        every pivot that each stored entry, the reduced-cost row's included,
+        is under its bound; return the pivots, the longest run of pivots on
+        zero-rhs rows and the largest content of any stored row."""
+        reference = pivot_log(conftest, "_reference_pivot")
+        pivot = simplex._pivot
+
+        def run(program):
+            pivots, runs, contents = [], [0], [1]
+
+            def spy(T, basis, red, row, col):
+                pivots.append((row, col))
+                runs.append(runs[-1] + 1 if simplex._RHS not in T[row] else 0)
+                pivot(T, basis, red, row, col)
+                for stored in (*T, red):
+                    g = math.gcd(*stored.values())
+                    contents.append(g)
+                    for v in stored.values():
+                        assert abs(v) < simplex._CONTENT_BOUND * abs(v // g)
+
+            monkeypatch.setattr(simplex, "_pivot", spy)
+            reference.clear()
+            status, x, objective = solve_rows(*program)
+            want_status, want_x, want_objective = reference_solve_rows(*program)
+            assert status is want_status is LpStatus.OPTIMAL
+            assert {j: F(*v) for j, v in x.items() if v[0]} == {j: F(*v) for j, v in want_x.items()}
+            assert F(*objective) == F(*want_objective)
+            assert pivots == reference
+            return pivots, max(runs), max(contents)
+
+        return run
+
+    def test_degenerate_program(self, solve, monkeypatch):
+        program = degenerate_program(random.Random(7))
+        pivots, zero_run, content = solve(program)
+        # Past the stall limit the entering rule is Bland's.
+        assert len(pivots) >= 60 and zero_run >= simplex._STALL_LIMIT
+        assert content < simplex._CONTENT_BOUND
+        # With the bound out of reach the same pivots leave a content past
+        # it: a solver that never reduced would fail the checks above.
+        monkeypatch.setattr(simplex, "_CONTENT_BOUND", 1 << 4096)
+        assert solve(program)[2] > 1 << 64
 
 
 class TestAgainstScipy:
