@@ -323,8 +323,9 @@ def check_dims(inst: Instance, mech: StochasticMatrix):
 
 
 def is_recoverable(mech: StochasticMatrix, inst: Instance, rho: Fraction) -> bool:
-    """True when every symbol reports its own function value with chance >= rho."""
-    return recoverability_level(mech, inst) >= parse_rational(rho)
+    """True when every symbol reports its own function value with chance >= rho.
+    Raises RhoOutOfRange unless rho lies in [0, 1]."""
+    return recoverability_level(mech, inst) >= ensure_rho(rho)
 
 
 def recoverability_level(mech: StochasticMatrix, inst: Instance) -> Fraction:

@@ -60,19 +60,15 @@ class NoisePmf:
 def uniform_qr(inst: Instance) -> StochasticMatrix:
     """Every output equally likely regardless of the symbol; recoverable at 1/k."""
     _check_type("instance", inst, Instance)
-    row = (Fraction(1, inst.k),) * inst.k
-    return StochasticMatrix(rows=(row,) * inst.r)
+    k = inst.k
+    return add_noise_qr(inst, NoisePmf(conditional=((Fraction(1, k),) * k,) * k))
 
 
 def deterministic_qr(inst: Instance) -> StochasticMatrix:
     """Reports the function value outright; recoverable at 1."""
     _check_type("instance", inst, Instance)
-    rows = []
-    for x in range(inst.r):
-        row = [Fraction(0)] * inst.k
-        row[inst.f[x]] = Fraction(1)
-        rows.append(tuple(row))
-    return StochasticMatrix(rows=tuple(rows))
+    k = inst.k
+    return add_noise_qr(inst, NoisePmf(conditional=((1,) + (0,) * (k - 1),) * k))
 
 
 def add_noise_qr(inst: Instance, noise: NoisePmf) -> StochasticMatrix:

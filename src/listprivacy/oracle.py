@@ -12,7 +12,7 @@ and `list_privacy` then certifies the witness against every l-list.
 
 Within one call the program stays in integers. The pmf is scaled once to
 ints over its common denominator D, and each row is built once, as the
-sparse `{column: int}` row with its own scale that `simplex.solve_rows`
+sparse `{column: int}` row with its own scale that `simplex.solve_lp`
 takes; a list row, scaled by D, is built when its cut is generated. Every
 round hands the core these rows in the same order, so its pivots are those
 of a program rebuilt each round. A round reads its vertex as ints over one
@@ -48,7 +48,7 @@ from .core import (
     ranked,
 )
 from .errors import InstanceTooLarge
-from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_rows
+from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
 
 # Most tied lists `active_lists` (and so `oracle --rho`) enumerates, and most
 # list rows `lp_lines` writes; each count is taken before any list is built.
@@ -131,7 +131,7 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     cuts = [[_list_row(inst, pw, den, i, top)] for i in range(k)]
     while True:
         rows = [row for per_output in cuts for row in per_output]
-        status, basic, objective = solve_rows(nw + k, cost, 1, rows + fixed)
+        status, basic, objective = solve_lp(nw + k, rows + fixed, cost, 1)
         if status is not LpStatus.OPTIMAL:
             raise AssertionError(f"privacy program should always solve, got {status}")
         # The vertex as ints over one scale, the lcm of the basic scales: the scores

@@ -16,16 +16,13 @@ One rule keeps the integers small: an update divides its row by the row's
 content, the gcd of its entries, only once its first entry reaches
 `_CONTENT_BOUND`. The content divides that entry, so it stays below the bound.
 
-There is one solve path. `solve_lp` is the rational intake: it writes each
-row as ints with `core.over_common_denominator`, makes its rhs nonnegative,
-and hands the rows to the integer core `solve_rows`, whose answer it wraps
-in Fractions. The core takes sparse `{column: int}` rows, each with its own
-positive scale, which is also its slack's and artificial's coefficient, and
-builds each tableau row whole from one: its ints, its rhs, then its slack
-and its artificial. Slacks are numbered from n in row order, and
-artificials after every slack. It returns each basic structural variable as
-(numerator, scale) and the objective as (numerator, denominator), so a
-caller that works in integers, as the oracle does, never builds a Fraction.
+`solve_lp` takes sparse `{column: int}` rows, each with its own positive
+scale, which is also its slack's and artificial's coefficient, and builds
+each tableau row whole from one: its ints, its rhs, then its slack and its
+artificial. Slacks are numbered from n in row order, and artificials after
+every slack. It returns each basic structural variable as (numerator, scale)
+and the objective as (numerator, denominator), so a caller that works in
+integers, as the oracle does, never builds a Fraction.
 
 The entering rule is steepest Dantzig descent until the objective stalls on
 degenerate pivots, at which point Bland's rule takes over so cycling is
@@ -36,13 +33,9 @@ bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
-
-from .core import over_common_denominator
+from typing import Sequence
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
@@ -61,25 +54,6 @@ class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: LpStatus
-    objective: Fraction | None
-    x: tuple[Fraction, ...] | None
-
-
-def _integers(values: Iterable) -> tuple[dict[int, int], int]:
-    """The nonzero values by index, as ints over the lcm of their denominators,
-    and that lcm; a value other than an int or a Fraction is read by `Fraction()`."""
-    nonzero = {}
-    for j, v in enumerate(values):
-        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
-        if v:
-            nonzero[j] = v
-    ints, den = over_common_denominator(list(nonzero.values()))
-    return dict(zip(nonzero, ints)), den
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
@@ -164,10 +138,10 @@ def _run(T: list, basis: list, cost: dict, den: int) -> tuple[LpStatus, dict]:
         _pivot(T, basis, red, leave, enter)
 
 
-def solve_rows(
-    n: int, cost: dict[int, int], den: int, rows: Sequence[tuple[dict[int, int], str, int, int]]
+def solve_lp(
+    n: int, rows: Sequence[tuple[dict[int, int], str, int, int]], cost: dict[int, int], den: int
 ) -> tuple[LpStatus, dict[int, tuple[int, int]] | None, tuple[int, int] | None]:
-    """Minimize cost/den over x >= 0 subject to integer rows: the core of `solve_lp`.
+    """Minimize cost/den over x >= 0 subject to integer rows.
 
     `cost` holds the nonzero cost numerators over `den` > 0, by column below
     n. Each row is `(coeffs, sense, rhs, scale)`: `coeffs` a `{column: int}`
@@ -219,50 +193,3 @@ def solve_rows(
         return status, None, None
     x = {bi: (T[i].get(_RHS, 0), T[i][bi]) for i, bi in enumerate(basis) if bi < n}
     return LpStatus.OPTIMAL, x, (-red.get(_RHS, 0), red[_DEN])
-
-
-def solve_lp(
-    costs: Sequence,
-    rows: Sequence[Sequence],
-    senses: Sequence[str],
-    rhs: Sequence,
-    maximize: bool = False,
-) -> LpSolution:
-    """Solve min (or max) costs.x subject to rows op rhs and x >= 0, exactly.
-
-    `senses[i]` is one of "<=", "=", ">="; coefficients are ints, Fractions or
-    anything `Fraction()` accepts. Returns exact Fractions for the objective
-    and the structural variables.
-    """
-    m, n = len(rows), len(costs)
-    if len(senses) != m or len(rhs) != m:
-        raise ValueError("rows, senses, rhs must have equal length")
-    for s in senses:
-        if s not in (LESS, EQUAL, GREATER):
-            raise ValueError(f"unknown sense {s!r}")
-    sign = -1 if maximize else 1
-    nonzero, c_den = _integers(costs)
-    cost = {j: v * sign for j, v in nonzero.items()}
-
-    # Each row as ints over the lcm of its denominators, which is its scale; a
-    # row with a negative rhs is negated and its sense flipped.
-    flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
-    int_rows = []
-    for row, s, bv in zip(rows, senses, rhs):
-        if len(row) != n:
-            raise ValueError("row width does not match the cost vector")
-        ints, den = _integers([*row, bv])
-        b = ints.pop(n, 0)
-        if b < 0:
-            ints = {j: -v for j, v in ints.items()}
-            b = -b
-            s = flip[s]
-        int_rows.append((ints, s, b, den))
-
-    status, basic, objective = solve_rows(n, cost, c_den, int_rows)
-    if status is not LpStatus.OPTIMAL:
-        return LpSolution(status=status, objective=None, x=None)
-    x = [Fraction(0)] * n
-    for j, (num, scale) in basic.items():
-        x[j] = Fraction(num, scale)
-    return LpSolution(status=status, objective=Fraction(*objective) * sign, x=tuple(x))

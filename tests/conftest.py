@@ -10,18 +10,20 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 import pytest
 
+import listprivacy.simplex as simplex
 from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.adversary import PrivacyReport
-from listprivacy.core import check_dims, ensure_rho
+from listprivacy.core import check_dims, ensure_rho, over_common_denominator
 from listprivacy.envelope import EnvelopeLine
 from listprivacy.oracle import OracleResult
-from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpSolution, LpStatus, solve_lp
+from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpStatus
 
 
 def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instance:
@@ -184,14 +186,83 @@ def _reference_run(T: list, basis: list, cost: list) -> tuple[str, list]:
         _reference_pivot(T, basis, red, leave, enter)
 
 
-def reference_solve_lp(
+@dataclass(frozen=True)
+class LpSolution:
+    """A `solve_rational` answer; objective and x are None unless optimal."""
+
+    status: LpStatus
+    objective: Fraction | None
+    x: tuple[Fraction, ...] | None
+
+
+def _integers(values: Sequence) -> tuple[dict[int, int], int]:
+    """The nonzero values by index, as ints over the lcm of their denominators,
+    and that lcm; a value other than an int or a Fraction is read by `Fraction()`."""
+    nonzero = {}
+    for j, v in enumerate(values):
+        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        if v:
+            nonzero[j] = v
+    ints, den = over_common_denominator(list(nonzero.values()))
+    return dict(zip(nonzero, ints)), den
+
+
+def solve_rational(
     costs: Sequence,
     rows: Sequence[Sequence],
     senses: Sequence[str],
     rhs: Sequence,
     maximize: bool = False,
 ) -> LpSolution:
-    """Dense-`Fraction` reference for `solve_lp`: same rules, same answers.
+    """Solve min (or max) costs.x subject to rows op rhs and x >= 0, exactly,
+    with `simplex.solve_lp`.
+
+    `senses[i]` is one of "<=", "=", ">="; coefficients are ints, Fractions or
+    anything `Fraction()` accepts. Each row is written as ints over the lcm of
+    its denominators, which is its scale, and a row with a negative rhs is
+    negated and its sense flipped. The core is looked up at each call, so a
+    test that patches `simplex.solve_lp` sees these solves too. Returns exact
+    Fractions for the objective and the structural variables.
+    """
+    m, n = len(rows), len(costs)
+    if len(senses) != m or len(rhs) != m:
+        raise ValueError("rows, senses, rhs must have equal length")
+    for s in senses:
+        if s not in (LESS, EQUAL, GREATER):
+            raise ValueError(f"unknown sense {s!r}")
+    sign = -1 if maximize else 1
+    nonzero, c_den = _integers(costs)
+    cost = {j: v * sign for j, v in nonzero.items()}
+    flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
+    int_rows = []
+    for row, s, bv in zip(rows, senses, rhs):
+        if len(row) != n:
+            raise ValueError("row width does not match the cost vector")
+        ints, den = _integers([*row, bv])
+        b = ints.pop(n, 0)
+        if b < 0:
+            ints = {j: -v for j, v in ints.items()}
+            b = -b
+            s = flip[s]
+        int_rows.append((ints, s, b, den))
+
+    status, basic, objective = simplex.solve_lp(n, int_rows, cost, c_den)
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status=status, objective=None, x=None)
+    x = [Fraction(0)] * n
+    for j, (num, scale) in basic.items():
+        x[j] = Fraction(num, scale)
+    return LpSolution(status=status, objective=Fraction(*objective) * sign, x=tuple(x))
+
+
+def reference_solve_rational(
+    costs: Sequence,
+    rows: Sequence[Sequence],
+    senses: Sequence[str],
+    rhs: Sequence,
+    maximize: bool = False,
+) -> LpSolution:
+    """Dense-`Fraction` reference for `solve_rational`: same rules, same answers.
 
     Every tableau entry is a Fraction and every pivot updates every entry of
     every row it touches. The integer solver must return the same status,
@@ -290,9 +361,9 @@ def reference_solve_lp(
     return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))
 
 
-def dense_program(n: int, cost: dict, den: int, rows: Sequence) -> tuple[list, list, list, list]:
-    """A `solve_rows` program as `solve_lp` takes it: costs, rows, senses and
-    rhs, each row's entries and rhs divided by its scale as Fractions."""
+def dense_program(n: int, rows: Sequence, cost: dict, den: int) -> tuple[list, list, list, list]:
+    """A `simplex.solve_lp` program as `solve_rational` takes it: costs, rows,
+    senses and rhs, each row's entries and rhs divided by its scale as Fractions."""
     costs = [Fraction(cost.get(j, 0), den) for j in range(n)]
     dense = [[Fraction(coeffs.get(j, 0), scale) for j in range(n)] for coeffs, _, _, scale in rows]
     senses = [s for _, s, _, _ in rows]
@@ -300,11 +371,11 @@ def dense_program(n: int, cost: dict, den: int, rows: Sequence) -> tuple[list, l
     return costs, dense, senses, rhs
 
 
-def reference_solve_rows(n: int, cost: dict, den: int, rows: Sequence):
-    """Dense-`Fraction` reference for `solve_rows`: `reference_solve_lp` on the
-    `dense_program`, its answer in `solve_rows`' shape, every nonzero
+def reference_solve_lp(n: int, rows: Sequence, cost: dict, den: int):
+    """Dense-`Fraction` reference for `simplex.solve_lp`: `reference_solve_rational`
+    on the `dense_program`, its answer in `solve_lp`'s shape, every nonzero
     structural variable as its (numerator, denominator)."""
-    sol = reference_solve_lp(*dense_program(n, cost, den, rows))
+    sol = reference_solve_rational(*dense_program(n, rows, cost, den))
     if sol.status is not LpStatus.OPTIMAL:
         return sol.status, None, None
     x = {j: (v.numerator, v.denominator) for j, v in enumerate(sol.x) if v}
@@ -422,7 +493,7 @@ def reference_exact_privacy(inst: Instance, rho) -> OracleResult:
     lists = [[top_elements(range(r), inst.l, inst.pmf)] for _ in range(k)]
     while True:
         costs, rows, senses, rhs = _lp_parts(inst, rho, lists)
-        sol = solve_lp(costs, rows, senses, rhs)
+        sol = solve_rational(costs, rows, senses, rhs)
         if sol.status is not LpStatus.OPTIMAL:
             raise AssertionError(f"privacy program should always solve, got {sol.status}")
         witness = StochasticMatrix(

@@ -324,6 +324,13 @@ class TestStochasticMatrix:
         assert is_recoverable(w, UNIFORM4, Fraction(7, 10))
         assert not is_recoverable(w, UNIFORM4, Fraction(71, 100))
 
+    def test_is_recoverable_refuses_a_level_outside_unit_interval(self):
+        # Like every other function that takes a level.
+        w = StochasticMatrix(rows=((Fraction(1, 2),) * 2,) * 4)
+        for rho in (Fraction(3, 2), Fraction(-1, 2)):
+            with pytest.raises(RhoOutOfRange):
+                is_recoverable(w, UNIFORM4, rho)
+
     def test_dimension_mismatch(self):
         w = StochasticMatrix(rows=((Fraction(1, 2), Fraction(1, 2)),))
         with pytest.raises(DimensionMismatch):

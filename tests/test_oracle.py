@@ -30,14 +30,14 @@ from listprivacy.errors import (
     RhoOutOfRange,
 )
 from listprivacy.oracle import OracleResult, lp_lines
-from listprivacy.simplex import solve_lp
 from conftest import (
     _lp_parts,
     dense_program,
     random_instance,
     random_rho,
     reference_exact_privacy,
-    reference_solve_rows,
+    reference_solve_lp,
+    solve_rational,
 )
 
 SKEW7 = catalog_instance("skew7")
@@ -50,11 +50,11 @@ CATALOG_LEVELS = tuple(
 
 
 def logged(solve, log: list, pivots: list):
-    """`solve_rows`, appending each call's row count and the pivots it logged to `log`."""
+    """`solve_lp`, appending each call's row count and the pivots it logged to `log`."""
 
-    def run(n, cost, den, rows):
+    def run(n, rows, cost, den):
         start = len(pivots)
-        result = solve(n, cost, den, rows)
+        result = solve(n, rows, cost, den)
         log.append((len(rows), pivots[start:]))
         return result
 
@@ -62,7 +62,7 @@ def logged(solve, log: list, pivots: list):
 
 
 def recorded(solve, programs: list):
-    """`solve_lp`, appending each call's program to `programs`."""
+    """`solve_rational`, appending each call's program to `programs`."""
 
     def run(costs, rows, senses, rhs):
         programs.append((costs, rows, senses, rhs))
@@ -192,7 +192,7 @@ class TestAgainstFullProgram:
             for rho in (F(2, 5), F(3, 5), F(4, 5)):
                 result = exact_privacy(inst, rho)
                 costs, rows, senses, rhs = _lp_parts(inst, rho, every_list(inst))
-                assert result.optimum == 1 - solve_lp(costs, rows, senses, rhs).objective
+                assert result.optimum == 1 - solve_rational(costs, rows, senses, rhs).objective
                 # Brute-force reference: filter every l-list by its mass.
                 best = list_privacy(inst, result.witness).per_output_mass
                 lists = active_lists(inst, result.witness)
@@ -218,18 +218,18 @@ class TestAgainstFullProgram:
         ]
         results = [exact_privacy(inst, rho) for inst, rho in cases]
         programs = []
-        monkeypatch.setattr(conftest, "solve_lp", recorded(conftest.solve_lp, programs))
+        monkeypatch.setattr(conftest, "solve_rational", recorded(conftest.solve_rational, programs))
         wanted_programs = []
         for inst, rho in cases:
             programs.clear()
             reference_exact_privacy(inst, rho)
             wanted_programs.append(programs[:])
 
-        def dense_core(n, cost, den, rows):
-            programs.append(dense_program(n, cost, den, rows))
-            return reference_solve_rows(n, cost, den, rows)
+        def dense_core(n, rows, cost, den):
+            programs.append(dense_program(n, rows, cost, den))
+            return reference_solve_lp(n, rows, cost, den)
 
-        monkeypatch.setattr(oracle, "solve_rows", dense_core)
+        monkeypatch.setattr(oracle, "solve_lp", dense_core)
         for (inst, rho), result, wanted in zip(cases, results, wanted_programs):
             programs.clear()
             reference = exact_privacy(inst, rho)
@@ -237,6 +237,27 @@ class TestAgainstFullProgram:
             assert result.optimum == reference.optimum
             assert result.witness == reference.witness
         assert sum(map(len, wanted_programs)) > len(cases)  # some cases take several rounds
+
+
+class TestCoreSeam:
+    """The oracle reaches the simplex through the one name `solve_lp`, which
+    a caller can patch or trace in the oracle's namespace."""
+
+    def test_one_solve_with_every_row_on_uniform4(self, monkeypatch):
+        assert oracle.solve_lp is simplex.solve_lp
+        solve = oracle.solve_lp
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(oracle, "solve_lp", spy)
+        exact_privacy(UNIFORM4, F(1, 2))
+        assert len(calls) == 1
+        senses = [s for _, s, _, _ in calls[0][1]]
+        # One list row per output, then a stochastic and a recover row per symbol.
+        assert senses == [simplex.LESS] * 2 + [simplex.EQUAL] * 4 + [simplex.GREATER] * 4
 
 
 class TestWrongObjective:
@@ -247,24 +268,24 @@ class TestWrongObjective:
 
     @pytest.mark.parametrize("shift", [-1, 1], ids=["low", "high"])
     def test_is_refused_after_the_same_rounds(self, shift, monkeypatch):
-        solve = oracle.solve_rows
+        solve = oracle.solve_lp
         solves = []
 
-        def counted(n, cost, den, rows):
+        def counted(n, rows, cost, den):
             solves.append(len(rows))
             if len(solves) > 50:
                 raise RuntimeError("still solving after 50 calls")
-            return solve(n, cost, den, rows)
+            return solve(n, rows, cost, den)
 
-        def off(n, cost, den, rows):
-            status, basic, (num, dnm) = counted(n, cost, den, rows)
+        def off(n, rows, cost, den):
+            status, basic, (num, dnm) = counted(n, rows, cost, den)
             return status, basic, (num + shift, dnm)
 
-        monkeypatch.setattr(oracle, "solve_rows", counted)
+        monkeypatch.setattr(oracle, "solve_lp", counted)
         exact_privacy(SKEW7, F(7, 10))
         rounds = solves[:]
         solves.clear()
-        monkeypatch.setattr(oracle, "solve_rows", off)
+        monkeypatch.setattr(oracle, "solve_lp", off)
         with pytest.raises(AssertionError, match="witness certifies 63/200"):
             exact_privacy(SKEW7, F(7, 10))
         assert solves == rounds
@@ -279,9 +300,9 @@ class TestAgainstReferenceLoop:
     def same_rounds(self, pivot_log, monkeypatch):
         pivots = pivot_log(simplex, "_pivot")
         rounds = []
-        # The reference loop reaches the core through `solve_lp`.
-        monkeypatch.setattr(oracle, "solve_rows", logged(oracle.solve_rows, rounds, pivots))
-        monkeypatch.setattr(simplex, "solve_rows", logged(simplex.solve_rows, rounds, pivots))
+        # The reference loop reaches the core through `solve_rational`.
+        monkeypatch.setattr(oracle, "solve_lp", logged(oracle.solve_lp, rounds, pivots))
+        monkeypatch.setattr(simplex, "solve_lp", logged(simplex.solve_lp, rounds, pivots))
 
         def check(inst, rho):
             rounds.clear()

@@ -8,21 +8,22 @@ import pytest
 import conftest
 import listprivacy.simplex as simplex
 from listprivacy import exact_privacy
-from listprivacy.simplex import GREATER, LESS, EQUAL, LpStatus, solve_lp, solve_rows
+from listprivacy.simplex import GREATER, LESS, EQUAL, LpStatus, solve_lp
 from conftest import (
     _fixed_rows,
     _lp_parts,
     random_instance,
     random_rho,
     reference_solve_lp,
-    reference_solve_rows,
+    reference_solve_rational,
+    solve_rational,
 )
 
 
 class TestKnownPrograms:
     def test_small_maximization(self):
         # max 3x + 2y subject to x + y <= 4, x <= 2.
-        sol = solve_lp(
+        sol = solve_rational(
             costs=[F(3), F(2)],
             rows=[[F(1), F(1)], [F(1), F(0)]],
             senses=[LESS, LESS],
@@ -35,7 +36,7 @@ class TestKnownPrograms:
 
     def test_equality_and_lower_bounds(self):
         # min x + 2y subject to x + y = 1, y >= 1/4.
-        sol = solve_lp(
+        sol = solve_rational(
             costs=[F(1), F(2)],
             rows=[[F(1), F(1)], [F(0), F(1)]],
             senses=[EQUAL, GREATER],
@@ -47,7 +48,7 @@ class TestKnownPrograms:
 
     def test_negative_rhs_normalization(self):
         # x >= 1 written as -x <= -1.
-        sol = solve_lp(
+        sol = solve_rational(
             costs=[F(1)],
             rows=[[F(-1)]],
             senses=[LESS],
@@ -56,7 +57,7 @@ class TestKnownPrograms:
         assert sol.status is LpStatus.OPTIMAL and sol.objective == F(1)
 
     def test_infeasible(self):
-        sol = solve_lp(
+        sol = solve_rational(
             costs=[F(1)],
             rows=[[F(1)], [F(1)]],
             senses=[GREATER, LESS],
@@ -65,7 +66,7 @@ class TestKnownPrograms:
         assert sol.status is LpStatus.INFEASIBLE
 
     def test_unbounded(self):
-        sol = solve_lp(
+        sol = solve_rational(
             costs=[F(-1)],
             rows=[[F(1)]],
             senses=[GREATER],
@@ -74,7 +75,7 @@ class TestKnownPrograms:
         assert sol.status is LpStatus.UNBOUNDED
 
     def test_redundant_equalities_are_harmless(self):
-        sol = solve_lp(
+        sol = solve_rational(
             costs=[F(1), F(1)],
             rows=[[F(1), F(1)], [F(1), F(1)], [F(2), F(2)]],
             senses=[EQUAL, EQUAL, EQUAL],
@@ -86,7 +87,7 @@ class TestKnownPrograms:
     def test_beale_cycling_example_terminates(self):
         # The classic degenerate program that cycles under naive most-negative
         # pivoting; the stall counter must switch to lowest-index pivoting.
-        sol = solve_lp(
+        sol = solve_rational(
             costs=[F(-3, 4), F(150), F(-1, 50), F(6)],
             rows=[
                 [F(1, 4), F(-60), F(-1, 25), F(9)],
@@ -100,15 +101,15 @@ class TestKnownPrograms:
         assert sol.objective == F(-1, 20)
 
     def test_zero_constraint_program(self):
-        sol = solve_lp(costs=[F(5)], rows=[], senses=[], rhs=[])
+        sol = solve_rational(costs=[F(5)], rows=[], senses=[], rhs=[])
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == F(0) and sol.x == (F(0),)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            solve_lp(costs=[F(1)], rows=[[F(1), F(2)]], senses=[LESS], rhs=[F(1)])
+            solve_rational(costs=[F(1)], rows=[[F(1), F(2)]], senses=[LESS], rhs=[F(1)])
         with pytest.raises(ValueError):
-            solve_lp(costs=[F(1)], rows=[[F(1)]], senses=["<"], rhs=[F(1)])
+            solve_rational(costs=[F(1)], rows=[[F(1)]], senses=["<"], rhs=[F(1)])
 
 
 def random_program(rng: random.Random):
@@ -154,8 +155,8 @@ def same_solution(pivot_log):
     def check(costs, rows, senses, rhs, maximize=False):
         integer.clear()
         reference.clear()
-        got = solve_lp(costs, rows, senses, rhs, maximize=maximize)
-        want = reference_solve_lp(costs, rows, senses, rhs, maximize=maximize)
+        got = solve_rational(costs, rows, senses, rhs, maximize=maximize)
+        want = reference_solve_rational(costs, rows, senses, rhs, maximize=maximize)
         assert (got.status, got.objective, got.x) == (want.status, want.objective, want.x)
         assert integer == reference
         return got
@@ -164,7 +165,7 @@ def same_solution(pivot_log):
 
 
 def scaled_rows(rng: random.Random, costs, rows, senses, rhs, maximize):
-    """A `random_program` as `solve_rows` takes it: each row negated when its
+    """A `random_program` as `solve_lp` takes it: each row negated when its
     rhs is negative, then written as ints over the lcm of its denominators
     times a random factor, which is its scale."""
     flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
@@ -178,11 +179,11 @@ def scaled_rows(rng: random.Random, costs, rows, senses, rhs, maximize):
     den = math.lcm(*(c.denominator for c in costs))
     sign = -1 if maximize else 1
     cost = {j: int(c * den) * sign for j, c in enumerate(costs) if c}
-    return len(costs), cost, den, out
+    return len(costs), out, cost, den
 
 
 class TestIntegerCore:
-    """`solve_rows` on rows of any positive scale against the dense reference."""
+    """`solve_lp` on rows of any positive scale against the dense reference."""
 
     def test_random_scaled_programs(self, pivot_log):
         integer = pivot_log(simplex, "_pivot")
@@ -193,8 +194,8 @@ class TestIntegerCore:
             program = scaled_rows(rng, *random_program(rng))
             integer.clear()
             reference.clear()
-            status, x, objective = solve_rows(*program)
-            want_status, want_x, want_objective = reference_solve_rows(*program)
+            status, x, objective = solve_lp(*program)
+            want_status, want_x, want_objective = reference_solve_lp(*program)
             seen[status] += 1
             assert status is want_status
             if status is LpStatus.OPTIMAL:
@@ -212,7 +213,7 @@ class TestIntegerCore:
         # max x + y subject to x/3 + y/2 <= 1 and x >= 1/5: x = 3, y = 0.
         # The oracle hands the same row objects to every round's solve.
         rows = [({0: 2, 1: 3}, LESS, 6, 6), ({0: 5}, GREATER, 1, 5)]
-        status, x, objective = solve_rows(2, {0: -1, 1: -1}, 1, rows)
+        status, x, objective = solve_lp(2, rows, {0: -1, 1: -1}, 1)
         assert status is LpStatus.OPTIMAL
         assert F(*objective) == F(-3)
         assert {j: F(*v) for j, v in x.items() if v[0]} == {0: F(3)}
@@ -484,7 +485,7 @@ class TestSparseRows:
 
 
 def degenerate_program(rng: random.Random, n=25, m=40):
-    """`solve_rows` rows for a program that pivots long at the origin: m rows
+    """`solve_lp` rows for a program that pivots long at the origin: m rows
     `a.x <= 0` with three to six entries of size at most 3 each, then
     `sum(x) <= 1`, and costs from -5 to 1. Pivots on zero-rhs rows run long
     and their multipliers stay small."""
@@ -494,7 +495,7 @@ def degenerate_program(rng: random.Random, n=25, m=40):
         rows.append(({j: rng.choice([-3, -2, -1, 1, 2, 3]) for j in columns}, LESS, 0, 1))
     rows.append((dict.fromkeys(range(n), 1), LESS, 1, 1))
     cost = {j: c for j in range(n) if (c := rng.randint(-5, 1))}
-    return n, cost, 1, rows
+    return n, rows, cost, 1
 
 
 class TestContentBound:
@@ -505,7 +506,7 @@ class TestContentBound:
 
     @pytest.fixture
     def solve(self, pivot_log, monkeypatch):
-        """Solve a program with `solve_rows` and the reference, checking after
+        """Solve a program with `solve_lp` and the reference, checking after
         every pivot that each stored entry, the reduced-cost row's included,
         is under its bound; return the pivots, the longest run of pivots on
         zero-rhs rows and the largest content of any stored row."""
@@ -527,8 +528,8 @@ class TestContentBound:
 
             monkeypatch.setattr(simplex, "_pivot", spy)
             reference.clear()
-            status, x, objective = solve_rows(*program)
-            want_status, want_x, want_objective = reference_solve_rows(*program)
+            status, x, objective = solve_lp(*program)
+            want_status, want_x, want_objective = reference_solve_lp(*program)
             assert status is want_status is LpStatus.OPTIMAL
             assert {j: F(*v) for j, v in x.items() if v[0]} == {j: F(*v) for j, v in want_x.items()}
             assert F(*objective) == F(*want_objective)
@@ -565,7 +566,7 @@ class TestAgainstScipy:
             rhs = [F(rng.randint(1, 12)) for _ in range(m)] + [F(3)] * n
             costs = [F(rng.randint(0, 9)) for _ in range(n)]
             senses = [LESS] * len(rows)
-            sol = solve_lp(costs, rows, senses, rhs, maximize=True)
+            sol = solve_rational(costs, rows, senses, rhs, maximize=True)
             assert sol.status is LpStatus.OPTIMAL
             res = scipy_linprog(
                 [-float(c) for c in costs],
@@ -601,7 +602,7 @@ class TestAgainstScipy:
                 senses.append(LESS)
                 rhs.append(F(rng.randint(5, 9)))
             costs = [F(rng.randint(-4, 9)) for _ in range(n)]
-            sol = solve_lp(costs, rows, senses, rhs)
+            sol = solve_rational(costs, rows, senses, rhs)
             assert sol.status is LpStatus.OPTIMAL
             a_eq = [[float(v) for v in row] for row, s in zip(rows, senses) if s == EQUAL]
             b_eq = [float(b) for b, s in zip(rhs, senses) if s == EQUAL]
