@@ -20,6 +20,7 @@ from .core import (
     _check_type,
     check_dims,
     format_rational,
+    over_common_denominator,
     ranked,
 )
 from .errors import DimensionMismatch
@@ -43,8 +44,9 @@ def map_list_estimator(inst: Instance, mech: StochasticMatrix) -> ListEstimator:
 def best_list(scores: Sequence, l: int) -> tuple[Fraction | int, tuple[int, ...]]:
     """One output's heaviest l-list by `ranked`'s rule, as (mass, ascending indices).
 
-    `scores[x]` is the joint mass pmf[x] * W(i|x): Fractions here, ints over one
-    positive scale in the oracle's rounds. The mass keeps their type, l = 0 included.
+    `scores[x]` is the joint mass pmf[x] * W(i|x), here and in the oracle's
+    rounds as ints over one positive scale, which give the lists of the
+    Fraction scores; Fractions work too. The mass keeps their type, l = 0 included.
     """
     picked = ranked(scores, range(len(scores)))[:l]
     return sum([scores[x] for x in picked], scores[0] * 0 if scores else 0), tuple(sorted(picked))
@@ -54,22 +56,27 @@ def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
     """Exact privacy of a mechanism against the optimal list adversary.
 
     The miss probability is one minus the sum over outputs of their heaviest
-    l-list mass.
+    l-list mass. Scores are ints over one scale: the pmf over its common
+    denominator times the entries over theirs.
     """
     check_dims(inst, mech)
+    k = inst.k
+    pmf, den = over_common_denominator(inst.pmf)
+    entries, scale = over_common_denominator([v for row in mech.rows for v in row])
+    scale *= den
     lists = []
     masses = []
-    for i in range(inst.k):
-        mass, members = best_list([inst.pmf[x] * mech.rows[x][i] for x in range(inst.r)], inst.l)
+    for i in range(k):
+        mass, members = best_list([p * entries[x * k + i] for x, p in enumerate(pmf)], inst.l)
         masses.append(mass)
         lists.append(members)
-    privacy = 1 - sum(masses)
-    if not 0 <= privacy <= 1:
-        raise AssertionError(f"privacy {privacy} escaped [0, 1]")
+    missed = scale - sum(masses)
+    if not 0 <= missed <= scale:
+        raise AssertionError(f"privacy {Fraction(missed, scale)} escaped [0, 1]")
     return PrivacyReport(
-        privacy=privacy,
+        privacy=Fraction(missed, scale),
         estimator=ListEstimator(lists=tuple(lists)),
-        per_output_mass=tuple(masses),
+        per_output_mass=tuple([Fraction(mass, scale) for mass in masses]),
     )
 
 

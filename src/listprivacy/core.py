@@ -36,6 +36,8 @@ ZERO = Fraction(0)
 
 # Most decimal digits int() reads and str() writes (the default if unlimited).
 _MAX_DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+# An int of at most this many bits has at most _MAX_DIGITS digits, as 2**3 < 10.
+_MAX_BITS = 3 * _MAX_DIGITS
 
 
 def parse_rational(value) -> Fraction:
@@ -62,7 +64,8 @@ def parse_rational(value) -> Fraction:
             q = Fraction(value.strip())
         else:
             raise ValueError("not a number")
-        str(q)  # ValueError when a part is too long to write back
+        if q.numerator.bit_length() > _MAX_BITS or q.denominator.bit_length() > _MAX_BITS:
+            str(q)  # ValueError when a part is too long to write back
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"not a rational: {_shown(value)}") from exc
     return q
@@ -207,7 +210,9 @@ class Instance:
 class StochasticMatrix:
     """Row-stochastic r x k matrix; rows[x][i] is the chance of output i given x.
 
-    Entries are exact rationals, each row sums to exactly one.
+    Entries are exact rationals, each row sums to exactly one; signs are
+    read off the numerators and each sum is taken in ints over its row's
+    common denominator.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -228,11 +233,13 @@ class StochasticMatrix:
             if len(row) != width:
                 raise NotRowStochastic(f"row {x} has {len(row)} entries, expected {width}")
             for v in row:
-                if v < 0:
+                if v.numerator < 0:
                     raise NotRowStochastic(f"row {x} has negative entry {v}")
-            total = sum(row)
-            if total != 1:
-                raise NotRowStochastic(f"row {x} sums to {_shown(total)}")
+            # The sum in ints over the row's common denominator; the Fraction
+            # total is built only for the message.
+            nums, den = over_common_denominator(row)
+            if sum(nums) != den:
+                raise NotRowStochastic(f"row {x} sums to {_shown(sum(row))}")
 
     @property
     def r(self) -> int:

@@ -6,6 +6,10 @@ rho. The pointwise best anchor gives the bound at one rho; the upper envelope
 of all the lines gives the whole curve, its kinks, and the staircase of anchor
 cardinalities. For binary functions the bound is known to be attained, which
 the optimal-mechanism constructor and the LP oracle both exercise.
+
+The first kink, which that constructor reads, needs no curve: for a fixed
+anchor size a greedy over per-preimage marginal gains gives the best line at
+one level, and tangent steps on those lines reach the kink in integers.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .core import (
     _shown,
     ensure_rho,
     format_rational,
+    over_common_denominator,
     ranked,
     top_elements,
 )
@@ -261,13 +266,68 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
     )
 
 
+def _best_short_line(prefix: list[list[int]], l: int, p: int, q: int) -> tuple[int, int]:
+    """(intercept, slope) of a best line whose anchor has fewer than l symbols,
+    at rho = p/q, with `prefix[i][c]` the mass of the c heaviest symbols of
+    preimage i in ints over one scale; gains and values are scaled by q.
+
+    For anchor size m, with t = l - m, a line's value at rho is the sum over
+    preimages of g_i(c_i) = (1 - rho) S_i(c_i) + rho S_i(min(c_i + t, n_i)).
+    Each g_i is concave: a preimage's marginal gains never increase along
+    its ranked prefix. So the m largest gains over all preimages, counted per
+    preimage, give a best count vector of size m (Ibaraki & Katoh, Resource
+    Allocation Problems, 1988).
+    """
+    best = (-1, 0, 0)
+    for m in range(l):
+        t = l - m
+        gains = []
+        for i, s in enumerate(prefix):
+            n = len(s) - 1
+            for c in range(min(n, m)):
+                gain = (q - p) * (s[c + 1] - s[c]) + p * (s[min(c + 1 + t, n)] - s[min(c + t, n)])
+                gains.append((gain, i))
+        gains.sort(reverse=True)
+        counts = [0] * len(prefix)
+        for _, i in gains[:m]:
+            counts[i] += 1
+        intercept = sum([s[c] for s, c in zip(prefix, counts)])
+        slope = sum([s[min(c + t, len(s) - 1)] for s, c in zip(prefix, counts)]) - intercept
+        value = q * intercept + p * slope
+        if value > best[0]:
+            best = (value, intercept, slope)
+    return best[1], best[2]
+
+
 def first_breakpoint(inst: Instance) -> Fraction:
-    """Recoverability level where the bound first starts to decrease.
+    """Recoverability level where the bound first starts to decrease: the
+    first entry of `privacy_curve(inst).breakpoints`, without the curve.
 
     Below it the best mechanism reveals nothing useful; the value is never
-    smaller than 1/k.
+    smaller than 1/k. It is the first rho at which a line with fewer than l
+    anchor symbols reaches the top-l mass T, or 1 if none does before. The
+    value of the best such line is convex and increasing in rho, so tangent
+    steps from rho = 1 descend onto that root without passing it (Eisner &
+    Severance, J. ACM 23(4), 1976): each step moves to the root (T - I) / S
+    of the best line (I, S) at the current level, found by a greedy per
+    anchor size, and the first level where the best line no longer beats T
+    is the answer. All masses are ints over the pmf's common denominator;
+    no line is enumerated and no hull is built.
     """
-    return privacy_curve(inst).breakpoints[0]
+    _check_type("instance", inst, Instance)
+    pmf, _ = over_common_denominator(inst.pmf)
+    prefix = [
+        list(accumulate((pmf[x] for x in ranked(pmf, block)), initial=0))
+        for block in inst.preimages
+    ]
+    top = sum([pmf[x] for x in ranked(pmf, range(inst.r))[: inst.l]])
+    rho = Fraction(1)
+    while True:
+        p, q = rho.numerator, rho.denominator
+        intercept, slope = _best_short_line(prefix, inst.l, p, q)
+        if q * intercept + p * slope <= q * top:
+            return rho
+        rho = Fraction(top - intercept, slope)
 
 
 # --- exports -----------------------------------------------------------------

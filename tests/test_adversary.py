@@ -221,3 +221,43 @@ class TestReportExport:
         payload = report_to_jsonable(report)
         assert payload["estimator"] == [list(lst) for lst in report.estimator.lists]
         assert all(type(x) is int for lst in payload["estimator"] for x in lst)
+
+
+PRIMES = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+
+
+class TestLargeCoprimeDenominators:
+    """Entries over the primes up to 113, so the matrix's common denominator
+    runs to dozens of digits and every output's scores share no small scale."""
+
+    def mechanism(self, rng, inst):
+        rows = []
+        for _ in range(inst.r):
+            picked = rng.sample(PRIMES, inst.k - 1)
+            # Each entry below p / k over p, so the last one stays positive; a
+            # repeated entry makes tied scores under a uniform pmf.
+            row = [F(rng.randint(0, p // inst.k), p) for p in picked]
+            if rows and rng.random() < 0.3:
+                row = list(rows[-1][:-1])
+            rows.append(tuple(row + [1 - sum(row)]))
+        return StochasticMatrix(rows=tuple(rows))
+
+    def test_report_matches_the_reference(self):
+        assert len(PRIMES) == 30
+        rng = random.Random(71)
+        for j in range(60):
+            inst = random_instance(rng, r_max=9, k_max=5)
+            if j % 2:
+                inst = Instance(pmf=(F(1, inst.r),) * inst.r, f=inst.f, l=inst.l)
+            mech = self.mechanism(rng, inst)
+            assert list_privacy(inst, mech) == reference_list_privacy(inst, mech)
+
+    def test_scale_with_dozens_of_digits(self):
+        inst = Instance(pmf=(F(1, 3), F(1, 5), F(7, 15)), f=(0, 1, 1), l=1)
+        mech = StochasticMatrix(
+            rows=((F(1, 113), F(112, 113)), (F(1, 109), F(108, 109)), (F(3, 107), F(104, 107)))
+        )
+        report = list_privacy(inst, mech)
+        assert report == reference_list_privacy(inst, mech)
+        assert report.per_output_mass == (F(7, 535), F(728, 1605))
+        assert report.privacy == 1 - F(7, 535) - F(728, 1605)

@@ -50,7 +50,7 @@ from listprivacy.errors import (
     ZeroMassSymbol,
 )
 from listprivacy import adversary, simulate
-from listprivacy.core import instance_to_jsonable
+from listprivacy.core import _MAX_DIGITS, instance_to_jsonable
 from listprivacy.envelope import (
     curve_samples_csv,
     curve_segments_csv,
@@ -335,6 +335,59 @@ class TestStochasticMatrix:
         w = StochasticMatrix(rows=((Fraction(1, 2), Fraction(1, 2)),))
         with pytest.raises(DimensionMismatch):
             recoverability_level(w, UNIFORM4)
+
+
+class TestMatrixChecksOverCommonDenominators:
+    """Row sums are checked in ints; the messages echo the Fraction values."""
+
+    def test_row_off_by_one_over_a_large_prime(self):
+        half = (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=(half, (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 113))))
+        assert str(exc.value) == "row 1 sums to 114/113"
+        mixed = (Fraction(1, 101), Fraction(1, 103), Fraction(1, 107))
+        row = mixed + (1 - sum(mixed) - Fraction(1, 109),)
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=(half + (Fraction(0),) * 2, row))
+        assert str(exc.value) == "row 1 sums to 108/109"
+
+    def test_negative_entry_message(self):
+        # Row 1 sums to 1, so only its sign is at fault.
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=((Fraction(1, 2),) * 2, (Fraction(110, 109), Fraction(-1, 109))))
+        assert str(exc.value) == "row 1 has negative entry -1/109"
+
+    def test_mixed_coprime_rows_accepted(self):
+        rng = random.Random(72)
+        primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+        for _ in range(20):
+            picked = rng.sample(primes, 4)
+            row = [Fraction(rng.randint(0, p // 5), p) for p in picked]
+            mech = StochasticMatrix(rows=(tuple(row + [1 - sum(row)]),))
+            assert sum(mech.rows[0]) == 1
+
+
+class TestDigitLimitAtConstruction:
+    """Parts of at most 3 * _MAX_DIGITS bits skip the write-back test; the
+    limit itself is unchanged at the constructors."""
+
+    def pmf(self, digits):
+        # 10**(d-1) is coprime to 10**d - 1, so the numerator keeps d digits.
+        num, den = 10 ** (digits - 1), 10**digits - 1
+        return (Fraction(num, den), Fraction(den - num, den))
+
+    def test_numerator_of_exactly_the_limit_is_accepted(self):
+        pmf = self.pmf(_MAX_DIGITS)
+        assert len(str(pmf[0].numerator)) == _MAX_DIGITS
+        assert StochasticMatrix(rows=(pmf,)).rows == (pmf,)
+        assert Instance(pmf=pmf, f=(0, 1), l=1).pmf == pmf
+
+    def test_numerator_one_digit_past_the_limit_is_refused(self):
+        pmf = self.pmf(_MAX_DIGITS + 1)
+        with pytest.raises(InstanceFormatError):
+            StochasticMatrix(rows=(pmf,))
+        with pytest.raises(InstanceFormatError):
+            Instance(pmf=pmf, f=(0, 1), l=1)
 
 
 class TestListEstimator:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -345,3 +346,32 @@ class TestExports:
             curve.samples(n)
         with pytest.raises(InstanceFormatError):
             curve_samples_csv(curve, n)
+
+
+def seeded_instance(r, k, l, seed):
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 12) for _ in range(r)]
+    f = list(range(k)) + [rng.randrange(k) for _ in range(r - k)]
+    rng.shuffle(f)
+    return Instance(pmf=tuple(F(w, sum(weights)) for w in weights), f=tuple(f), l=l)
+
+
+class TestFirstBreakpointAtScale:
+    """`first_breakpoint` builds no curve: tangent steps on a greedy evaluator."""
+
+    def test_matches_the_curve_at_40_8_8(self):
+        inst = seeded_instance(40, 8, 8, 1)
+        assert first_breakpoint(inst) == privacy_curve(inst).breakpoints[0] == F(5, 34)
+
+    def test_catalog_at_every_list_size(self):
+        for inst in (SKEW7, UNIFORM4, TERNARY5):
+            for l in range(1, inst.r):
+                sized = inst.with_list_size(l)
+                assert first_breakpoint(sized) == privacy_curve(sized).breakpoints[0]
+
+    def test_200_20_30_within_a_second(self):
+        inst = seeded_instance(200, 20, 30, 1)
+        start = time.process_time()
+        rho1 = first_breakpoint(inst)
+        assert time.process_time() - start < 1
+        assert F(1, 20) <= rho1 < 1
