@@ -3,7 +3,9 @@
 Given the response, the best l-list collects the symbols with the largest
 joint mass pmf[x] * W(i|x). Privacy is the chance the true symbol misses the
 list; ties in the scores never change the value, only which witness list is
-reported.
+reported. One scorer, `_scores`, gives those joint masses as ints for every
+best-list pick in the package: here, in the oracle's rounds and in
+`oracle.active_lists`.
 """
 
 from __future__ import annotations
@@ -44,30 +46,38 @@ def map_list_estimator(inst: Instance, mech: StochasticMatrix) -> ListEstimator:
 def best_list(scores: Sequence, l: int) -> tuple[Fraction | int, tuple[int, ...]]:
     """One output's heaviest l-list by `ranked`'s rule, as (mass, ascending indices).
 
-    `scores[x]` is the joint mass pmf[x] * W(i|x), here and in the oracle's
-    rounds as ints over one positive scale, which give the lists of the
-    Fraction scores; Fractions work too. The mass keeps their type, l = 0 included.
+    `scores[x]` is the joint mass pmf[x] * W(i|x), in this package as the ints
+    of `_scores`, which give the lists of the Fraction scores; Fractions work
+    too. The mass keeps their type, l = 0 included.
     """
     picked = ranked(scores, range(len(scores)))[:l]
     return sum([scores[x] for x in picked], scores[0] * 0 if scores else 0), tuple(sorted(picked))
+
+
+def _scores(inst: Instance, entries: Sequence[int]) -> list[list[int]]:
+    """Per output i, every symbol's joint mass pmf[x] * W(i|x) as an int: the
+    profile's pmf times `entries[x * k + i]`, a matrix row-major as ints over
+    one scale (entries past the r * k of the matrix are not read). The scores
+    share the scale den times the entries', so `best_list` picks on them the
+    lists of the Fraction scores."""
+    pw, k = inst._profile.pw, inst.k
+    return [[p * w for p, w in zip(pw, entries[i : len(pw) * k : k])] for i in range(k)]
 
 
 def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
     """Exact privacy of a mechanism against the optimal list adversary.
 
     The miss probability is one minus the sum over outputs of their heaviest
-    l-list mass. Scores are ints over one scale: the pmf over its common
-    denominator times the entries over theirs.
+    l-list mass, each output scored by `_scores` on the entries over their
+    common denominator.
     """
     check_dims(inst, mech)
-    k = inst.k
-    pmf, den = over_common_denominator(inst.pmf)
     entries, scale = over_common_denominator([v for row in mech.rows for v in row])
-    scale *= den
+    scale *= inst._profile.den
     lists = []
     masses = []
-    for i in range(k):
-        mass, members = best_list([p * entries[x * k + i] for x, p in enumerate(pmf)], inst.l)
+    for scores in _scores(inst, entries):
+        mass, members = best_list(scores, inst.l)
         masses.append(mass)
         lists.append(members)
     missed = scale - sum(masses)

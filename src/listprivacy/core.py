@@ -1,8 +1,11 @@
 """Exact domain types: problem instances, row-stochastic mechanisms, list estimators.
 
-All probabilities are `fractions.Fraction` values end to end. Nothing in this
-package ever rounds; serialization keeps the exact numerator/denominator form
-so a round trip is bit-identical.
+Values are exact throughout. Probabilities are `fractions.Fraction` values at
+the API; inside, the work is done in ints over common denominators, and an
+instance's pmf in that form, with its rankings, is read from the instance's
+profile (`Instance._profile`). Nothing in this package ever rounds;
+serialization keeps the exact numerator/denominator form so a round trip is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadFunctionRange,
@@ -115,6 +119,16 @@ def ensure_rho(rho) -> Fraction:
     return rho
 
 
+class _Profile(NamedTuple):
+    """An instance's pmf in ints and its top picks, as `Instance._profile` gives them."""
+
+    pw: tuple[int, ...]  # the pmf as ints over den, its common denominator
+    den: int
+    orders: tuple[tuple[int, ...], ...]  # each preimage, heaviest first
+    prefix: tuple[tuple[int, ...], ...]  # prefix[i][c]: mass of orders[i][:c], over den
+    top: tuple[int, ...]  # the l heaviest symbols, ascending
+
+
 @dataclass(frozen=True)
 class Instance:
     """A finite estimation problem: pmf on {0..r-1}, function f into {0..k-1}, list size l.
@@ -193,6 +207,18 @@ class Instance:
         for x, v in enumerate(self.f):
             buckets[v].append(x)
         return tuple(tuple(b) for b in buckets)
+
+    @cached_property
+    def _profile(self) -> _Profile:
+        """The pmf's integer form and its rankings by `ranked`'s rule, computed
+        once per instance: the only place the pmf is scaled or ranked. Ints
+        over one positive scale rank as the Fractions do, ties included."""
+        pw, den = over_common_denominator(self.pmf)
+        pw = tuple(pw)
+        orders = tuple([tuple(ranked(pw, block)) for block in self.preimages])
+        prefix = tuple([tuple(accumulate([pw[x] for x in order], initial=0)) for order in orders])
+        top = tuple(sorted(ranked(pw, range(self.r))[: self.l]))
+        return _Profile(pw, den, orders, prefix, top)
 
     def mass(self, members: Iterable[int]) -> Fraction:
         """Total pmf mass of a set of symbols."""
@@ -285,8 +311,8 @@ class ListEstimator:
 def ranked(scores: Sequence, members: Iterable[int]) -> list[int]:
     """Ascending members by score descending, ties by index ascending: the one tie
     rule of every top-l pick (best lists, so the oracle's cuts and active lists,
-    `top_elements` and the envelope's per-preimage orders). The sort is stable,
-    so reverse=True keeps tied members in their ascending input order."""
+    `top_elements` and the profile's preimage orders and top-l list). The sort
+    is stable, so reverse=True keeps tied members in their ascending input order."""
     return sorted(members, key=scores.__getitem__, reverse=True)
 
 

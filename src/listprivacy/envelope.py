@@ -19,8 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Instance,
@@ -29,9 +28,6 @@ from .core import (
     _shown,
     ensure_rho,
     format_rational,
-    over_common_denominator,
-    ranked,
-    top_elements,
 )
 from .errors import InstanceFormatError
 
@@ -133,12 +129,9 @@ def enumerate_lines(inst: Instance) -> list[EnvelopeLine]:
     Raises InstanceFormatError unless inst is an Instance.
     """
     _check_type("instance", inst, Instance)
-    orders = [ranked(inst.pmf, block) for block in inst.preimages]
+    _, den, orders, prefix, _ = inst._profile
     # prefix[i][c] is the mass of the c heaviest symbols of preimage i.
-    prefix = [
-        list(accumulate((inst.pmf[x] for x in order), initial=Fraction(0)))
-        for order in orders
-    ]
+    prefix = [[Fraction(v, den) for v in s] for s in prefix]
     lines = []
     for counts in _count_vectors([len(order) for order in orders], inst.l):
         take = inst.l - sum(counts)
@@ -192,16 +185,16 @@ def privacy_at_zero(inst: Instance) -> Fraction:
     Valid for every rho up to 1/k, where the response can be ignored.
     """
     _check_type("instance", inst, Instance)
-    return 1 - inst.mass(top_elements(range(inst.r), inst.l, inst.pmf))
+    profile = inst._profile
+    return 1 - Fraction(sum([profile.pw[x] for x in profile.top]), profile.den)
 
 
 def privacy_at_one(inst: Instance) -> Fraction:
     """Exact privacy at full recoverability: guessing inside the revealed preimage."""
     _check_type("instance", inst, Instance)
-    covered = Fraction(0)
-    for block in inst.preimages:
-        covered += inst.mass(top_elements(block, min(inst.l, len(block)), inst.pmf))
-    return 1 - covered
+    profile = inst._profile
+    covered = sum([s[min(inst.l, len(s) - 1)] for s in profile.prefix])
+    return 1 - Fraction(covered, profile.den)
 
 
 def privacy_curve(inst: Instance) -> PrivacyCurve:
@@ -266,7 +259,7 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
     )
 
 
-def _best_short_line(prefix: list[list[int]], l: int, p: int, q: int) -> tuple[int, int]:
+def _best_short_line(prefix: Sequence[Sequence[int]], l: int, p: int, q: int) -> tuple[int, int]:
     """(intercept, slope) of a best line whose anchor has fewer than l symbols,
     at rho = p/q, with `prefix[i][c]` the mass of the c heaviest symbols of
     preimage i in ints over one scale; gains and values are scaled by q.
@@ -311,16 +304,14 @@ def first_breakpoint(inst: Instance) -> Fraction:
     Severance, J. ACM 23(4), 1976): each step moves to the root (T - I) / S
     of the best line (I, S) at the current level, found by a greedy per
     anchor size, and the first level where the best line no longer beats T
-    is the answer. All masses are ints over the pmf's common denominator;
-    no line is enumerated and no hull is built.
+    is the answer. All masses are ints over the pmf's common denominator,
+    read from the instance's profile; no line is enumerated and no hull is
+    built.
     """
     _check_type("instance", inst, Instance)
-    pmf, _ = over_common_denominator(inst.pmf)
-    prefix = [
-        list(accumulate((pmf[x] for x in ranked(pmf, block)), initial=0))
-        for block in inst.preimages
-    ]
-    top = sum([pmf[x] for x in ranked(pmf, range(inst.r))[: inst.l]])
+    profile = inst._profile
+    prefix = profile.prefix
+    top = sum([profile.pw[x] for x in profile.top])
     rho = Fraction(1)
     while True:
         p, q = rho.numerator, rho.denominator

@@ -18,6 +18,7 @@ from .core import (
     Instance,
     StochasticMatrix,
     _check_type,
+    _shown,
     check_dims,
     ensure_rho,
     format_rational,
@@ -165,7 +166,7 @@ def parse_matrix(text: str, inst: Instance | None = None) -> StochasticMatrix:
         if stored is not None and stored != instance_digest(inst):
             raise DigestMismatch(
                 "mechanism file was written for a different instance "
-                f"(digest {stored}, expected {instance_digest(inst)})"
+                f"(digest {_shown(stored)}, expected {instance_digest(inst)})"
             )
         check_dims(inst, mech)
     return mech

@@ -10,17 +10,19 @@ cutting-plane method: the optimal adversary, run on the candidate witness,
 finds each output's violated list. A round that adds no cut is the last,
 and `list_privacy` then certifies the witness against every l-list.
 
-Within one call the program stays in integers. The pmf is scaled once to
-ints over its common denominator D, and each row is built once, as the
-sparse `{column: int}` row with its own scale that `simplex.solve_lp`
-takes; a list row, scaled by D, is built when its cut is generated. Every
-round hands the core these rows in the same order, so its pivots are those
-of a program rebuilt each round. A round reads its vertex as ints over one
-common scale and finds each output's best list with the adversary's own
-`best_list` on integer scores: the separation oracle is the adversary
+Within one call the program stays in integers. The pmf comes as ints over
+its common denominator D, with its top-l list, from the instance's profile
+(`Instance._profile`), and each row is built once, as the sparse
+`{column: int}` row with its own scale that `simplex.solve_lp` takes; a list
+row, scaled by D, is built when its cut is generated. Every round hands the
+core these rows in the same order, so its pivots are those of a program
+rebuilt each round. A round reads its vertex as ints over one common scale,
+scores it with the adversary's scorer and finds each output's best list with
+the adversary's own `best_list`: the separation oracle is the adversary
 itself. Fractions appear only for the returned optimum and the final
 witness, which `list_privacy` certifies; only `active_lists`, which
-`oracle --rho` prints, enumerates a witness's tied best lists.
+`oracle --rho` prints, enumerates a witness's tied best lists, on the same
+integer scores.
 
 Rows carry no names. `lp_lines` formats each row as soon as it is built and
 names it only in its line, and the CLI's `--lp-dump` writes each line as it
@@ -35,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .adversary import best_list, list_privacy
+from .adversary import _scores, best_list, list_privacy
 from .core import (
     Instance,
     StochasticMatrix,
@@ -63,9 +65,11 @@ class OracleResult:
     witness: StochasticMatrix
 
 
-def _list_row(inst: Instance, pw: list[int], den: int, i: int, lst: tuple[int, ...]):
-    """The row `mass of lst under output i - t(i) <= 0`, scaled by den."""
+def _list_row(inst: Instance, i: int, lst: tuple[int, ...]):
+    """The row `mass of lst under output i - t(i) <= 0`, scaled by the pmf's
+    common denominator."""
     k = inst.k
+    pw, den = inst._profile.pw, inst._profile.den
     row = {x * k + i: pw[x] for x in lst}
     row[inst.r * k + i] = -den
     return row, LESS, 0, den
@@ -91,9 +95,9 @@ def active_lists(inst: Instance, mech: StochasticMatrix):
     is r x k.
     """
     check_dims(inst, mech)
+    entries, _ = over_common_denominator([v for row in mech.rows for v in row])
     ties = []
-    for i in range(inst.k):
-        scores = [inst.pmf[x] * mech.rows[x][i] for x in range(inst.r)]
+    for scores in _scores(inst, entries):
         cut = scores[ranked(scores, range(inst.r))[inst.l - 1]]
         above = [x for x, s in enumerate(scores) if s > cut]
         tied = [x for x, s in enumerate(scores) if s == cut]
@@ -123,12 +127,11 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
     nw = r * k
-    pw, den = over_common_denominator(inst.pmf)
+    den = inst._profile.den
     fixed = _fixed_rows(inst, rho)
     cost = dict.fromkeys(range(nw, nw + k), 1)
-    top = best_list(pw, inst.l)[1]
     # Each output's list rows, in the order their cuts were generated.
-    cuts = [[_list_row(inst, pw, den, i, top)] for i in range(k)]
+    cuts = [[_list_row(inst, i, inst._profile.top)] for i in range(k)]
     while True:
         rows = [row for per_output in cuts for row in per_output]
         status, basic, objective = solve_lp(nw + k, rows + fixed, cost, 1)
@@ -142,12 +145,12 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
         w = [0] * (nw + k)
         for j, (v, s) in basic.items():
             w[j] = v * (scale // s)
-        best = [best_list([p * w[x * k + i] for x, p in enumerate(pw)], inst.l) for i in range(k)]
+        best = [best_list(scores, inst.l) for scores in _scores(inst, w)]
         cut = [i for i, (mass, _) in enumerate(best) if mass > w[nw + i] * den]
         if not cut:
             break
         for i in cut:
-            cuts[i].append(_list_row(inst, pw, den, i, best[i][1]))
+            cuts[i].append(_list_row(inst, i, best[i][1]))
     optimum = 1 - Fraction(*objective)
     witness = StochasticMatrix(
         rows=tuple([tuple([Fraction(v, scale) for v in w[x * k : x * k + k]]) for x in range(r)])
@@ -200,7 +203,6 @@ def lp_lines(inst: Instance, rho) -> Iterator[str]:
     if count > ACTIVE_LIST_LIMIT:
         raise InstanceTooLarge(f"LP dump needs {count} list rows, over {ACTIVE_LIST_LIMIT}")
     nw = r * k
-    pw, den = over_common_denominator(inst.pmf)
 
     def var(j: int) -> str:
         if j < nw:
@@ -227,7 +229,7 @@ def lp_lines(inst: Instance, rho) -> Iterator[str]:
         for i in range(k):
             for lst in combinations(range(r), inst.l):
                 name = f"list_{i}_" + "_".join(str(x) for x in lst)
-                yield line(name, _list_row(inst, pw, den, i, lst))
+                yield line(name, _list_row(inst, i, lst))
         # map stops after the stochastic rows when rho = 0 leaves no recover rows.
         names = [f"row_{x}" for x in range(r)] + [f"recover_{x}" for x in range(r)]
         yield from map(line, names, _fixed_rows(inst, rho))

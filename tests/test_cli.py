@@ -217,6 +217,19 @@ class TestEval:
         assert code == 1
         assert err.startswith("error: DigestMismatch:")
 
+    @pytest.mark.parametrize(
+        "stored", ["f" * 10**6, list(range(10**4))], ids=["long-string", "long-list"]
+    )
+    def test_digest_mismatch_echo_is_bounded(self, capsys, tmp_path, stored):
+        payload = json.loads(matrix_to_text(uniform_qr(SKEW7)))
+        payload["instance_digest"] = stored
+        mech_file = tmp_path / "w.json"
+        mech_file.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "eval", "skew7", "--mechanism", str(mech_file))
+        assert code == 1
+        assert err.startswith("error: DigestMismatch:")
+        assert len(err) < 200
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", "skew7", "--mechanism", "/no/such/file")
         assert code == 1 and "error:" in err

@@ -407,3 +407,58 @@ class TestLpDump:
         wide = Instance(pmf=(F(1, 24),) * 24, f=(0,) * 12 + (1,) * 12, l=12)
         with pytest.raises(InstanceTooLarge):
             lp_lines(wide, F(1, 2))
+
+
+def tie_heavy_instance(rng: random.Random) -> Instance:
+    """r <= 7, k 2-4; half the pmfs have weights 1 and 2 only, so masses tie."""
+    r = rng.randint(3, 7)
+    k = rng.randint(2, min(4, r))
+    choices = (1, 2) if rng.random() < 0.5 else range(1, 13)
+    weights = [rng.choice(choices) for _ in range(r)]
+    f = list(range(k)) + [rng.randrange(k) for _ in range(r - k)]
+    rng.shuffle(f)
+    pmf = tuple(F(w, sum(weights)) for w in weights)
+    return Instance(pmf=pmf, f=tuple(f), l=rng.randint(1, r - 2))
+
+
+class TestMetamorphic:
+    """Relations the exact optimum keeps without a reference to compare with:
+    relabeling the symbols or the outputs leaves it unchanged, a longer list
+    never raises it, and garbling the witness's response through any k x k
+    channel never lowers that witness's privacy. The relabelings must leave
+    the envelope's bound unchanged too. A per-instance cache that went stale,
+    or that ranked the pmf by index, breaks them."""
+
+    def test_relations(self):
+        rng = random.Random(1221)
+        for _ in range(60):
+            inst = tie_heavy_instance(rng)
+            rho = random_rho(rng)
+            r, k = inst.r, inst.k
+            result = exact_privacy(inst, rho)
+            # Symbol x becomes perm[x]; output i becomes outs[i].
+            perm = rng.sample(range(r), r)
+            pmf, f = [None] * r, [None] * r
+            for x in range(r):
+                pmf[perm[x]], f[perm[x]] = inst.pmf[x], inst.f[x]
+            symbols = Instance(pmf=tuple(pmf), f=tuple(f), l=inst.l)
+            outs = rng.sample(range(k), k)
+            outputs = Instance(pmf=inst.pmf, f=tuple(outs[v] for v in inst.f), l=inst.l)
+            bound = privacy_bound(inst, rho)
+            for relabeled in (symbols, outputs):
+                assert exact_privacy(relabeled, rho).optimum == result.optimum
+                assert privacy_bound(relabeled, rho) == bound
+                assert privacy_at_zero(relabeled) == privacy_at_zero(inst)
+            assert exact_privacy(inst.with_list_size(inst.l + 1), rho).optimum <= result.optimum
+            channel = []
+            for _ in range(k):
+                weights = [rng.randint(0, 4) for _ in range(k)]
+                weights[rng.randrange(k)] += 1
+                channel.append([F(w, sum(weights)) for w in weights])
+            garbled = StochasticMatrix(
+                rows=tuple(
+                    tuple(sum(row[j] * channel[j][i] for j in range(k)) for i in range(k))
+                    for row in result.witness.rows
+                )
+            )
+            assert list_privacy(inst, garbled).privacy >= result.optimum
