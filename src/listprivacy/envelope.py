@@ -7,9 +7,11 @@ of all the lines gives the whole curve, its kinks, and the staircase of anchor
 cardinalities. For binary functions the bound is known to be attained, which
 the optimal-mechanism constructor and the LP oracle both exercise.
 
-The first kink, which that constructor reads, needs no curve: for a fixed
-anchor size a greedy over per-preimage marginal gains gives the best line at
-one level, and tangent steps on those lines reach the kink in integers.
+The bound at one level needs no lines, and the first kink, which that
+constructor reads, needs no curve: for a fixed anchor size a greedy over
+per-preimage marginal gains gives the best line at one level in integers, the
+best over every size is the bound there, and tangent steps on those lines
+reach the kink.
 """
 
 from __future__ import annotations
@@ -175,8 +177,19 @@ def privacy_bound(inst: Instance, rho) -> Fraction:
     """Upper bound on achievable list privacy at recoverability rho.
 
     Tight for binary functions; never exceeded by any admissible mechanism.
+    It is one minus the best anchor line's value, `anchor_set`'s objective,
+    without its lines or tie-breaks: at rho = p/q the best line with fewer
+    than l anchor symbols comes from the greedy per anchor size, and the
+    line with l anchor symbols is the top-l mass, all in ints over the pmf's
+    common denominator read from the instance's profile.
     """
-    return 1 - anchor_set(inst, rho).objective
+    rho = ensure_rho(rho)
+    _check_type("instance", inst, Instance)
+    profile = inst._profile
+    p, q = rho.numerator, rho.denominator
+    intercept, slope = _best_short_line(profile.prefix, inst.l, p, q)
+    scale = q * profile.den
+    return Fraction(scale - max(q * _top_mass(profile), q * intercept + p * slope), scale)
 
 
 def privacy_at_zero(inst: Instance) -> Fraction:
@@ -186,7 +199,7 @@ def privacy_at_zero(inst: Instance) -> Fraction:
     """
     _check_type("instance", inst, Instance)
     profile = inst._profile
-    return 1 - Fraction(sum([profile.pw[x] for x in profile.top]), profile.den)
+    return 1 - Fraction(_top_mass(profile), profile.den)
 
 
 def privacy_at_one(inst: Instance) -> Fraction:
@@ -259,6 +272,12 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
     )
 
 
+def _top_mass(profile) -> int:
+    # The mass of the l heaviest symbols, over the profile's denominator: the
+    # value of the best line with l anchor symbols at every level.
+    return sum([profile.pw[x] for x in profile.top])
+
+
 def _best_short_line(prefix: Sequence[Sequence[int]], l: int, p: int, q: int) -> tuple[int, int]:
     """(intercept, slope) of a best line whose anchor has fewer than l symbols,
     at rho = p/q, with `prefix[i][c]` the mass of the c heaviest symbols of
@@ -311,7 +330,7 @@ def first_breakpoint(inst: Instance) -> Fraction:
     _check_type("instance", inst, Instance)
     profile = inst._profile
     prefix = profile.prefix
-    top = sum([profile.pw[x] for x in profile.top])
+    top = _top_mass(profile)
     rho = Fraction(1)
     while True:
         p, q = rho.numerator, rho.denominator

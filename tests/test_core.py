@@ -600,6 +600,21 @@ class TestPublicApiErrors:
         with pytest.raises(ListPrivacyError):
             call()
 
+    @pytest.mark.parametrize(
+        "call, code",
+        [
+            (lambda: privacy_bound(None, 2), RhoOutOfRange),
+            (lambda: privacy_bound(None, 0), InstanceFormatError),
+            (lambda: privacy_bound(SKEW7, "x"), InstanceFormatError),
+        ],
+        ids=["rho_before_instance", "instance", "unparsable_rho"],
+    )
+    def test_privacy_bound_codes(self, call, code):
+        # The level is checked before the instance, so these codes are pinned.
+        with pytest.raises(ListPrivacyError) as caught:
+            call()
+        assert caught.type is code
+
     @pytest.mark.parametrize("render", [adversary.report_to_jsonable, adversary.report_to_text])
     def test_report_of_another_shape(self, render):
         # A report lists symbols 0-6 over 2 outputs: a 3-symbol instance must

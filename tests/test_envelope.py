@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import time
@@ -18,6 +19,7 @@ from listprivacy import (
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
 from listprivacy.errors import InstanceFormatError
+from listprivacy import envelope
 from listprivacy.envelope import curve_samples_csv, curve_segments_csv, curve_to_text
 from conftest import grid, random_instance, reference_anchor, reference_lines
 
@@ -134,6 +136,18 @@ def bracket_value(inst, members, rho):
         take = min(budget, len(rest))
         total += rho * inst.mass(top_elements(rest, take, inst.pmf))
     return total
+
+
+def relabel_symbols(inst, rng):
+    # Symbol x becomes perm[x], carrying its mass and its function value.
+    perm = list(range(inst.r))
+    rng.shuffle(perm)
+    pmf = [None] * inst.r
+    f = [None] * inst.r
+    for x in range(inst.r):
+        pmf[perm[x]] = inst.pmf[x]
+        f[perm[x]] = inst.f[x]
+    return Instance(pmf=tuple(pmf), f=tuple(f), l=inst.l)
 
 
 class TestAnchorProperties:
@@ -272,14 +286,7 @@ class TestCurveShape:
         rng = random.Random(112)
         for _ in range(20):
             inst = random_instance(rng, r_max=7, k_max=3, l_max=3)
-            perm = list(range(inst.r))
-            rng.shuffle(perm)
-            pmf = [None] * inst.r
-            f = [None] * inst.r
-            for x in range(inst.r):
-                pmf[perm[x]] = inst.pmf[x]
-                f[perm[x]] = inst.f[x]
-            relabeled = Instance(pmf=tuple(pmf), f=tuple(f), l=inst.l)
+            relabeled = relabel_symbols(inst, rng)
             for rho in grid(6):
                 assert privacy_bound(relabeled, rho) == privacy_bound(inst, rho)
 
@@ -356,12 +363,19 @@ def seeded_instance(r, k, l, seed):
     return Instance(pmf=tuple(F(w, sum(weights)) for w in weights), f=tuple(f), l=l)
 
 
+@functools.cache
+def curve_40_8_8():
+    # 10,358 count-vector lines: the one curve built at this size, shared.
+    inst = seeded_instance(40, 8, 8, 1)
+    return inst, privacy_curve(inst)
+
+
 class TestFirstBreakpointAtScale:
     """`first_breakpoint` builds no curve: tangent steps on a greedy evaluator."""
 
     def test_matches_the_curve_at_40_8_8(self):
-        inst = seeded_instance(40, 8, 8, 1)
-        assert first_breakpoint(inst) == privacy_curve(inst).breakpoints[0] == F(5, 34)
+        inst, curve = curve_40_8_8()
+        assert first_breakpoint(inst) == curve.breakpoints[0] == F(5, 34)
 
     def test_catalog_at_every_list_size(self):
         for inst in (SKEW7, UNIFORM4, TERNARY5):
@@ -375,3 +389,59 @@ class TestFirstBreakpointAtScale:
         rho1 = first_breakpoint(inst)
         assert time.process_time() - start < 1
         assert F(1, 20) <= rho1 < 1
+
+
+class TestPrivacyBoundAtScale:
+    """`privacy_bound` enumerates no line: the greedy per anchor size and the
+    top-l mass, on the instance's profile."""
+
+    def test_reads_no_line(self, monkeypatch):
+        expected = [privacy_bound(SKEW7, rho) for rho in grid(10)]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("privacy_bound enumerated lines")
+
+        monkeypatch.setattr(envelope, "enumerate_lines", refused)
+        monkeypatch.setattr(envelope, "anchor_set", refused)
+        assert [privacy_bound(SKEW7, rho) for rho in grid(10)] == expected
+        assert expected[7] == F(63, 200)
+
+    def test_matches_the_curve_at_40_8_8(self):
+        inst, curve = curve_40_8_8()
+        for rho in grid(20):
+            assert privacy_bound(inst, rho) == curve.value_at(rho)
+
+    def test_200_20_30_sweep_within_a_second(self):
+        inst = seeded_instance(200, 20, 30, 1)
+        start = time.process_time()
+        values = [privacy_bound(inst, rho) for rho in grid(20)]
+        assert time.process_time() - start < 1
+        assert values[0] == privacy_at_zero(inst) and values[-1] == privacy_at_one(inst)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestMetamorphicAtScale:
+    """Relations that hold where no curve or reference runs: (200, 20, 30)
+    has far too many count vectors to enumerate."""
+
+    LEVELS = (F(0), F(1, 20), F(1, 3), F(7, 10), F(1))
+
+    def test_relabeling_symbols(self):
+        inst = seeded_instance(200, 20, 30, 1)
+        relabeled = relabel_symbols(inst, random.Random(2))
+        for rho in self.LEVELS:
+            assert privacy_bound(relabeled, rho) == privacy_bound(inst, rho)
+
+    def test_relabeling_outputs(self):
+        inst = seeded_instance(200, 20, 30, 1)
+        perm = list(range(inst.k))
+        random.Random(3).shuffle(perm)
+        relabeled = Instance(pmf=inst.pmf, f=tuple(perm[y] for y in inst.f), l=inst.l)
+        for rho in self.LEVELS:
+            assert privacy_bound(relabeled, rho) == privacy_bound(inst, rho)
+
+    def test_larger_list_never_raises_the_bound(self):
+        inst = seeded_instance(200, 20, 30, 1)
+        larger = inst.with_list_size(inst.l + 1)
+        for rho in self.LEVELS:
+            assert privacy_bound(larger, rho) <= privacy_bound(inst, rho)

@@ -1,12 +1,14 @@
 """Property suite: `first_breakpoint`'s tangent steps find the curve's first
-kink, and the instance profile they read matches its Fraction references.
+kink, `privacy_bound`'s greedy finds the best line's value, and the instance
+profile they read matches its Fraction references.
 
 Random instances with k 2-5 and r <= 10. Every other pmf is uniform or
 tie-heavy (weights 1 and 2), so many lines tie and several anchor sizes
 reach the top-l mass at the same level. Both routes must agree exactly:
 the steps on the greedy evaluator and the first breakpoint of the hull of
-every count-vector line. Ties also make the profile's index tie-break
-decide its orders and its top-l list.
+every count-vector line, and the greedy's bound and the best enumerated line
+at each level. Ties also make the profile's index tie-break decide its
+orders and its top-l list.
 """
 
 from fractions import Fraction as F
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from listprivacy import (  # noqa: E402
     Instance,
+    anchor_set,
     first_breakpoint,
     privacy_at_one,
     privacy_at_zero,
@@ -50,6 +53,14 @@ def test_first_breakpoint_is_the_curves_first_kink(inst):
     rho1 = first_breakpoint(inst)
     assert rho1 == privacy_curve(inst).breakpoints[0]
     assert privacy_bound(inst, rho1) == privacy_at_zero(inst)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(inst=instances(), drawn=st.fractions(0, 1, max_denominator=60))
+def test_bound_is_the_best_line(inst, drawn):
+    curve = privacy_curve(inst)
+    for rho in (F(0), F(1, inst.k), first_breakpoint(inst), F(1), drawn):
+        assert privacy_bound(inst, rho) == 1 - anchor_set(inst, rho).objective == curve.value_at(rho)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
