@@ -220,6 +220,15 @@ class Instance:
         top = tuple(sorted(ranked(pw, range(self.r))[: self.l]))
         return _Profile(pw, den, orders, prefix, top)
 
+    @cached_property
+    def _first_kink(self) -> Fraction:
+        """The bound's first kink, by `envelope`'s tangent steps, computed on
+        first use and then kept: every level of an optimal-binary sweep reads
+        it. Not part of the eager `_profile`, which every query builds."""
+        from .envelope import _tangent_steps  # envelope imports this module
+
+        return _tangent_steps(self)
+
     def mass(self, members: Iterable[int]) -> Fraction:
         """Total pmf mass of a set of symbols."""
         return sum((self.pmf[x] for x in members), ZERO)
@@ -238,24 +247,38 @@ class StochasticMatrix:
 
     Entries are exact rationals, each row sums to exactly one; signs are
     read off the numerators and each sum is taken in ints over its row's
-    common denominator.
+    common denominator. A row object given at several indices is parsed and
+    checked once and shared by them; a failure names the first offending
+    index either way.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         _check_sequence("rows", self.rows)
-        for row in self.rows:
-            _check_sequence("a row", row)
+        source = list(self.rows)  # keeps every row alive, so ids stay unique
+        # Each distinct row object is parsed and checked once, at its first
+        # index: add_noise_qr repeats one row per output value. The checks
+        # run in row order, so the first offending index is the same as if
+        # every row were checked.
+        distinct: dict[int, tuple[int, Sequence]] = {}
+        for x, row in enumerate(source):
+            if id(row) not in distinct:
+                _check_sequence("a row", row)
+                distinct[id(row)] = (x, row)
         # Tuples on per-operation paths are built from lists: tuple() of a
         # generator shrinks an oversized tuple, which skips CPython's tuple
         # free lists on allocation but refills them on release.
-        rows = tuple([tuple([parse_rational(v) for v in row]) for row in self.rows])
+        parsed = {
+            key: (x, tuple([parse_rational(v) for v in row]))
+            for key, (x, row) in distinct.items()
+        }
+        rows = tuple([parsed[id(row)][1] for row in source])
         object.__setattr__(self, "rows", rows)
         if not rows or not rows[0]:
             raise NotRowStochastic("matrix has no entries")
         width = len(rows[0])
-        for x, row in enumerate(rows):
+        for x, row in parsed.values():
             if len(row) != width:
                 raise NotRowStochastic(f"row {x} has {len(row)} entries, expected {width}")
             for v in row:

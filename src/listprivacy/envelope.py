@@ -11,7 +11,7 @@ The bound at one level needs no lines, and the first kink, which that
 constructor reads, needs no curve: for a fixed anchor size a greedy over
 per-preimage marginal gains gives the best line at one level in integers, the
 best over every size is the bound there, and tangent steps on those lines
-reach the kink.
+reach the kink, once per instance.
 """
 
 from __future__ import annotations
@@ -316,18 +316,27 @@ def first_breakpoint(inst: Instance) -> Fraction:
     first entry of `privacy_curve(inst).breakpoints`, without the curve.
 
     Below it the best mechanism reveals nothing useful; the value is never
-    smaller than 1/k. It is the first rho at which a line with fewer than l
-    anchor symbols reaches the top-l mass T, or 1 if none does before. The
-    value of the best such line is convex and increasing in rho, so tangent
-    steps from rho = 1 descend onto that root without passing it (Eisner &
-    Severance, J. ACM 23(4), 1976): each step moves to the root (T - I) / S
-    of the best line (I, S) at the current level, found by a greedy per
-    anchor size, and the first level where the best line no longer beats T
-    is the answer. All masses are ints over the pmf's common denominator,
-    read from the instance's profile; no line is enumerated and no hull is
-    built.
+    smaller than 1/k. It depends on the instance alone, so the tangent steps
+    that find it run once per instance, on the first call, and every later
+    call on that instance returns the kept value (`Instance._first_kink`).
     """
     _check_type("instance", inst, Instance)
+    return inst._first_kink
+
+
+def _tangent_steps(inst: Instance) -> Fraction:
+    """The first rho at which a line with fewer than l anchor symbols reaches
+    the top-l mass T, or 1 if none does before.
+
+    The value of the best such line is convex and increasing in rho, so
+    tangent steps from rho = 1 descend onto that root without passing it
+    (Eisner & Severance, J. ACM 23(4), 1976): each step moves to the root
+    (T - I) / S of the best line (I, S) at the current level, found by a
+    greedy per anchor size, and the first level where the best line no
+    longer beats T is the answer. All masses are ints over the pmf's common
+    denominator, read from the instance's profile; no line is enumerated and
+    no hull is built.
+    """
     profile = inst._profile
     prefix = profile.prefix
     top = _top_mass(profile)

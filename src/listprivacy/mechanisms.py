@@ -77,18 +77,18 @@ def add_noise_qr(inst: Instance, noise: NoisePmf) -> StochasticMatrix:
 
     Output j given symbol x has probability noise[f(x)][(j - f(x)) mod k], so
     row i of the noise channel is the offset distribution used by preimage i.
-    Rows agree inside every preimage by construction.
+    Rows agree inside every preimage by construction: every symbol of
+    preimage i shares one row object, which StochasticMatrix checks once.
     """
     _check_type("instance", inst, Instance)
     _check_type("noise channel", noise, NoisePmf)
     if noise.k != inst.k:
         raise DimensionMismatch(f"noise channel is {noise.k}-ary, instance needs {inst.k}")
     k = inst.k
-    rows = []
-    for x in range(inst.r):
-        base = inst.f[x]
-        rows.append(tuple([noise.conditional[base][(j - base) % k] for j in range(k)]))
-    return StochasticMatrix(rows=tuple(rows))
+    per_value = [
+        tuple([noise.conditional[i][(j - i) % k] for j in range(k)]) for i in range(k)
+    ]
+    return StochasticMatrix(rows=tuple([per_value[i] for i in inst.f]))
 
 
 def optimal_binary_qr(inst: Instance, rho) -> StochasticMatrix:
@@ -96,6 +96,8 @@ def optimal_binary_qr(inst: Instance, rho) -> StochasticMatrix:
 
     Reports the true value with probability max(rho, rho1) where rho1 is the
     curve's first kink, and flips it otherwise. Constant in rho below rho1.
+    rho1 is found once per instance (`first_breakpoint`), so a sweep over
+    levels pays for it once; each level then builds two distinct rows.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)

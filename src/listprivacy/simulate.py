@@ -4,7 +4,8 @@ Sampling is deterministic given the seed: draws come from the stdlib Mersenne
 Twister as 64-bit integers and are compared against exact cumulative
 thresholds, so the realized pmfs match the rationals to within 2**-64 per
 boundary. A rho sweep runs its levels one after another, level j on the
-stream seeded seed + j.
+stream seeded seed + j; seeds are non-negative, as random.Random seeds by an
+int's absolute value.
 
 The game is played in chunks. Each chunk takes one getrandbits call for all
 of its draws and decides most trials with bulk C-level operations, one byte
@@ -110,10 +111,21 @@ class SweepPoint:
     abs_error: float
 
 
+def _check_seed(seed):
+    # random.Random seeds by an int's absolute value, so a negative seed
+    # would replay the stream of its positive twin under another name.
+    if not _is_int(seed):
+        raise InstanceFormatError(f"need an integer seed, got {_shown(seed)}")
+    if seed < 0:
+        raise InstanceFormatError(f"need a non-negative seed, got {_shown(seed)}")
+
+
 def derive_stream_seed(seed: int, stream: int) -> int:
-    """Seed for the given sweep stream: seed + stream index."""
-    if not (_is_int(seed) and _is_int(stream)):
-        raise InstanceFormatError(f"need integers, got {_shown(seed)} and {_shown(stream)}")
+    """Seed for the given sweep stream: seed + stream index. Both are
+    non-negative ints, so the streams of one seed get distinct seeds."""
+    _check_seed(seed)
+    if not _is_int(stream) or stream < 0:
+        raise InstanceFormatError(f"need a non-negative stream index, got {_shown(stream)}")
     return seed + stream
 
 
@@ -227,7 +239,10 @@ def simulate_game(
     trials: int,
     seed: int,
 ) -> SimReport:
-    """Play the guessing game `trials` times and count list misses."""
+    """Play the guessing game `trials` times and count list misses.
+
+    The seed is a non-negative int; each seed gives its own stream.
+    """
     check_dims(inst, mech)
     _check_type("estimator", estimator, ListEstimator)
     if len(estimator.lists) != inst.k:
@@ -239,8 +254,7 @@ def simulate_game(
             raise DimensionMismatch(f"list {i} names {_shown(lst[-1])}, alphabet is {inst.r}")
     if not _is_int(trials) or trials < 1:
         raise InstanceFormatError(f"need a whole number of trials >= 1, got {_shown(trials)}")
-    if not _is_int(seed):
-        raise InstanceFormatError(f"need an integer seed, got {_shown(seed)}")
+    _check_seed(seed)
     rng = random.Random(seed)
     x_cuts = _thresholds(inst.pmf)
     z_cuts = [_thresholds(row) for row in mech.rows]
@@ -318,12 +332,13 @@ def privacy_sweep(
 ) -> list[SweepPoint]:
     """Simulate across levels; stream j uses derive_stream_seed(seed, j).
 
-    Every level, and that mech_for_rho is callable, is checked before any
-    level is simulated.
+    Every level, the seed, and that mech_for_rho is callable are checked
+    before any level is simulated.
     """
     _check_type("mech_for_rho", mech_for_rho, Callable)
     _check_sequence("rhos", rhos)
     levels = [ensure_rho(rho) for rho in rhos]
+    _check_seed(seed)
     points = []
     for j, rho in enumerate(levels):
         mech = mech_for_rho(rho)

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import pytest
 
+import listprivacy.envelope as envelope
 import listprivacy.simplex as simplex
 from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.adversary import PrivacyReport
@@ -534,3 +535,18 @@ def pivot_log(monkeypatch):
         return log
 
     return install
+
+
+@pytest.fixture
+def tangent_steps(monkeypatch) -> list:
+    """The instances `envelope._tangent_steps` runs on, in call order: the
+    first kink's search, which should run once per instance."""
+    steps = []
+    search = envelope._tangent_steps
+
+    def record(inst):
+        steps.append(inst)
+        return search(inst)
+
+    monkeypatch.setattr(envelope, "_tangent_steps", record)
+    return steps

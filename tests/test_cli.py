@@ -455,6 +455,28 @@ class TestSimulate:
             assert code == 1 and out == ""
             assert err.startswith("error: InstanceFormatError:")
 
+    def test_negative_seed(self, capsys, tmp_path):
+        # random.Random would seed -1 as 1: the run would replay seed 1's
+        # stream under another name.
+        mech_file = tmp_path / "w.json"
+        mech_file.write_text(matrix_to_text(uniform_qr(UNIFORM4), UNIFORM4))
+        for source in (["--mechanism", str(mech_file)], ["--kind", "uniform", "--grid", "3"]):
+            code, out, err = run(
+                capsys, "simulate", "uniform4", *source, "--trials", "10", "--seed", "-1"
+            )
+            assert code == 1 and out == ""
+            assert err == "error: InstanceFormatError: need a non-negative seed, got -1\n"
+
+    def test_optimal_binary_sweep_finds_the_first_kink_once(self, capsys, tmp_path, tangent_steps):
+        inst_file = tmp_path / "skew7.json"
+        inst_file.write_text(instance_to_text(SKEW7))
+        code, out, _ = run(
+            capsys, "simulate", str(inst_file), "--kind", "optimal-binary",
+            "--grid", "21", "--trials", "200", "--seed", "3",
+        )
+        assert code == 0 and len(out.splitlines()) == 22
+        assert len(tangent_steps) == 1
+
 
 class TestMalformedFiles:
     @pytest.mark.parametrize("rows", [[1], 5, ["1/2"]])

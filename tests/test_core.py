@@ -337,6 +337,49 @@ class TestStochasticMatrix:
             recoverability_level(w, UNIFORM4)
 
 
+class TestRepeatedRowObjects:
+    """A row object given at several indices is parsed and checked once;
+    every message names the first offending index, as it does when each row
+    is an object of its own."""
+
+    HALF = (Fraction(1, 2), Fraction(1, 2))
+
+    def test_repeated_good_rows(self):
+        one = [1, "0"]
+        mech = StochasticMatrix(rows=(self.HALF, one, self.HALF, one, self.HALF))
+        ones = (Fraction(1), Fraction(0))
+        assert mech.rows == (self.HALF, ones, self.HALF, ones, self.HALF)
+        assert mech.rows[1] is mech.rows[3] and mech.rows[0] is mech.rows[4]
+
+    def test_repeated_bad_row_names_its_first_index(self):
+        bad = (Fraction(1, 2), Fraction(1, 3))
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=(self.HALF, bad, self.HALF, bad))
+        assert str(exc.value) == "row 1 sums to 5/6"
+
+    def test_repeated_list_object(self):
+        negative = [Fraction(3, 2), Fraction(-1, 2)]
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=[negative, self.HALF, negative])
+        assert str(exc.value) == "row 0 has negative entry -1/2"
+        unparsed = [Fraction(1, 2), "half"]
+        with pytest.raises(InstanceFormatError) as exc:
+            StochasticMatrix(rows=[self.HALF, unparsed, unparsed])
+        assert str(exc.value) == "not a rational: 'half'"
+
+    def test_bad_row_after_repeats(self):
+        rows = (self.HALF,) * 3
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=rows + ((Fraction(1),),))
+        assert str(exc.value) == "row 3 has 1 entries, expected 2"
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=rows + ((Fraction(1, 2), Fraction(2, 3)), (Fraction(1),)))
+        assert str(exc.value) == "row 3 sums to 7/6"
+        with pytest.raises(InstanceFormatError) as exc:
+            StochasticMatrix(rows=rows + ((Fraction(1),), 5))
+        assert str(exc.value) == "a row must be a sequence, got int"
+
+
 class TestMatrixChecksOverCommonDenominators:
     """Row sums are checked in ints; the messages echo the Fraction values."""
 

@@ -431,6 +431,7 @@ class TestMetamorphicAtScale:
         relabeled = relabel_symbols(inst, random.Random(2))
         for rho in self.LEVELS:
             assert privacy_bound(relabeled, rho) == privacy_bound(inst, rho)
+        assert first_breakpoint(relabeled) == first_breakpoint(inst)
 
     def test_relabeling_outputs(self):
         inst = seeded_instance(200, 20, 30, 1)
@@ -439,9 +440,20 @@ class TestMetamorphicAtScale:
         relabeled = Instance(pmf=inst.pmf, f=tuple(perm[y] for y in inst.f), l=inst.l)
         for rho in self.LEVELS:
             assert privacy_bound(relabeled, rho) == privacy_bound(inst, rho)
+        assert first_breakpoint(relabeled) == first_breakpoint(inst)
 
     def test_larger_list_never_raises_the_bound(self):
         inst = seeded_instance(200, 20, 30, 1)
         larger = inst.with_list_size(inst.l + 1)
         for rho in self.LEVELS:
             assert privacy_bound(larger, rho) <= privacy_bound(inst, rho)
+
+    def test_larger_list_finds_its_own_first_kink(self):
+        # The kink is kept per instance: one kept per shape, or shared
+        # between instances, would hand the larger list the smaller's.
+        inst = seeded_instance(200, 20, 30, 1)
+        assert first_breakpoint(inst) == F(11, 196)
+        larger = inst.with_list_size(inst.l + 1)
+        fresh = Instance(pmf=inst.pmf, f=inst.f, l=inst.l + 1)
+        assert first_breakpoint(larger) == envelope._tangent_steps(fresh) == F(11, 194)
+        assert first_breakpoint(inst) == F(11, 196)

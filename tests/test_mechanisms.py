@@ -94,6 +94,12 @@ class TestAddNoise:
                 first = w.rows[block[0]]
                 assert all(w.rows[x] == first for x in block)
 
+    def test_one_row_object_per_preimage(self):
+        w = add_noise_qr(SKEW7, NoisePmf(conditional=((F(3, 4), F(1, 4)), (F(1, 3), F(2, 3)))))
+        for block in SKEW7.preimages:
+            assert all(w.rows[x] is w.rows[block[0]] for x in block)
+        assert w.rows[SKEW7.preimages[0][0]] is not w.rows[SKEW7.preimages[1][0]]
+
     def test_shift_structure(self):
         inst = Instance(pmf=(F(1, 3),) * 3, f=(0, 1, 2), l=1)
         noise = NoisePmf(
@@ -154,6 +160,15 @@ class TestOptimalBinary:
     def test_rejects_wider_ranges(self):
         with pytest.raises(NotBinaryFunction):
             optimal_binary_qr(TERNARY5, F(3, 4))
+
+    def test_first_kink_found_once_per_instance(self, tangent_steps):
+        inst = random_binary_instance(random.Random(27), r_max=9, l_max=4)
+        levels = [recoverability_level(optimal_binary_qr(inst, rho), inst) for rho in grid(20)]
+        assert len(tangent_steps) == 1 and tangent_steps[0] is inst
+        assert levels == [max(rho, first_breakpoint(inst)) for rho in grid(20)]
+        other = inst.with_list_size(inst.l + 1)
+        optimal_binary_qr(other, F(1, 2))
+        assert len(tangent_steps) == 2 and tangent_steps[1] is other
 
     def test_rejects_bad_rho(self):
         with pytest.raises(RhoOutOfRange):

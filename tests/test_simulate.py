@@ -63,6 +63,36 @@ class TestDeterminism:
         assert derive_stream_seed(100, 3) == 103
 
 
+class TestNegativeSeeds:
+    """random.Random seeds by an int's absolute value, so a negative seed
+    would replay its positive twin's stream while reporting its own."""
+
+    def test_simulate_game_refuses_them(self):
+        mech = uniform_qr(SKEW7)
+        est = map_list_estimator(SKEW7, mech)
+        with pytest.raises(InstanceFormatError, match="need a non-negative seed, got -7"):
+            simulate_game(SKEW7, mech, est, 100, -7)
+        assert simulate_game(SKEW7, mech, est, 100, 0).seed == 0
+
+    @pytest.mark.parametrize("seed, stream", [(-2, 0), (-2, 4), (3, -1)])
+    def test_stream_derivation_refuses_them(self, seed, stream):
+        with pytest.raises(InstanceFormatError, match="need a non-negative"):
+            derive_stream_seed(seed, stream)
+
+    def test_sweep_refuses_them_before_any_level(self):
+        built = []
+
+        def factory(rho):
+            built.append(rho)
+            return uniform_qr(SKEW7)
+
+        for levels in ([F(0), F(1, 2), F(1)], []):
+            with pytest.raises(InstanceFormatError, match="need a non-negative seed, got -2"):
+                privacy_sweep(SKEW7, factory, levels, 100, -2)
+        assert built == []
+        assert len(privacy_sweep(SKEW7, factory, [F(0), F(1)], 100, 0)) == 2
+
+
 class TestAgainstAnalyticValues:
     def test_uniform_mechanism_near_map_value(self):
         mech = uniform_qr(SKEW7)
