@@ -7,11 +7,13 @@ of all the lines gives the whole curve, its kinks, and the staircase of anchor
 cardinalities. For binary functions the bound is known to be attained, which
 the optimal-mechanism constructor and the LP oracle both exercise.
 
-The bound at one level needs no lines, and the first kink, which that
-constructor reads, needs no curve: for a fixed anchor size a greedy over
-per-preimage marginal gains gives the best line at one level in integers, the
-best over every size is the bound there, and tangent steps on those lines
-reach the kink, once per instance.
+Neither the bound nor the curve enumerates a line: for a fixed anchor size a
+greedy over per-preimage marginal gains gives the best line at one level in
+integers, and the best over every size is the bound there. Tangent steps on
+those best lines find every kink of the curve; the first kink, which that
+constructor reads, is found on its own, once per instance.
+`enumerate_lines` still lists one line per count vector, and `anchor_set`
+picks its anchor, with its tie-breaks, from that list.
 """
 
 from __future__ import annotations
@@ -178,18 +180,18 @@ def privacy_bound(inst: Instance, rho) -> Fraction:
 
     Tight for binary functions; never exceeded by any admissible mechanism.
     It is one minus the best anchor line's value, `anchor_set`'s objective,
-    without its lines or tie-breaks: at rho = p/q the best line with fewer
-    than l anchor symbols comes from the greedy per anchor size, and the
-    line with l anchor symbols is the top-l mass, all in ints over the pmf's
-    common denominator read from the instance's profile.
+    without its lines or tie-breaks: at rho = p/q `_best_line` gives that
+    value, by a greedy per anchor size below l and the top-l mass for size
+    l, all in ints over the pmf's common denominator read from the
+    instance's profile.
     """
     rho = ensure_rho(rho)
     _check_type("instance", inst, Instance)
     profile = inst._profile
     p, q = rho.numerator, rho.denominator
-    intercept, slope = _best_short_line(profile.prefix, inst.l, p, q)
+    value = _best_line(profile.prefix, inst.l, _top_mass(profile), p, q)[0]
     scale = q * profile.den
-    return Fraction(scale - max(q * _top_mass(profile), q * intercept + p * slope), scale)
+    return Fraction(scale - value, scale)
 
 
 def privacy_at_zero(inst: Instance) -> Fraction:
@@ -213,57 +215,73 @@ def privacy_at_one(inst: Instance) -> Fraction:
 def privacy_curve(inst: Instance) -> PrivacyCurve:
     """The whole bound as a piecewise-affine curve on [0, 1].
 
-    Builds the upper envelope of the canonical anchor lines by slope order with
-    exact intersection arithmetic, then reads kinks and anchor sizes off the
-    surviving pieces.
+    The covered mass, one minus the bound, is the upper envelope of the
+    anchor lines: convex in rho, and `_best_line` gives a line tangent to it
+    at any level. The tangent-intersection method (Eisner & Severance,
+    J. ACM 23(4), 1976) finds every kink from those tangents alone, with no
+    line enumerated: from the tangents at rho = 0 and rho = 1 it evaluates
+    the best line where two adjacent tangents cross; that crossing is a kink
+    when no line beats both there, and otherwise the line that does is a
+    new tangent between them. Pieces of zero width are dropped. A segment's
+    anchor size is the largest size whose best line reaches the envelope at
+    the segment's midpoint. Masses are ints over the pmf's common
+    denominator, read from the instance's profile; Fractions are built only
+    for the segments and breakpoints returned.
     """
-    # For equal slopes only the highest intercept can ever lead, so each
-    # slope keeps its first line in preference order at rho = 0.
-    lines = sorted(enumerate_lines(inst), key=lambda ln: (ln.slope, _preference(ln, 0)))
-    # Left-to-right sweep: keep (line, start) pairs where each line begins to
-    # lead. A newcomer with a steeper slope evicts every line it overtakes at
-    # or before that line's own start.
-    hull: list[tuple[EnvelopeLine, Fraction]] = []
-    for idx, line in enumerate(lines):
-        if idx and line.slope == lines[idx - 1].slope:
+    _check_type("instance", inst, Instance)
+    profile = inst._profile
+    prefix, l, den = profile.prefix, inst.l, profile.den
+    top = _top_mass(profile)
+    # A piece is (intercept, slope, p, q): its line leads from rho = p/q on.
+    # The l-symbol anchor leads at rho = 0, as every smaller one has less mass.
+    pieces = [(top, 0, 0, 1)]
+    # Lines tangent to the envelope right of the last piece's start, nearest
+    # last; each one's tangent point lies left of the one below it.
+    pending = [_best_line(prefix, l, top, 1, 1)[1:3]]
+    while pending:
+        lead, lead_slope, p0, q0 = pieces[-1]
+        right = pending[-1]
+        # The last piece's line is tangent at its start and right further
+        # on, so right is the steeper line and they cross at p/q, with q > 0.
+        p, q = lead - right[0], right[1] - lead_slope
+        value, intercept, slope, _ = _best_line(prefix, l, top, p, q)
+        if value > q * lead + p * lead_slope:
+            pending.append((intercept, slope))
             continue
-        start = Fraction(0)
-        while hull:
-            leader, led_from = hull[-1]
-            cross = (leader.intercept - line.intercept) / (line.slope - leader.slope)
-            if cross <= led_from:
-                hull.pop()
-                continue
-            start = cross
-            break
-        if start < 1:
-            hull.append((line, start))
-    segments = []
-    sizes = []
-    for idx, (line, start) in enumerate(hull):
-        end = hull[idx + 1][1] if idx + 1 < len(hull) else Fraction(1)
-        segments.append(
-            CurveSegment(
-                rho_lo=start,
-                rho_hi=end,
-                slope=-line.slope,
-                intercept=1 - line.intercept,
-            )
-        )
-        sizes.append(line.cardinality)
-    if sizes[0] != inst.l:
+        pending.pop()
+        # A piece that starts where the last one did leads on no interval.
+        if p * q0 == p0 * q:
+            pieces.pop()
+        pieces.append((*right, p, q))
+    if pieces[-1][2] == pieces[-1][3]:  # nor does one that starts at 1
+        pieces.pop()
+    ends = [(p, q) for *_, p, q in pieces[1:]] + [(1, 1)]
+    sizes = [
+        _best_line(prefix, l, top, p0 * q1 + p1 * q0, 2 * q0 * q1)[3]
+        for (*_, p0, q0), (p1, q1) in zip(pieces, ends)
+    ]
+    if sizes[0] != l:
         raise AssertionError("curve does not start at full anchor cardinality")
     if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
         raise AssertionError("anchor cardinality increased along the curve")
+    starts = [Fraction(p, q) for *_, p, q in pieces] + [Fraction(1)]
+    segments = [
+        CurveSegment(
+            rho_lo=starts[idx],
+            rho_hi=starts[idx + 1],
+            slope=Fraction(-slope, den),
+            intercept=Fraction(den - intercept, den),
+        )
+        for idx, (intercept, slope, _, _) in enumerate(pieces)
+    ]
     # Kinks where the anchor cardinality drops give the breakpoints; a drop by
     # d emits the same abscissa d times, and drops that never happen before
     # rho = 1 are recorded at 1.
     breakpoints: list[Fraction] = []
-    for idx in range(1, len(hull)):
-        drop = sizes[idx - 1] - sizes[idx]
-        breakpoints.extend([hull[idx][1]] * drop)
+    for idx in range(1, len(pieces)):
+        breakpoints.extend([starts[idx]] * (sizes[idx - 1] - sizes[idx]))
     breakpoints.extend([Fraction(1)] * sizes[-1])
-    if len(breakpoints) != inst.l:
+    if len(breakpoints) != l:
         raise AssertionError("breakpoint count does not match the list size")
     return PrivacyCurve(
         segments=tuple(segments),
@@ -278,20 +296,26 @@ def _top_mass(profile) -> int:
     return sum([profile.pw[x] for x in profile.top])
 
 
-def _best_short_line(prefix: Sequence[Sequence[int]], l: int, p: int, q: int) -> tuple[int, int]:
-    """(intercept, slope) of a best line whose anchor has fewer than l symbols,
-    at rho = p/q, with `prefix[i][c]` the mass of the c heaviest symbols of
-    preimage i in ints over one scale; gains and values are scaled by q.
+def _best_line(
+    prefix: Sequence[Sequence[int]], l: int, top: int, p: int, q: int
+) -> tuple[int, int, int, int]:
+    """(value, intercept, slope, size) of a best line at rho = p/q over every
+    anchor size m = 0..l, with `prefix[i][c]` the mass of the c heaviest
+    symbols of preimage i and `top` the top-l mass, in ints over one scale;
+    the value q * intercept + p * slope and the gains are scaled by q, and
+    any positive multiple of (p, q) gives the same line. `size` is the
+    largest m whose best line reaches the value, and the line is that one.
 
-    For anchor size m, with t = l - m, a line's value at rho is the sum over
-    preimages of g_i(c_i) = (1 - rho) S_i(c_i) + rho S_i(min(c_i + t, n_i)).
-    Each g_i is concave: a preimage's marginal gains never increase along
-    its ranked prefix. So the m largest gains over all preimages, counted per
+    Size l is the top-l mass, with slope 0. For a smaller size m, with
+    t = l - m, a line's value at rho is the sum over preimages of
+    g_i(c_i) = (1 - rho) S_i(c_i) + rho S_i(min(c_i + t, n_i)). Each g_i is
+    concave: a preimage's marginal gains never increase along its ranked
+    prefix. So the m largest gains over all preimages, counted per
     preimage, give a best count vector of size m (Ibaraki & Katoh, Resource
     Allocation Problems, 1988).
     """
-    best = (-1, 0, 0)
-    for m in range(l):
+    best = (q * top, top, 0, l)
+    for m in range(l - 1, -1, -1):
         t = l - m
         gains = []
         for i, s in enumerate(prefix):
@@ -307,8 +331,8 @@ def _best_short_line(prefix: Sequence[Sequence[int]], l: int, p: int, q: int) ->
         slope = sum([s[min(c + t, len(s) - 1)] for s, c in zip(prefix, counts)]) - intercept
         value = q * intercept + p * slope
         if value > best[0]:
-            best = (value, intercept, slope)
-    return best[1], best[2]
+            best = (value, intercept, slope, m)
+    return best
 
 
 def first_breakpoint(inst: Instance) -> Fraction:
@@ -331,22 +355,21 @@ def _tangent_steps(inst: Instance) -> Fraction:
     The value of the best such line is convex and increasing in rho, so
     tangent steps from rho = 1 descend onto that root without passing it
     (Eisner & Severance, J. ACM 23(4), 1976): each step moves to the root
-    (T - I) / S of the best line (I, S) at the current level, found by a
-    greedy per anchor size, and the first level where the best line no
-    longer beats T is the answer. All masses are ints over the pmf's common
-    denominator, read from the instance's profile; no line is enumerated and
-    no hull is built.
+    (T - I) / S of the best line (I, S) at the current level, found by
+    `_best_line`, and the first level where the best line is the top-l mass
+    is the answer. All masses are ints over the pmf's common denominator,
+    read from the instance's profile; no line is enumerated and no hull is
+    built.
     """
     profile = inst._profile
     prefix = profile.prefix
     top = _top_mass(profile)
-    rho = Fraction(1)
+    p, q = 1, 1
     while True:
-        p, q = rho.numerator, rho.denominator
-        intercept, slope = _best_short_line(prefix, inst.l, p, q)
-        if q * intercept + p * slope <= q * top:
-            return rho
-        rho = Fraction(top - intercept, slope)
+        value, intercept, slope, _ = _best_line(prefix, inst.l, top, p, q)
+        if value == q * top:
+            return Fraction(p, q)
+        p, q = top - intercept, slope
 
 
 # --- exports -----------------------------------------------------------------

@@ -97,15 +97,16 @@ def optimal_binary_qr(inst: Instance, rho) -> StochasticMatrix:
     Reports the true value with probability max(rho, rho1) where rho1 is the
     curve's first kink, and flips it otherwise. Constant in rho below rho1.
     rho1 is found once per instance (`first_breakpoint`), so a sweep over
-    levels pays for it once; each level then builds two distinct rows.
+    levels pays for it once; each level then builds the add-noise rows of
+    that flip channel, one row object per output value, in one matrix.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
     if inst.k != 2:
         raise NotBinaryFunction(f"function has {inst.k} output symbols")
     keep = max(rho, first_breakpoint(inst))
-    noise = NoisePmf(conditional=((keep, 1 - keep), (keep, 1 - keep)))
-    return add_noise_qr(inst, noise)
+    per_value = ((keep, 1 - keep), (1 - keep, keep))
+    return StochasticMatrix(rows=tuple([per_value[i] for i in inst.f]))
 
 
 def ternary_example_qr(rho) -> tuple[Instance, StochasticMatrix]:

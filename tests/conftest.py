@@ -22,7 +22,7 @@ import listprivacy.simplex as simplex
 from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.adversary import PrivacyReport
 from listprivacy.core import check_dims, ensure_rho, over_common_denominator
-from listprivacy.envelope import EnvelopeLine
+from listprivacy.envelope import CurveSegment, EnvelopeLine, PrivacyCurve
 from listprivacy.oracle import OracleResult
 from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpStatus
 
@@ -111,6 +111,68 @@ def reference_anchor(inst: Instance, rho: Fraction, lines=None) -> tuple[tuple[i
                 picks.extend(top_elements(block, inside, inst.pmf))
             canonical.add(tuple(sorted(picks)))
     return min(canonical), best
+
+
+def reference_privacy_curve(inst: Instance) -> PrivacyCurve:
+    """Fraction hull reference for `privacy_curve`: the upper envelope of every
+    `enumerate_lines` line by slope order with exact intersection
+    arithmetic, with kinks and anchor sizes read off the surviving pieces.
+    """
+    # For equal slopes only the highest intercept can ever lead, so each
+    # slope keeps its first line in preference order at rho = 0.
+    lines = sorted(
+        envelope.enumerate_lines(inst), key=lambda ln: (ln.slope, envelope._preference(ln, 0))
+    )
+    # Left-to-right sweep: keep (line, start) pairs where each line begins to
+    # lead. A newcomer with a steeper slope evicts every line it overtakes at
+    # or before that line's own start.
+    hull: list[tuple[EnvelopeLine, Fraction]] = []
+    for idx, line in enumerate(lines):
+        if idx and line.slope == lines[idx - 1].slope:
+            continue
+        start = Fraction(0)
+        while hull:
+            leader, led_from = hull[-1]
+            cross = (leader.intercept - line.intercept) / (line.slope - leader.slope)
+            if cross <= led_from:
+                hull.pop()
+                continue
+            start = cross
+            break
+        if start < 1:
+            hull.append((line, start))
+    segments = []
+    sizes = []
+    for idx, (line, start) in enumerate(hull):
+        end = hull[idx + 1][1] if idx + 1 < len(hull) else Fraction(1)
+        segments.append(
+            CurveSegment(
+                rho_lo=start,
+                rho_hi=end,
+                slope=-line.slope,
+                intercept=1 - line.intercept,
+            )
+        )
+        sizes.append(line.cardinality)
+    if sizes[0] != inst.l:
+        raise AssertionError("curve does not start at full anchor cardinality")
+    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
+        raise AssertionError("anchor cardinality increased along the curve")
+    # Kinks where the anchor cardinality drops give the breakpoints; a drop by
+    # d emits the same abscissa d times, and drops that never happen before
+    # rho = 1 are recorded at 1.
+    breakpoints: list[Fraction] = []
+    for idx in range(1, len(hull)):
+        drop = sizes[idx - 1] - sizes[idx]
+        breakpoints.extend([hull[idx][1]] * drop)
+    breakpoints.extend([Fraction(1)] * sizes[-1])
+    if len(breakpoints) != inst.l:
+        raise AssertionError("breakpoint count does not match the list size")
+    return PrivacyCurve(
+        segments=tuple(segments),
+        breakpoints=tuple(breakpoints),
+        lambda_sizes=tuple(sizes),
+    )
 
 
 def _reference_pivot(T: list, basis: list, red: list, row: int, col: int):

@@ -21,7 +21,13 @@ from listprivacy.core import Instance
 from listprivacy.errors import InstanceFormatError
 from listprivacy import envelope
 from listprivacy.envelope import curve_samples_csv, curve_segments_csv, curve_to_text
-from conftest import grid, random_instance, reference_anchor, reference_lines
+from conftest import (
+    grid,
+    random_instance,
+    reference_anchor,
+    reference_lines,
+    reference_privacy_curve,
+)
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -148,6 +154,13 @@ def relabel_symbols(inst, rng):
         pmf[perm[x]] = inst.pmf[x]
         f[perm[x]] = inst.f[x]
     return Instance(pmf=tuple(pmf), f=tuple(f), l=inst.l)
+
+
+def relabel_outputs(inst, rng):
+    # Output value y becomes perm[y].
+    perm = list(range(inst.k))
+    rng.shuffle(perm)
+    return Instance(pmf=inst.pmf, f=tuple(perm[y] for y in inst.f), l=inst.l)
 
 
 class TestAnchorProperties:
@@ -365,9 +378,10 @@ def seeded_instance(r, k, l, seed):
 
 @functools.cache
 def curve_40_8_8():
-    # 10,358 count-vector lines: the one curve built at this size, shared.
+    # 10,358 count-vector lines: the one reference hull built at this size,
+    # shared, so the greedy routes are checked against enumerated lines.
     inst = seeded_instance(40, 8, 8, 1)
-    return inst, privacy_curve(inst)
+    return inst, reference_privacy_curve(inst)
 
 
 class TestFirstBreakpointAtScale:
@@ -381,7 +395,7 @@ class TestFirstBreakpointAtScale:
         for inst in (SKEW7, UNIFORM4, TERNARY5):
             for l in range(1, inst.r):
                 sized = inst.with_list_size(l)
-                assert first_breakpoint(sized) == privacy_curve(sized).breakpoints[0]
+                assert first_breakpoint(sized) == reference_privacy_curve(sized).breakpoints[0]
 
     def test_200_20_30_within_a_second(self):
         inst = seeded_instance(200, 20, 30, 1)
@@ -420,6 +434,53 @@ class TestPrivacyBoundAtScale:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+class TestPrivacyCurveAtScale:
+    """`privacy_curve` enumerates no line: tangent steps on the greedy
+    evaluator. (60, 10, 10) has far too many count vectors to enumerate in
+    a test."""
+
+    def test_reads_no_line(self, monkeypatch):
+        instances = [inst.with_list_size(l) for inst in (SKEW7, TERNARY5) for l in range(1, inst.r)]
+        expected = [privacy_curve(inst) for inst in instances]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("privacy_curve enumerated lines")
+
+        monkeypatch.setattr(envelope, "enumerate_lines", refused)
+        monkeypatch.setattr(envelope, "anchor_set", refused)
+        assert [privacy_curve(inst) for inst in instances] == expected
+        assert privacy_curve(SKEW7).breakpoints == (F(3, 5), F(2, 3), F(3, 4))
+
+    def test_matches_the_reference_at_40_8_8(self):
+        inst, curve = curve_40_8_8()
+        assert privacy_curve(inst) == curve
+
+    def test_60_10_10_within_a_second(self):
+        inst = seeded_instance(60, 10, 10, 1)
+        start = time.process_time()
+        curve = privacy_curve(inst)
+        assert time.process_time() - start < 1
+        assert curve.value_at(0) == privacy_at_zero(inst)
+        assert curve.value_at(1) == privacy_at_one(inst)
+        assert curve.breakpoints[0] == first_breakpoint(inst)
+
+    def test_relabeling_symbols(self):
+        inst = seeded_instance(60, 10, 10, 1)
+        assert privacy_curve(relabel_symbols(inst, random.Random(4))) == privacy_curve(inst)
+
+    def test_relabeling_outputs(self):
+        inst = seeded_instance(60, 10, 10, 1)
+        assert privacy_curve(relabel_outputs(inst, random.Random(5))) == privacy_curve(inst)
+
+    def test_larger_list_never_lies_above(self):
+        inst = seeded_instance(60, 10, 10, 1)
+        curve = privacy_curve(inst)
+        larger = privacy_curve(inst.with_list_size(inst.l + 1))
+        levels = {*curve.breakpoints, *larger.breakpoints, *grid(20)}
+        for rho in levels:
+            assert larger.value_at(rho) <= curve.value_at(rho)
+
+
 class TestMetamorphicAtScale:
     """Relations that hold where no curve or reference runs: (200, 20, 30)
     has far too many count vectors to enumerate."""
@@ -435,9 +496,7 @@ class TestMetamorphicAtScale:
 
     def test_relabeling_outputs(self):
         inst = seeded_instance(200, 20, 30, 1)
-        perm = list(range(inst.k))
-        random.Random(3).shuffle(perm)
-        relabeled = Instance(pmf=inst.pmf, f=tuple(perm[y] for y in inst.f), l=inst.l)
+        relabeled = relabel_outputs(inst, random.Random(3))
         for rho in self.LEVELS:
             assert privacy_bound(relabeled, rho) == privacy_bound(inst, rho)
         assert first_breakpoint(relabeled) == first_breakpoint(inst)

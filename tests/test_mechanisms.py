@@ -22,7 +22,7 @@ from listprivacy import (
     uniform_qr,
 )
 from listprivacy.catalog import instance as catalog_instance
-from listprivacy.core import Instance
+from listprivacy.core import Instance, StochasticMatrix
 from listprivacy.errors import (
     DigestMismatch,
     DimensionMismatch,
@@ -173,6 +173,33 @@ class TestOptimalBinary:
     def test_rejects_bad_rho(self):
         with pytest.raises(RhoOutOfRange):
             optimal_binary_qr(UNIFORM4, F(6, 5))
+        # The level is checked before the function's range.
+        with pytest.raises(RhoOutOfRange):
+            optimal_binary_qr(TERNARY5, F(6, 5))
+
+    def test_builds_and_checks_one_matrix(self, monkeypatch):
+        # One StochasticMatrix per call, with the rows of the flip channel's
+        # add-noise mechanism and one row object per output value.
+        built = []
+        check = StochasticMatrix.__post_init__
+
+        def counted(matrix):
+            built.append(matrix)
+            check(matrix)
+
+        monkeypatch.setattr(StochasticMatrix, "__post_init__", counted)
+        rng = random.Random(28)
+        for _ in range(6):
+            inst = random_binary_instance(rng, r_max=12, l_max=4)
+            for rho in grid(20):
+                before = len(built)
+                w = optimal_binary_qr(inst, rho)
+                assert len(built) == before + 1 and built[-1] is w
+                keep = max(rho, first_breakpoint(inst))
+                noise = NoisePmf(conditional=((keep, 1 - keep), (keep, 1 - keep)))
+                assert w.rows == add_noise_qr(inst, noise).rows
+                for block in inst.preimages:
+                    assert all(w.rows[x] is w.rows[block[0]] for x in block)
 
 
 class TestTernaryExample:
