@@ -222,22 +222,23 @@ class Instance:
 
     @cached_property
     def _first_kink(self) -> Fraction:
-        """The bound's first kink, by `envelope`'s tangent steps, computed on
-        first use and then kept: every level of an optimal-binary sweep reads
-        it. Not part of the eager `_profile`, which every query builds."""
-        from .envelope import _tangent_steps  # envelope imports this module
+        """The bound's first kink, where `envelope._tangent_sweep`'s first line
+        leads from, computed on first use and then kept: every level of an
+        optimal-binary sweep reads it. Not part of the eager `_profile`."""
+        from .envelope import _tangent_sweep  # envelope imports this module
 
-        return _tangent_steps(self)
+        return Fraction(*next(_tangent_sweep(self))[2:])
 
     def mass(self, members: Iterable[int]) -> Fraction:
-        """Total pmf mass of a set of symbols."""
-        return sum((self.pmf[x] for x in members), ZERO)
+        """Total pmf mass of a set of symbols; a repeated member counts once."""
+        return sum((self.pmf[x] for x in _symbol_set(members, self.r)), ZERO)
 
     def with_list_size(self, l: int) -> "Instance":
         """Same pmf and function, different list size."""
         return Instance(self.pmf, self.f, l, self.k, self.labels)
 
     def label_of(self, x: int) -> str:
+        _symbol_set((x,), self.r)
         return self.labels[x] if self.labels is not None else str(x)
 
 
@@ -348,6 +349,18 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _symbol_set(members: Iterable[int], r: int) -> set[int]:
+    """The members as a set, each checked to be a symbol of an r-symbol pmf: a
+    non-bool int in range(r), else InstanceFormatError."""
+    _check_type("symbol pool", members, Iterable)
+    pool = set()
+    for x in members:
+        if not _is_int(x) or not 0 <= x < r:
+            raise InstanceFormatError(f"{_shown(x)} is not a symbol of a {r}-symbol pmf")
+        pool.add(x)
+    return pool
+
+
 def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tuple[int, ...]:
     """The t heaviest symbols of a pool by `ranked`'s rule, as an ascending index tuple.
 
@@ -357,12 +370,7 @@ def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tup
     """
     if not _is_int(t):
         raise InstanceFormatError(f"need a whole number of elements, got {_shown(t)}")
-    _check_type("symbol pool", members, Iterable)
-    members = tuple(members)
-    for x in members:
-        if not _is_int(x) or not 0 <= x < len(pmf):
-            raise InstanceFormatError(f"{_shown(x)} is not a symbol of a {len(pmf)}-symbol pmf")
-    pool = sorted(set(members))
+    pool = sorted(_symbol_set(members, len(pmf)))
     if not 0 <= t <= len(pool):
         raise TooManyRequested(f"asked for {_shown(t)} of {len(pool)} elements")
     return tuple(sorted(ranked(pmf, pool)[:t]))

@@ -9,9 +9,9 @@ the optimal-mechanism constructor and the LP oracle both exercise.
 
 Neither the bound nor the curve enumerates a line: for a fixed anchor size a
 greedy over per-preimage marginal gains gives the best line at one level in
-integers, and the best over every size is the bound there. Tangent steps on
-those best lines find every kink of the curve; the first kink, which that
-constructor reads, is found on its own, once per instance.
+integers, and the best over every size is the bound there. One tangent sweep
+on those best lines finds every kink of the curve; the first kink, which that
+constructor reads, is the sweep's first step, taken once per instance.
 `enumerate_lines` still lists one line per count vector, and `anchor_set`
 picks its anchor, with its tie-breaks, from that list.
 """
@@ -219,12 +219,9 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
     anchor lines: convex in rho, and `_best_line` gives a line tangent to it
     at any level. The tangent-intersection method (Eisner & Severance,
     J. ACM 23(4), 1976) finds every kink from those tangents alone, with no
-    line enumerated: from the tangents at rho = 0 and rho = 1 it evaluates
-    the best line where two adjacent tangents cross; that crossing is a kink
-    when no line beats both there, and otherwise the line that does is a
-    new tangent between them. Pieces of zero width are dropped. A segment's
-    anchor size is the largest size whose best line reaches the envelope at
-    the segment's midpoint. Masses are ints over the pmf's common
+    line enumerated (`_tangent_sweep`); pieces of zero width are dropped. A
+    segment's anchor size is the largest size whose best line reaches the
+    envelope at the segment's midpoint. Masses are ints over the pmf's common
     denominator, read from the instance's profile; Fractions are built only
     for the segments and breakpoints returned.
     """
@@ -235,24 +232,11 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
     # A piece is (intercept, slope, p, q): its line leads from rho = p/q on.
     # The l-symbol anchor leads at rho = 0, as every smaller one has less mass.
     pieces = [(top, 0, 0, 1)]
-    # Lines tangent to the envelope right of the last piece's start, nearest
-    # last; each one's tangent point lies left of the one below it.
-    pending = [_best_line(prefix, l, top, 1, 1)[1:3]]
-    while pending:
-        lead, lead_slope, p0, q0 = pieces[-1]
-        right = pending[-1]
-        # The last piece's line is tangent at its start and right further
-        # on, so right is the steeper line and they cross at p/q, with q > 0.
-        p, q = lead - right[0], right[1] - lead_slope
-        value, intercept, slope, _ = _best_line(prefix, l, top, p, q)
-        if value > q * lead + p * lead_slope:
-            pending.append((intercept, slope))
-            continue
-        pending.pop()
+    for piece in _tangent_sweep(inst):
         # A piece that starts where the last one did leads on no interval.
-        if p * q0 == p0 * q:
+        if piece[2] * pieces[-1][3] == pieces[-1][2] * piece[3]:
             pieces.pop()
-        pieces.append((*right, p, q))
+        pieces.append(piece)
     if pieces[-1][2] == pieces[-1][3]:  # nor does one that starts at 1
         pieces.pop()
     ends = [(p, q) for *_, p, q in pieces[1:]] + [(1, 1)]
@@ -288,6 +272,33 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
         breakpoints=tuple(breakpoints),
         lambda_sizes=tuple(sizes),
     )
+
+
+def _tangent_sweep(inst: Instance) -> Iterator[tuple[int, int, int, int]]:
+    """The lines the tangent sweep confirms on the envelope, left to right, as
+    (intercept, slope, p, q) in ints over the pmf's common denominator: the
+    line leads from rho = p/q on. A crossing of the lead, at first the top-l
+    line, and the nearest pending tangent is confirmed when no line beats
+    both there; the pending line is yielded and becomes the lead. The first
+    yield starts below 1, as k >= 2 and l < r: it is the first kink."""
+    profile = inst._profile
+    prefix, l, top = profile.prefix, inst.l, _top_mass(profile)
+    lead, lead_slope = top, 0
+    # Lines tangent to the envelope right of the lead's start, nearest last;
+    # each one's tangent point lies left of the one below it.
+    pending = [_best_line(prefix, l, top, 1, 1)[1:3]]
+    while pending:
+        right = pending[-1]
+        # The lead is tangent at its start and right further on, so right is
+        # the steeper line and they cross at p/q, with q > 0.
+        p, q = lead - right[0], right[1] - lead_slope
+        value, intercept, slope, _ = _best_line(prefix, l, top, p, q)
+        if value > q * lead + p * lead_slope:
+            pending.append((intercept, slope))
+            continue
+        pending.pop()
+        yield (*right, p, q)
+        lead, lead_slope = right
 
 
 def _top_mass(profile) -> int:
@@ -340,42 +351,22 @@ def first_breakpoint(inst: Instance) -> Fraction:
     first entry of `privacy_curve(inst).breakpoints`, without the curve.
 
     Below it the best mechanism reveals nothing useful; the value is never
-    smaller than 1/k. It depends on the instance alone, so the tangent steps
-    that find it run once per instance, on the first call, and every later
-    call on that instance returns the kept value (`Instance._first_kink`).
+    smaller than 1/k. It is where the first line of `_tangent_sweep` leads
+    from, and the sweep goes no further. It is found once per instance, on
+    the first call; every later call returns the kept value
+    (`Instance._first_kink`).
     """
     _check_type("instance", inst, Instance)
     return inst._first_kink
-
-
-def _tangent_steps(inst: Instance) -> Fraction:
-    """The first rho at which a line with fewer than l anchor symbols reaches
-    the top-l mass T, or 1 if none does before.
-
-    The value of the best such line is convex and increasing in rho, so
-    tangent steps from rho = 1 descend onto that root without passing it
-    (Eisner & Severance, J. ACM 23(4), 1976): each step moves to the root
-    (T - I) / S of the best line (I, S) at the current level, found by
-    `_best_line`, and the first level where the best line is the top-l mass
-    is the answer. All masses are ints over the pmf's common denominator,
-    read from the instance's profile; no line is enumerated and no hull is
-    built.
-    """
-    profile = inst._profile
-    prefix = profile.prefix
-    top = _top_mass(profile)
-    p, q = 1, 1
-    while True:
-        value, intercept, slope, _ = _best_line(prefix, inst.l, top, p, q)
-        if value == q * top:
-            return Fraction(p, q)
-        p, q = top - intercept, slope
 
 
 # --- exports -----------------------------------------------------------------
 
 def curve_to_jsonable(curve: PrivacyCurve) -> dict:
     _check_type("curve", curve, PrivacyCurve)
+    segments, sizes = curve.segments, curve.lambda_sizes
+    if not segments or len(sizes) != len(segments):
+        raise InstanceFormatError(f"curve has {len(segments)} segments and {len(sizes)} sizes")
     return {
         "breakpoints": [format_rational(b) for b in curve.breakpoints],
         "segments": [
@@ -386,7 +377,7 @@ def curve_to_jsonable(curve: PrivacyCurve) -> dict:
                 "intercept": format_rational(seg.intercept),
                 "anchor_size": size,
             }
-            for seg, size in zip(curve.segments, curve.lambda_sizes)
+            for seg, size in zip(segments, sizes)
         ],
     }
 

@@ -129,11 +129,10 @@ def derive_stream_seed(seed: int, stream: int) -> int:
     return seed + stream
 
 
-def _thresholds(probs: Sequence[Fraction]) -> list[int]:
+def _thresholds(nums: Sequence[int], den: int) -> list[int]:
     # Integer cut points on [0, 2**64): a uniform draw u selects the first
     # index whose threshold exceeds u. Cut i is 2**64 times the sum of masses
-    # 0 to i, rounded up; the sums are integers over the common denominator.
-    nums, den = over_common_denominator(probs)
+    # 0 to i, rounded up; the masses are the ints nums over den.
     return [-(-acc * _SCALE // den) for acc in accumulate(nums)]
 
 
@@ -256,8 +255,8 @@ def simulate_game(
         raise InstanceFormatError(f"need a whole number of trials >= 1, got {_shown(trials)}")
     _check_seed(seed)
     rng = random.Random(seed)
-    x_cuts = _thresholds(inst.pmf)
-    z_cuts = [_thresholds(row) for row in mech.rows]
+    x_cuts = _thresholds(inst._profile.pw, inst._profile.den)
+    z_cuts = [_thresholds(*over_common_denominator(row)) for row in mech.rows]
     members = [frozenset(lst) for lst in estimator.lists]
     # Per symbol, the runs of its z draw that hit and miss its list. A symbol
     # with one run has a constant class; the first 253 mixed symbols each

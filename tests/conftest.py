@@ -600,15 +600,16 @@ def pivot_log(monkeypatch):
 
 
 @pytest.fixture
-def tangent_steps(monkeypatch) -> list:
-    """The instances `envelope._tangent_steps` runs on, in call order: the
-    first kink's search, which should run once per instance."""
-    steps = []
-    search = envelope._tangent_steps
+def tangent_sweeps(monkeypatch) -> list:
+    """The instances `envelope._tangent_sweep` starts on, in call order. The
+    first kink's search starts one, which should happen once per instance;
+    `privacy_curve` starts one too, so a test that counts builds no curve."""
+    sweeps = []
+    sweep = envelope._tangent_sweep
 
     def record(inst):
-        steps.append(inst)
-        return search(inst)
+        sweeps.append(inst)
+        return sweep(inst)
 
-    monkeypatch.setattr(envelope, "_tangent_steps", record)
-    return steps
+    monkeypatch.setattr(envelope, "_tangent_sweep", record)
+    return sweeps

@@ -467,7 +467,7 @@ class TestSimulate:
             assert code == 1 and out == ""
             assert err == "error: InstanceFormatError: need a non-negative seed, got -1\n"
 
-    def test_optimal_binary_sweep_finds_the_first_kink_once(self, capsys, tmp_path, tangent_steps):
+    def test_optimal_binary_sweep_finds_the_first_kink_once(self, capsys, tmp_path, tangent_sweeps):
         inst_file = tmp_path / "skew7.json"
         inst_file.write_text(instance_to_text(SKEW7))
         code, out, _ = run(
@@ -475,7 +475,7 @@ class TestSimulate:
             "--grid", "21", "--trials", "200", "--seed", "3",
         )
         assert code == 0 and len(out.splitlines()) == 22
-        assert len(tangent_steps) == 1
+        assert len(tangent_sweeps) == 1
 
 
 class TestMalformedFiles:

@@ -279,6 +279,34 @@ class TestTopElements:
             top_elements(range(3), t, SKEW7.pmf)
 
 
+class TestMassAndLabelTakeSymbols:
+    """`mass` and `label_of` check each symbol by `top_elements`'s rule, and
+    `mass` counts a repeated member once."""
+
+    LABELED = Instance(pmf=SKEW7.pmf, f=SKEW7.f, l=SKEW7.l, labels=tuple("abcdefg"))
+
+    def test_mass_of_a_set(self):
+        assert SKEW7.mass([0, 1]) == SKEW7.pmf[0] + SKEW7.pmf[1]
+        assert SKEW7.mass([0, 0]) == SKEW7.mass({0}) == SKEW7.pmf[0] == Fraction(3, 10)
+        assert SKEW7.mass([]) == 0
+        assert SKEW7.mass(range(7)) == 1
+
+    @pytest.mark.parametrize("members", [[-1], [7], [0, 10], "ab", [1.0], [True], [[0]], 3, None])
+    def test_mass_refuses_non_symbols(self, members):
+        with pytest.raises(InstanceFormatError):
+            SKEW7.mass(members)
+
+    def test_label_of_a_symbol(self):
+        assert self.LABELED.label_of(6) == "g"
+        assert SKEW7.label_of(6) == "6"
+
+    @pytest.mark.parametrize("x", [-1, 7, 9, "a", 1.0, True, None])
+    def test_label_of_refuses_non_symbols(self, x):
+        for inst in (SKEW7, self.LABELED):
+            with pytest.raises(InstanceFormatError):
+                inst.label_of(x)
+
+
 class TestEnsureRho:
     def test_accepts_boundaries(self):
         assert ensure_rho(0) == 0 and ensure_rho(1) == 1

@@ -20,7 +20,13 @@ from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
 from listprivacy.errors import InstanceFormatError
 from listprivacy import envelope
-from listprivacy.envelope import curve_samples_csv, curve_segments_csv, curve_to_text
+from listprivacy.envelope import (
+    PrivacyCurve,
+    curve_samples_csv,
+    curve_segments_csv,
+    curve_to_jsonable,
+    curve_to_text,
+)
 from conftest import (
     grid,
     random_instance,
@@ -359,6 +365,20 @@ class TestExports:
         assert rows[1].split(",")[0] == "0"
         assert rows[-1].split(",")[0] == "1"
 
+    @pytest.mark.parametrize("sizes", [(), (4, 3, 2), (4, 3, 2, 1, 0)])
+    def test_one_anchor_size_per_segment(self, sizes):
+        curve = privacy_curve(SKEW7)
+        malformed = PrivacyCurve(curve.segments, curve.breakpoints, sizes)
+        for export in (curve_to_jsonable, curve_to_text, curve_segments_csv):
+            with pytest.raises(InstanceFormatError):
+                export(malformed)
+
+    def test_at_least_one_segment(self):
+        empty = PrivacyCurve((), (), ())
+        for export in (curve_to_jsonable, curve_to_text, curve_segments_csv):
+            with pytest.raises(InstanceFormatError):
+                export(empty)
+
     @pytest.mark.parametrize("n", [0, -2, 1.5, 2.0, "3", True, None])
     def test_sample_count_must_be_a_positive_int(self, n):
         curve = privacy_curve(UNIFORM4)
@@ -385,7 +405,8 @@ def curve_40_8_8():
 
 
 class TestFirstBreakpointAtScale:
-    """`first_breakpoint` builds no curve: tangent steps on a greedy evaluator."""
+    """`first_breakpoint` builds no curve: it stops the curve's tangent sweep
+    at its first step."""
 
     def test_matches_the_curve_at_40_8_8(self):
         inst, curve = curve_40_8_8()
@@ -396,6 +417,24 @@ class TestFirstBreakpointAtScale:
             for l in range(1, inst.r):
                 sized = inst.with_list_size(l)
                 assert first_breakpoint(sized) == reference_privacy_curve(sized).breakpoints[0]
+
+    def test_evaluates_a_prefix_of_the_curves_levels(self, monkeypatch):
+        # The kink is the sweep's first step: the levels it evaluates are the
+        # first of the curve's, and far fewer (5 against 31 here).
+        levels = []
+        best_line = envelope._best_line
+
+        def record(prefix, l, top, p, q):
+            levels.append((p, q))
+            return best_line(prefix, l, top, p, q)
+
+        monkeypatch.setattr(envelope, "_best_line", record)
+        inst = seeded_instance(60, 10, 10, 1)
+        rho1 = first_breakpoint(inst)
+        kink_levels = list(levels)
+        levels.clear()
+        assert privacy_curve(inst).breakpoints[0] == rho1
+        assert len(kink_levels) < len(levels) and levels[: len(kink_levels)] == kink_levels
 
     def test_200_20_30_within_a_second(self):
         inst = seeded_instance(200, 20, 30, 1)
@@ -435,7 +474,7 @@ class TestPrivacyBoundAtScale:
 
 
 class TestPrivacyCurveAtScale:
-    """`privacy_curve` enumerates no line: tangent steps on the greedy
+    """`privacy_curve` enumerates no line: a tangent sweep on the greedy
     evaluator. (60, 10, 10) has far too many count vectors to enumerate in
     a test."""
 
@@ -514,5 +553,5 @@ class TestMetamorphicAtScale:
         assert first_breakpoint(inst) == F(11, 196)
         larger = inst.with_list_size(inst.l + 1)
         fresh = Instance(pmf=inst.pmf, f=inst.f, l=inst.l + 1)
-        assert first_breakpoint(larger) == envelope._tangent_steps(fresh) == F(11, 194)
+        assert first_breakpoint(larger) == privacy_curve(fresh).breakpoints[0] == F(11, 194)
         assert first_breakpoint(inst) == F(11, 196)

@@ -1,5 +1,5 @@
 """Property suite: `privacy_curve`'s tangent sweep builds the hull of every
-count-vector line, `first_breakpoint`'s tangent steps find its first kink,
+count-vector line, `first_breakpoint`'s first sweep step finds its first kink,
 `privacy_bound`'s greedy finds the best line's value, and the instance
 profile they read matches its Fraction references.
 
@@ -8,7 +8,7 @@ tie-heavy (weights 1 and 2), so many lines tie, several anchor sizes reach
 the envelope at the same level and several lines meet at one kink. Both
 routes must agree exactly: the sweep and the Fraction hull over
 `enumerate_lines` (`reference_privacy_curve`) in every segment, breakpoint
-and anchor size, the steps and that hull's first breakpoint, and the
+and anchor size, the first sweep step and that hull's first breakpoint, and the
 greedy's bound and the best enumerated line at each level. Ties also make
 the profile's index tie-break decide its orders and its top-l list.
 """

@@ -161,14 +161,14 @@ class TestOptimalBinary:
         with pytest.raises(NotBinaryFunction):
             optimal_binary_qr(TERNARY5, F(3, 4))
 
-    def test_first_kink_found_once_per_instance(self, tangent_steps):
+    def test_first_kink_found_once_per_instance(self, tangent_sweeps):
         inst = random_binary_instance(random.Random(27), r_max=9, l_max=4)
         levels = [recoverability_level(optimal_binary_qr(inst, rho), inst) for rho in grid(20)]
-        assert len(tangent_steps) == 1 and tangent_steps[0] is inst
+        assert len(tangent_sweeps) == 1 and tangent_sweeps[0] is inst
         assert levels == [max(rho, first_breakpoint(inst)) for rho in grid(20)]
         other = inst.with_list_size(inst.l + 1)
         optimal_binary_qr(other, F(1, 2))
-        assert len(tangent_steps) == 2 and tangent_steps[1] is other
+        assert len(tangent_sweeps) == 2 and tangent_sweeps[1] is other
 
     def test_rejects_bad_rho(self):
         with pytest.raises(RhoOutOfRange):

@@ -20,6 +20,7 @@ from listprivacy import (
     uniform_qr,
 )
 from listprivacy.catalog import instance as catalog_instance
+from listprivacy.core import over_common_denominator
 from listprivacy.errors import DimensionMismatch, InstanceFormatError, RhoOutOfRange
 from listprivacy.simulate import _CHUNK, _guide, _thresholds, report_to_jsonable, sweep_to_csv
 from conftest import (
@@ -292,13 +293,13 @@ def _random_row(rng: random.Random, kind: str) -> list[F]:
 
 class TestGuideTable:
     CASES = [
-        _thresholds(SKEWED.pmf),
-        _thresholds(SKEWED_MECH.rows[0]),
-        _thresholds(DYADIC.pmf),
-        _thresholds((F(1, 2), F(0), F(0), F(1, 2))),  # repeated cuts
-        _thresholds((F(0), F(1), F(0))),
-        _thresholds((F(1),)),
-        _thresholds([F(1, 7)] * 7),
+        _thresholds(SKEWED._profile.pw, SKEWED._profile.den),
+        _thresholds(*over_common_denominator(SKEWED_MECH.rows[0])),
+        _thresholds(DYADIC._profile.pw, DYADIC._profile.den),
+        _thresholds([1, 0, 0, 1], 2),  # repeated cuts
+        _thresholds([0, 1, 0], 1),
+        _thresholds([1], 1),
+        _thresholds([1] * 7, 7),
     ]
 
     def test_a_cell_names_the_bin_of_every_draw_in_its_bucket(self):
@@ -319,7 +320,7 @@ class TestThresholds:
         rng = random.Random(kind)
         for _ in range(500):
             row = _random_row(rng, kind)
-            assert _thresholds(row) == reference_thresholds(row), row
+            assert _thresholds(*over_common_denominator(row)) == reference_thresholds(row), row
 
 
 class TestAgainstReferenceLoop:
