@@ -98,11 +98,14 @@ class PrivacyCurve:
     lambda_sizes: tuple[int, ...]
 
     def value_at(self, rho) -> Fraction:
+        """The bound at rho, from the first segment that holds it. Raises
+        InstanceFormatError when none does, as on a hand-built curve whose
+        segments do not cover [0, 1]."""
         rho = ensure_rho(rho)
         for seg in self.segments:
             if seg.rho_lo <= rho <= seg.rho_hi:
                 return seg.value_at(rho)
-        raise AssertionError("segments do not cover [0, 1]")
+        raise InstanceFormatError(f"no segment of the curve holds rho = {format_rational(rho)}")
 
     def samples(self, n: int) -> list[tuple[Fraction, Fraction]]:
         """n+1 equispaced exact samples of the bound on [0, 1]."""

@@ -4,23 +4,28 @@ Maximizing privacy over admissible mechanisms is a linear program once the
 adversary's best-list mass per output is replaced by an epigraph variable
 bounded below by every candidate list. The program is solved with the exact
 rational simplex and shares only the ranking rule of `core.ranked` with the
-analytic bound, so the two routes can be compared at face value. Most of the
-k * C(r, l) list rows are slack, so they are generated by Kelley's
-cutting-plane method: the optimal adversary, run on the candidate witness,
-finds each output's violated list. A round that adds no cut is the last,
-and `list_privacy` then certifies the witness against every l-list.
+analytic bound, so the two routes can be compared at face value. It is
+solved in two formulations:
 
-Within one call the program stays in integers. The pmf comes as ints over
+- `exact_privacy` solves the compact top-l program, one LP of rk + 2r rows
+  with no l-list in it, and `list_privacy` certifies the vertex it finds.
+- The result's `witness`, read for `oracle --rho`, comes from the list
+  program by Kelley's cutting-plane method: most of its k * C(r, l) list rows
+  are slack, so the optimal adversary, run on the candidate witness, finds
+  each output's violated list. Only that read runs the loop, so a caller
+  that reads only optima, as `oracle --grid` does, never runs it.
+
+Within one call each program stays in integers. The pmf comes as ints over
 its common denominator D, with its top-l list, from the instance's profile
 (`Instance._profile`), and each row is built once, as the sparse
 `{column: int}` row with its own scale that `simplex.solve_lp` takes; a list
 row, scaled by D, is built when its cut is generated. Every round hands the
-core these rows in the same order, so its pivots are those of a program
-rebuilt each round. A round reads its vertex as ints over one common scale,
-scores it with the adversary's scorer and finds each output's best list with
-the adversary's own `best_list`: the separation oracle is the adversary
-itself. Fractions appear only for the returned optimum and the final
-witness, which `list_privacy` certifies; only `active_lists`, which
+core these rows in the same order, so its pivots, and the printed witness,
+are those of a program rebuilt each round. A round reads its vertex as ints
+over one common scale, scores it with the adversary's scorer and finds each
+output's best list with the adversary's own `best_list`: the separation
+oracle is the adversary itself. Fractions appear only for the optima and
+the vertices that `list_privacy` certifies; only `active_lists`, which
 `oracle --rho` prints, enumerates a witness's tied best lists, on the same
 integer scores.
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -59,10 +65,26 @@ ACTIVE_LIST_LIMIT = 100_000
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact optimum with a witness mechanism that `list_privacy` certifies."""
+    """The exact optimum for `inst` at level `rho`, from the compact program.
+
+    `witness` is a mechanism that attains it, found by the cutting-plane loop
+    the first time it is read and then kept. The loop solves the list
+    formulation, so a witness read checks the two formulations against each
+    other: its certified optimum must equal `optimum`.
+    """
 
     optimum: Fraction
-    witness: StochasticMatrix
+    inst: Instance
+    rho: Fraction
+
+    @cached_property
+    def witness(self) -> StochasticMatrix:
+        optimum, witness = _cutting_plane(self.inst, self.rho)
+        if optimum != self.optimum:
+            raise AssertionError(
+                f"cutting planes reach {optimum}, the compact program {self.optimum}"
+            )
+        return witness
 
 
 def _list_row(inst: Instance, i: int, lst: tuple[int, ...]):
@@ -115,16 +137,55 @@ def active_lists(inst: Instance, mech: StochasticMatrix):
 
 
 def exact_privacy(inst: Instance, rho) -> OracleResult:
-    """Best achievable list privacy at level rho, solved exactly.
+    """Best achievable list privacy at level rho, solved exactly in one LP.
 
-    Cutting planes: each round adds, for every output whose best list under
-    the candidate witness outweighs its epigraph variable, that list as a
-    row; the first round that adds none is the last. t(i) costs 1 and only
-    its own list rows bound it, so each t(i) is then its best list's mass and
-    the optimum is the witness's privacy, which `list_privacy` certifies.
+    The compact top-l program: an output's best l-list mass is the minimum
+    over u >= 0 of l*u + sum_x max(0, s_x - u), s_x its scores (Ogryczak and
+    Tamir, 2003), so each output i gets a column u(i) and, per symbol x, a
+    column v(x,i) with the row `p_x w(x,i) - u(i) - v(x,i) <= 0`, scaled by
+    the pmf's common denominator, and costs l on u(i) and 1 on v(x,i). At an
+    optimum each output's u and v terms add up to exactly its top-l mass, so
+    the optimum is the privacy of the vertex's w part, which `list_privacy`
+    certifies.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
+    r, k, l = inst.r, inst.k, inst.l
+    nw = r * k
+    pw, den = inst._profile.pw, inst._profile.den
+    rows = [
+        ({x * k + i: pw[x], nw + i: -den, nw + k + x * k + i: -den}, LESS, 0, den)
+        for i in range(k)
+        for x in range(r)
+    ]
+    cost = dict.fromkeys(range(nw, nw + k), l) | dict.fromkeys(range(nw + k, 2 * nw + k), 1)
+    status, basic, objective = solve_lp(2 * nw + k, rows + _fixed_rows(inst, rho), cost, 1)
+    if status is not LpStatus.OPTIMAL:
+        raise AssertionError(f"privacy program should always solve, got {status}")
+    optimum = 1 - Fraction(*objective)
+    vertex = [Fraction(*basic[j]) if j in basic else Fraction(0) for j in range(nw)]
+    witness = StochasticMatrix(rows=tuple([tuple(vertex[x * k : x * k + k]) for x in range(r)]))
+    _certify(inst, witness, optimum)
+    return OracleResult(optimum=optimum, inst=inst, rho=rho)
+
+
+def _certify(inst: Instance, witness: StochasticMatrix, optimum: Fraction) -> None:
+    """The one fault check: a program's optimum must be its witness's privacy."""
+    certified = list_privacy(inst, witness).privacy
+    if certified != optimum:
+        raise AssertionError(f"witness certifies {certified}, program claims {optimum}")
+
+
+def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticMatrix]:
+    """The optimum at level rho by cutting planes, and the certified vertex
+    that attains it.
+
+    Each round adds, for every output whose best list under the candidate
+    witness outweighs its epigraph variable, that list as a row; the first
+    round that adds none is the last. t(i) costs 1 and only its own list rows
+    bound it, so each t(i) is then its best list's mass and the optimum is
+    the witness's privacy.
+    """
     r, k = inst.r, inst.k
     nw = r * k
     den = inst._profile.den
@@ -155,10 +216,8 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     witness = StochasticMatrix(
         rows=tuple([tuple([Fraction(v, scale) for v in w[x * k : x * k + k]]) for x in range(r)])
     )
-    certified = list_privacy(inst, witness).privacy
-    if certified != optimum:
-        raise AssertionError(f"witness certifies {certified}, program claims {optimum}")
-    return OracleResult(optimum=optimum, witness=witness)
+    _certify(inst, witness, optimum)
+    return optimum, witness
 
 
 def exact_privacy_curve(

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import pytest
 
@@ -23,7 +23,6 @@ from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.adversary import PrivacyReport
 from listprivacy.core import check_dims, ensure_rho, over_common_denominator
 from listprivacy.envelope import CurveSegment, EnvelopeLine, PrivacyCurve
-from listprivacy.oracle import OracleResult
 from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpStatus
 
 
@@ -40,6 +39,15 @@ def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instanc
     cap = r - 1 if l_max is None else min(l_max, r - 1)
     l = rng.randint(1, cap)
     return Instance(pmf=pmf, f=tuple(f), l=l)
+
+
+def seeded_instance(r, k, l, seed) -> Instance:
+    """A random instance of exactly r symbols, k outputs and list size l."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 12) for _ in range(r)]
+    f = list(range(k)) + [rng.randrange(k) for _ in range(r - k)]
+    rng.shuffle(f)
+    return Instance(pmf=tuple(Fraction(w, sum(weights)) for w in weights), f=tuple(f), l=l)
 
 
 def random_binary_instance(rng: random.Random, r_max=6, l_max=3) -> Instance:
@@ -544,12 +552,45 @@ def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int,
     return _program(inst, rows, _fixed_rows(inst, rho))
 
 
-def reference_exact_privacy(inst: Instance, rho) -> OracleResult:
+def compact_program(inst: Instance, rho: Fraction, sense: str):
+    """The compact top-l program: variables w(x,i), then u_i, then v(x,i).
+
+    Minimize the sum over outputs of l*u_i + sum_x v(x,i), where
+    v(x,i) + u_i - p_x*w(x,i) >= 0, written with `sense` ">=" as is and
+    with "<=" negated; the optimum is each output's top-l mass, summed.
+    """
+    r, k = inst.r, inst.k
+    n = 2 * r * k + k
+    costs = [0] * (r * k) + [inst.l] * k + [1] * (r * k)
+    sign = 1 if sense == GREATER else -1
+    rows, senses, rhs = [], [], []
+    for i in range(k):
+        for x in range(r):
+            row = [0] * n
+            row[x * k + i] = -sign * inst.pmf[x]
+            row[r * k + i] = sign
+            row[r * k + k + x * k + i] = sign
+            rows.append(row)
+            senses.append(sense)
+            rhs.append(0)
+    # The oracle's stochastic and recover rows, with zeros for the v columns.
+    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows(inst, rho)
+    rows += [row + [0] * (r * k) for row in fixed_rows]
+    return costs, rows, senses + fixed_senses, rhs + fixed_rhs
+
+
+class ReferenceResult(NamedTuple):
+    optimum: Fraction
+    witness: StochasticMatrix
+
+
+def reference_exact_privacy(inst: Instance, rho) -> ReferenceResult:
     """Reference cutting-plane loop for exact_privacy: same rows, same pivots.
 
     Every round rebuilds the whole program with `_lp_parts` and evaluates a
-    validated witness matrix with the reference adversary. The oracle must
-    return the same result after the same rounds and the same pivots.
+    validated witness matrix with the reference adversary. The oracle's
+    witness read must give the same result after the same rounds and the
+    same pivots.
     """
     rho = ensure_rho(rho)
     r, k = inst.r, inst.k
@@ -573,7 +614,7 @@ def reference_exact_privacy(inst: Instance, rho) -> OracleResult:
         for i in range(k):
             if report.per_output_mass[i] > sol.x[r * k + i]:
                 lists[i].append(report.estimator.lists[i])
-    return OracleResult(optimum=optimum, witness=witness)
+    return ReferenceResult(optimum=optimum, witness=witness)
 
 
 @pytest.fixture

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import listprivacy
+import listprivacy.oracle as oracle
 from listprivacy import errors, instance_to_text, uniform_qr, matrix_to_text
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.cli import main
+from conftest import seeded_instance
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -276,6 +278,27 @@ class TestOracle:
         assert code == 1 and out == ""
         assert err.startswith("error: InstanceTooLarge:")
         assert not target.exists()
+
+    def test_grid_beyond_the_loop(self, capsys, tmp_path, monkeypatch):
+        # Seeded r = 24, k = 5, l = 6: cutting planes take seconds at one
+        # level, and the grid reads only optima, so it never runs them.
+        def loop(inst, rho):
+            raise AssertionError("oracle --grid ran the cutting-plane loop")
+
+        monkeypatch.setattr(oracle, "_cutting_plane", loop)
+        inst_file = tmp_path / "wide.json"
+        inst_file.write_text(instance_to_text(seeded_instance(24, 5, 6, 7)))
+        code, out, err = run(capsys, "oracle", str(inst_file), "--grid", "21")
+        assert code == 0 and err == ""
+        rows = out.splitlines()
+        assert len(rows) == 22
+        values = {}
+        for row in rows[1:]:
+            rho, got, bound, _ = row.split(",")
+            values[rho] = F(got), F(bound)
+        assert all(got <= bound for got, bound in values.values())
+        # The value the cutting-plane loop found here.
+        assert values["1/2"][0] == F(103, 246)
 
     def test_tie_heavy_instance(self, capsys, tmp_path):
         # Binary uniform, r = 26, l = 13: each witness ties on 20,801,200

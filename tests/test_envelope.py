@@ -33,6 +33,7 @@ from conftest import (
     reference_anchor,
     reference_lines,
     reference_privacy_curve,
+    seeded_instance,
 )
 
 SKEW7 = catalog_instance("skew7")
@@ -379,6 +380,19 @@ class TestExports:
             with pytest.raises(InstanceFormatError):
                 export(empty)
 
+    def test_a_level_off_the_segments_is_refused(self):
+        curve = privacy_curve(SKEW7)
+        short = PrivacyCurve(curve.segments[:1], curve.breakpoints, (3,))
+        assert short.value_at(curve.segments[0].rho_hi) == curve.value_at(curve.segments[0].rho_hi)
+        for read in (
+            lambda: short.value_at(1),
+            lambda: short.samples(4),
+            lambda: curve_samples_csv(short, 4),
+            lambda: curve_samples_csv(PrivacyCurve((), (), ()), 4),
+        ):
+            with pytest.raises(InstanceFormatError, match="no segment of the curve holds rho"):
+                read()
+
     @pytest.mark.parametrize("n", [0, -2, 1.5, 2.0, "3", True, None])
     def test_sample_count_must_be_a_positive_int(self, n):
         curve = privacy_curve(UNIFORM4)
@@ -386,14 +400,6 @@ class TestExports:
             curve.samples(n)
         with pytest.raises(InstanceFormatError):
             curve_samples_csv(curve, n)
-
-
-def seeded_instance(r, k, l, seed):
-    rng = random.Random(seed)
-    weights = [rng.randint(1, 12) for _ in range(r)]
-    f = list(range(k)) + [rng.randrange(k) for _ in range(r - k)]
-    rng.shuffle(f)
-    return Instance(pmf=tuple(F(w, sum(weights)) for w in weights), f=tuple(f), l=l)
 
 
 @functools.cache

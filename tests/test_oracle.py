@@ -32,11 +32,13 @@ from listprivacy.errors import (
 from listprivacy.oracle import OracleResult, lp_lines
 from conftest import (
     _lp_parts,
+    compact_program,
     dense_program,
     random_instance,
     random_rho,
     reference_exact_privacy,
     reference_solve_lp,
+    seeded_instance,
     solve_rational,
 )
 
@@ -99,6 +101,11 @@ class TestCertificates:
             assert is_recoverable(result.witness, inst, rho)
             assert list_privacy(inst, result.witness).privacy == result.optimum
 
+    def test_witness_read_checks_the_optimum(self):
+        result = OracleResult(optimum=F(1, 3), inst=SKEW7, rho=F(7, 10))
+        with pytest.raises(AssertionError, match="cutting planes reach 63/200"):
+            result.witness
+
     def test_active_lists_attain_per_output_mass(self):
         result = exact_privacy(SKEW7, F(7, 10))
         report = list_privacy(SKEW7, result.witness)
@@ -159,7 +166,7 @@ class TestCurve:
             monkeypatch.setattr(
                 oracle,
                 "exact_privacy",
-                lambda inst, rho: OracleResult(optimum=table[rho], witness=None),
+                lambda inst, rho: OracleResult(optimum=table[rho], inst=inst, rho=rho),
             )
             grid = sorted(table, reverse=True) + [F(1, 2)]
             if message is None:
@@ -207,9 +214,9 @@ class TestAgainstFullProgram:
         # The witness is printed by `oracle --rho`, so the integer solver must
         # land on the reference solver's vertex in every cutting-plane round.
         # Each round's program is recorded on the reference loop, out of the
-        # oracle's reach, and the oracle must hand the solver that program,
-        # densified, in the same rounds, so a solve that went round the patch
-        # cannot pass unseen.
+        # oracle's reach, and the oracle must hand the solver the compact
+        # program, then, as its witness is read, each round's program,
+        # densified, so a solve that went round the patch cannot pass unseen.
         rng = random.Random(57)
         cases = [
             (inst, rho)
@@ -217,6 +224,7 @@ class TestAgainstFullProgram:
             for rho in (F(2, 5), F(3, 5), F(4, 5))
         ]
         results = [exact_privacy(inst, rho) for inst, rho in cases]
+        witnesses = [result.witness for result in results]
         programs = []
         monkeypatch.setattr(conftest, "solve_rational", recorded(conftest.solve_rational, programs))
         wanted_programs = []
@@ -230,18 +238,21 @@ class TestAgainstFullProgram:
             return reference_solve_lp(n, rows, cost, den)
 
         monkeypatch.setattr(oracle, "solve_lp", dense_core)
-        for (inst, rho), result, wanted in zip(cases, results, wanted_programs):
+        for (inst, rho), result, witness, wanted in zip(cases, results, witnesses, wanted_programs):
             programs.clear()
             reference = exact_privacy(inst, rho)
+            assert programs == [compact_program(inst, rho, simplex.LESS)]
+            programs.clear()
+            assert reference.witness == witness
             assert programs == wanted  # one reference solve per round, on its program
             assert result.optimum == reference.optimum
-            assert result.witness == reference.witness
         assert sum(map(len, wanted_programs)) > len(cases)  # some cases take several rounds
 
 
 class TestCoreSeam:
     """The oracle reaches the simplex through the one name `solve_lp`, which
-    a caller can patch or trace in the oracle's namespace."""
+    a caller can patch or trace in the oracle's namespace: once for the
+    optimum, and once per cutting-plane round when the witness is read."""
 
     def test_one_solve_with_every_row_on_uniform4(self, monkeypatch):
         assert oracle.solve_lp is simplex.solve_lp
@@ -253,48 +264,78 @@ class TestCoreSeam:
             return solve(*args)
 
         monkeypatch.setattr(oracle, "solve_lp", spy)
-        exact_privacy(UNIFORM4, F(1, 2))
+        result = exact_privacy(UNIFORM4, F(1, 2))
         assert len(calls) == 1
         senses = [s for _, s, _, _ in calls[0][1]]
+        # One top-l row per output and symbol, then a stochastic and a
+        # recover row per symbol.
+        assert senses == [simplex.LESS] * 8 + [simplex.EQUAL] * 4 + [simplex.GREATER] * 4
+        result.witness
+        assert len(calls) == 2
+        senses = [s for _, s, _, _ in calls[1][1]]
         # One list row per output, then a stochastic and a recover row per symbol.
         assert senses == [simplex.LESS] * 2 + [simplex.EQUAL] * 4 + [simplex.GREATER] * 4
+        result.witness  # kept: no further solve
+        assert len(calls) == 2
 
 
 class TestWrongObjective:
-    """The one stop rule is the cut test, and the one fault check is the final
-    certification: a solve that reports its objective a unit off stops after
-    the same rounds as a true one and fails that check. A patched solve raises
-    RuntimeError past 50 calls, so a loop that would not stop fails too."""
+    """The one fault check is the certification of each program's vertex: a
+    solve that reports its objective a unit off fails it, on the compact
+    program and on the cutting-plane loop a witness read runs. The loop's one
+    stop rule is the cut test, so it stops after the same rounds as a true
+    one. A patched solve raises RuntimeError past 50 calls, so a loop that
+    would not stop fails too."""
+
+    @pytest.fixture
+    def patch(self, monkeypatch):
+        """`patch(shift)` makes every solve report its objective `shift`
+        units off, and returns the list of each solve's row count."""
+        solve = oracle.solve_lp
+
+        def install(shift: int) -> list:
+            solves = []
+
+            def off(n, rows, cost, den):
+                solves.append(len(rows))
+                if len(solves) > 50:
+                    raise RuntimeError("still solving after 50 calls")
+                status, basic, (num, dnm) = solve(n, rows, cost, den)
+                return status, basic, (num + shift, dnm)
+
+            monkeypatch.setattr(oracle, "solve_lp", off)
+            return solves
+
+        return install
 
     @pytest.mark.parametrize("shift", [-1, 1], ids=["low", "high"])
-    def test_is_refused_after_the_same_rounds(self, shift, monkeypatch):
-        solve = oracle.solve_lp
-        solves = []
-
-        def counted(n, rows, cost, den):
-            solves.append(len(rows))
-            if len(solves) > 50:
-                raise RuntimeError("still solving after 50 calls")
-            return solve(n, rows, cost, den)
-
-        def off(n, rows, cost, den):
-            status, basic, (num, dnm) = counted(n, rows, cost, den)
-            return status, basic, (num + shift, dnm)
-
-        monkeypatch.setattr(oracle, "solve_lp", counted)
+    def test_is_refused_after_the_same_rounds(self, shift, patch):
+        solves = patch(0)
         exact_privacy(SKEW7, F(7, 10))
         rounds = solves[:]
-        solves.clear()
-        monkeypatch.setattr(oracle, "solve_lp", off)
+        solves = patch(shift)
         with pytest.raises(AssertionError, match="witness certifies 63/200"):
             exact_privacy(SKEW7, F(7, 10))
         assert solves == rounds
 
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["low", "high"])
+    def test_witness_read_is_refused_after_the_same_rounds(self, shift, patch):
+        solves = patch(0)
+        exact_privacy(SKEW7, F(7, 10)).witness
+        rounds = solves[1:]  # the loop's, after the compact solve
+        assert len(rounds) > 1
+        result = exact_privacy(SKEW7, F(7, 10))
+        solves = patch(shift)
+        with pytest.raises(AssertionError, match="witness certifies 63/200"):
+            result.witness
+        assert solves == rounds
+
 
 class TestAgainstReferenceLoop:
-    """The loop against `conftest.reference_exact_privacy`, which rebuilds
-    every row and validates a witness matrix in every round: same result,
-    same rounds, same rows per round and the same pivots in each."""
+    """The loop a witness read runs against `conftest.reference_exact_privacy`,
+    which rebuilds every row and validates a witness matrix in every round:
+    same result, same rounds, same rows per round and the same pivots in
+    each."""
 
     @pytest.fixture
     def same_rounds(self, pivot_log, monkeypatch):
@@ -307,11 +348,14 @@ class TestAgainstReferenceLoop:
         def check(inst, rho):
             rounds.clear()
             got = exact_privacy(inst, rho)
+            assert len(rounds) == 1  # the compact program alone
+            rounds.clear()
+            witness = got.witness
             got_rounds = rounds[:]
             rounds.clear()
             want = reference_exact_privacy(inst, rho)
             assert got.optimum == want.optimum
-            assert got.witness == want.witness
+            assert witness == want.witness
             assert got_rounds == rounds
             return len(rounds)
 
@@ -462,3 +506,35 @@ class TestMetamorphic:
                 )
             )
             assert list_privacy(inst, garbled).privacy >= result.optimum
+
+
+class TestMetamorphicAtScale:
+    """`TestMetamorphic`'s relations on a seeded r=24, k=5, l=6 instance,
+    where cutting planes take seconds a level and only the compact program
+    answers, and refinement: splitting one preimage into a new output asks
+    the mechanism to recover more, so it never raises the optimum."""
+
+    def test_relations(self):
+        inst = seeded_instance(24, 5, 6, 7)
+        r, k = inst.r, inst.k
+        rng = random.Random(2456)
+        perm = rng.sample(range(r), r)
+        pmf, f = [None] * r, [None] * r
+        for x in range(r):
+            pmf[perm[x]], f[perm[x]] = inst.pmf[x], inst.f[x]
+        symbols = Instance(pmf=tuple(pmf), f=tuple(f), l=inst.l)
+        outs = rng.sample(range(k), k)
+        outputs = Instance(pmf=inst.pmf, f=tuple(outs[v] for v in inst.f), l=inst.l)
+        # Every other symbol of the largest preimage moves to output k.
+        moved = set(max(inst.preimages, key=len)[::2])
+        refined = Instance(
+            pmf=inst.pmf, f=tuple(k if x in moved else v for x, v in enumerate(inst.f)), l=inst.l
+        )
+        assert refined.k == k + 1
+        longer = inst.with_list_size(inst.l + 1)
+        for rho in (F(1, 5), F(1, 2), F(4, 5)):
+            optimum = exact_privacy(inst, rho).optimum
+            assert exact_privacy(symbols, rho).optimum == optimum
+            assert exact_privacy(outputs, rho).optimum == optimum
+            assert exact_privacy(longer, rho).optimum <= optimum
+            assert exact_privacy(refined, rho).optimum <= optimum

@@ -1,11 +1,14 @@
-"""Property suite: the oracle's separation is `best_list` on integer scores.
+"""Property suite: the oracle's separation is `best_list` on integer scores,
+and its two programs agree.
 
 Random instances, uniform pmfs among them, and random vertices whose entries
 repeat and include zeros, so many scores tie and the index tie-break decides
 the lists. The vertex is written as ints over a common scale, the lcm of its
 denominators times a random factor, as the oracle reads each round's vertex;
 with the pmf over its common denominator, the integer scores are the Fraction
-scores times one positive scale.
+scores times one positive scale. On smaller instances, the compact program's
+optimum must equal the cutting-plane loop's, which a witness read checks, and
+stay within the envelope's bound.
 """
 
 import math
@@ -17,14 +20,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from listprivacy import Instance  # noqa: E402
+from listprivacy import Instance, exact_privacy, privacy_bound  # noqa: E402
 from listprivacy.adversary import best_list  # noqa: E402
 from listprivacy.core import over_common_denominator  # noqa: E402
 
 
 @st.composite
-def instances(draw):
-    r = draw(st.integers(2, 12))
+def instances(draw, r_max=12):
+    r = draw(st.integers(2, r_max))
     k = draw(st.integers(2, min(r, 4)))
     f = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=r - k, max_size=r - k))
     if draw(st.booleans()):
@@ -64,3 +67,14 @@ def test_integer_lists_match_best_list(case):
         assert lst == want_lst
         assert type(mass) is int
         assert F(mass, den * scale) == want_mass
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    inst=instances(r_max=7),
+    rho=st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2), F(3, 4), F(1)]),
+)
+def test_compact_optimum_is_the_loops_within_the_bound(inst, rho):
+    result = exact_privacy(inst, rho)
+    result.witness  # raises unless the loop reaches the same optimum
+    assert result.optimum <= privacy_bound(inst, rho)

@@ -10,8 +10,8 @@ import listprivacy.simplex as simplex
 from listprivacy import exact_privacy
 from listprivacy.simplex import GREATER, LESS, EQUAL, LpStatus, solve_lp
 from conftest import (
-    _fixed_rows,
     _lp_parts,
+    compact_program,
     random_instance,
     random_rho,
     reference_solve_lp,
@@ -307,33 +307,6 @@ def oracle_program(rng: random.Random, inst, rho):
     lists = [rng.sample(every, rng.randint(1, 3)) for _ in range(inst.k)]
     costs, rows, senses, rhs = _lp_parts(inst, rho, lists)
     return costs, rows, senses, rhs
-
-
-def compact_program(inst, rho, sense):
-    """The compact top-l program: variables w(x,i), then u_i, then v(x,i).
-
-    Minimize the sum over outputs of l*u_i + sum_x v(x,i), where
-    v(x,i) + u_i - p_x*w(x,i) >= 0, written with `sense` ">=" as is and
-    with "<=" negated; the optimum is each output's top-l mass, summed.
-    """
-    r, k = inst.r, inst.k
-    n = 2 * r * k + k
-    costs = [0] * (r * k) + [inst.l] * k + [1] * (r * k)
-    sign = 1 if sense == GREATER else -1
-    rows, senses, rhs = [], [], []
-    for i in range(k):
-        for x in range(r):
-            row = [0] * n
-            row[x * k + i] = -sign * inst.pmf[x]
-            row[r * k + i] = sign
-            row[r * k + k + x * k + i] = sign
-            rows.append(row)
-            senses.append(sense)
-            rhs.append(0)
-    # The oracle's stochastic and recover rows, with zeros for the v columns.
-    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows(inst, rho)
-    rows += [row + [0] * (r * k) for row in fixed_rows]
-    return costs, rows, senses + fixed_senses, rhs + fixed_rhs
 
 
 def with_redundant_rows(rng: random.Random, program):
