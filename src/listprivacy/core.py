@@ -229,6 +229,18 @@ class Instance:
 
         return Fraction(*next(_tangent_sweep(self))[2:])
 
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The symbols grouped by equal mass and function value, each class as
+        (its mass in the profile's ints, its output, its members ascending),
+        in order of first member. Symbols of one class are interchangeable,
+        so `oracle.exact_privacy` solves over classes. Computed on first use
+        and then kept; not part of the eager `_profile`."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for x, key in enumerate(zip(self._profile.pw, self.f)):
+            groups.setdefault(key, []).append(x)
+        return tuple([(w, i, tuple(members)) for (w, i), members in groups.items()])
+
     def mass(self, members: Iterable[int]) -> Fraction:
         """Total pmf mass of a set of symbols; a repeated member counts once."""
         return sum((self.pmf[x] for x in _symbol_set(members, self.r)), ZERO)

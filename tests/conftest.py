@@ -522,14 +522,15 @@ def _list_row(inst: Instance, i: int, lst: tuple[int, ...]) -> list:
     return row
 
 
-def _fixed_rows(inst: Instance, rho: Fraction):
-    """Dense rows, senses and rhs of the stochastic rows, then the recover rows."""
-    r, k = inst.r, inst.k
+def _fixed_rows(outputs: Sequence[int], k: int, rho: Fraction):
+    """Dense rows, senses and rhs of the stochastic rows, then the recover rows,
+    of a mechanism whose row x must recover output `outputs[x]`."""
+    r = len(outputs)
     rows = [[0] * (r * k + k) for _ in range(2 * r if rho > 0 else r)]
     for x in range(r):
         rows[x][x * k : x * k + k] = [1] * k
         if rho > 0:
-            rows[r + x][x * k + inst.f[x]] = 1
+            rows[r + x][x * k + outputs[x]] = 1
     m = len(rows) - r
     return rows, [EQUAL] * r + [GREATER] * m, [1] * r + [rho] * m
 
@@ -549,33 +550,51 @@ def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int,
     Their rows come first, output by output, then the fixed rows.
     """
     rows = [_list_row(inst, i, lst) for i in range(inst.k) for lst in lists[i]]
-    return _program(inst, rows, _fixed_rows(inst, rho))
+    return _program(inst, rows, _fixed_rows(inst.f, inst.k, rho))
 
 
-def compact_program(inst: Instance, rho: Fraction, sense: str):
-    """The compact top-l program: variables w(x,i), then u_i, then v(x,i).
+def symbol_classes(inst: Instance) -> list[tuple[Fraction, int, tuple[int, ...]]]:
+    """Reference for `Instance._classes` on the Fraction pmf: the symbols
+    grouped by (mass, function value), each class as (mass, output, members
+    ascending), in order of first member."""
+    groups = {}
+    for x, key in enumerate(zip(inst.pmf, inst.f)):
+        groups.setdefault(key, []).append(x)
+    return [(p, i, tuple(members)) for (p, i), members in groups.items()]
 
-    Minimize the sum over outputs of l*u_i + sum_x v(x,i), where
-    v(x,i) + u_i - p_x*w(x,i) >= 0, written with `sense` ">=" as is and
-    with "<=" negated; the optimum is each output's top-l mass, summed.
+
+def compact_program(inst: Instance, rho: Fraction, sense: str, per_symbol: bool = False):
+    """The compact top-l program over symbol classes: variables w(c,i), then
+    u_i, then v(c,i), one row of the mechanism per class c.
+
+    Minimize the sum over outputs of l*u_i + sum_c m_c*v(c,i), m_c the
+    class's size, where v(c,i) + u_i - p_c*w(c,i) >= 0, written with
+    `sense` ">=" as is and with "<=" negated; the optimum is each output's
+    top-l mass, summed. With `per_symbol` every symbol is its own class: the
+    unreduced program over symbols, a reference for the class program.
     """
-    r, k = inst.r, inst.k
-    n = 2 * r * k + k
-    costs = [0] * (r * k) + [inst.l] * k + [1] * (r * k)
+    if per_symbol:
+        classes = [(p, i, (x,)) for x, (p, i) in enumerate(zip(inst.pmf, inst.f))]
+    else:
+        classes = symbol_classes(inst)
+    c_count, k = len(classes), inst.k
+    nw = c_count * k
+    n = 2 * nw + k
+    costs = [0] * nw + [inst.l] * k + [len(members) for _, _, members in classes for _ in range(k)]
     sign = 1 if sense == GREATER else -1
     rows, senses, rhs = [], [], []
     for i in range(k):
-        for x in range(r):
+        for c, (p, _, _) in enumerate(classes):
             row = [0] * n
-            row[x * k + i] = -sign * inst.pmf[x]
-            row[r * k + i] = sign
-            row[r * k + k + x * k + i] = sign
+            row[c * k + i] = -sign * p
+            row[nw + i] = sign
+            row[nw + k + c * k + i] = sign
             rows.append(row)
             senses.append(sense)
             rhs.append(0)
     # The oracle's stochastic and recover rows, with zeros for the v columns.
-    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows(inst, rho)
-    rows += [row + [0] * (r * k) for row in fixed_rows]
+    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows([i for _, i, _ in classes], k, rho)
+    rows += [row + [0] * nw for row in fixed_rows]
     return costs, rows, senses + fixed_senses, rhs + fixed_rhs
 
 

@@ -8,6 +8,7 @@ import pytest
 from listprivacy import (
     Instance,
     ListEstimator,
+    OracleResult,
     StochasticMatrix,
     active_lists,
     add_noise_qr,
@@ -682,6 +683,23 @@ class TestPublicApiErrors:
     )
     def test_privacy_bound_codes(self, call, code):
         # The level is checked before the instance, so these codes are pinned.
+        with pytest.raises(ListPrivacyError) as caught:
+            call()
+        assert caught.type is code
+
+    @pytest.mark.parametrize(
+        "call, code",
+        [
+            (lambda: OracleResult(optimum=Fraction(1, 2), inst=None, rho=Fraction(1, 2)).witness,
+             InstanceFormatError),
+            (lambda: OracleResult(optimum=Fraction(1, 2), inst=SKEW7, rho=Fraction(3, 2)).witness,
+             RhoOutOfRange),
+        ],
+        ids=["instance", "rho"],
+    )
+    def test_hand_built_oracle_result(self, call, code):
+        # Exported and public, so its fields are checked as exact_privacy's
+        # arguments are, before any witness is looked for.
         with pytest.raises(ListPrivacyError) as caught:
             call()
         assert caught.type is code

@@ -267,9 +267,9 @@ class TestCoreSeam:
         result = exact_privacy(UNIFORM4, F(1, 2))
         assert len(calls) == 1
         senses = [s for _, s, _, _ in calls[0][1]]
-        # One top-l row per output and symbol, then a stochastic and a
-        # recover row per symbol.
-        assert senses == [simplex.LESS] * 8 + [simplex.EQUAL] * 4 + [simplex.GREATER] * 4
+        # One top-l row per output and symbol class (uniform4 has two, one
+        # per preimage), then a stochastic and a recover row per class.
+        assert senses == [simplex.LESS] * 4 + [simplex.EQUAL] * 2 + [simplex.GREATER] * 2
         result.witness
         assert len(calls) == 2
         senses = [s for _, s, _, _ in calls[1][1]]
@@ -538,3 +538,29 @@ class TestMetamorphicAtScale:
             assert exact_privacy(outputs, rho).optimum == optimum
             assert exact_privacy(longer, rho).optimum <= optimum
             assert exact_privacy(refined, rho).optimum <= optimum
+
+
+class TestUniformAtScale:
+    """A seeded uniform prior on r = 10^5 symbols: one symbol class per
+    output, so the program has k * k + 2k rows whatever r is, and only
+    `list_privacy`'s certification over every symbol grows with r."""
+
+    def test_one_small_program_certified_over_every_symbol(self, monkeypatch):
+        r, k = 10**5, 10
+        rng = random.Random(105)
+        f = list(range(k)) + [rng.randrange(k) for _ in range(r - k)]
+        rng.shuffle(f)
+        inst = Instance(pmf=(F(1, r),) * r, f=tuple(f), l=500)
+        solve = oracle.solve_lp
+        sizes = []
+
+        def spy(n, rows, cost, den):
+            sizes.append((n, len(rows)))
+            return solve(n, rows, cost, den)
+
+        monkeypatch.setattr(oracle, "solve_lp", spy)
+        rho = F(1, 2)
+        optimum = exact_privacy(inst, rho).optimum
+        assert sizes == [(2 * k * k + k, k * k + 2 * k)]
+        assert optimum <= privacy_bound(inst, rho)
+        assert exact_privacy(inst.with_list_size(501), rho).optimum <= optimum

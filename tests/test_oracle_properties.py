@@ -9,6 +9,11 @@ with the pmf over its common denominator, the integer scores are the Fraction
 scores times one positive scale. On smaller instances, the compact program's
 optimum must equal the cutting-plane loop's, which a witness read checks, and
 stay within the envelope's bound.
+
+Tie-heavy instances, whose masses are 1 or 2 over their sum or all equal,
+split into few symbol classes: there the class program's optimum must equal
+the program over symbols and the loop's, and relabeling the symbols must
+leave it unchanged.
 """
 
 import math
@@ -23,6 +28,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from listprivacy import Instance, exact_privacy, privacy_bound  # noqa: E402
 from listprivacy.adversary import best_list  # noqa: E402
 from listprivacy.core import over_common_denominator  # noqa: E402
+from listprivacy.simplex import GREATER  # noqa: E402
+from conftest import compact_program, solve_rational  # noqa: E402
+
+LEVELS = st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2), F(3, 4), F(1)])
 
 
 @st.composite
@@ -69,12 +78,48 @@ def test_integer_lists_match_best_list(case):
         assert F(mass, den * scale) == want_mass
 
 
+@st.composite
+def tie_heavy_instances(draw):
+    """Up to 8 symbols of mass 1 or 2 over their sum, or all equal, and 2 to
+    4 outputs."""
+    r = draw(st.integers(2, 8))
+    k = draw(st.integers(2, min(r, 4)))
+    f = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=r - k, max_size=r - k))
+    if draw(st.booleans()):
+        weights = [1] * r
+    else:
+        weights = draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
+    pmf = tuple(F(w, sum(weights)) for w in weights)
+    return Instance(pmf=pmf, f=tuple(draw(st.permutations(f))), l=draw(st.integers(1, r - 1)))
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(
-    inst=instances(r_max=7),
-    rho=st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2), F(3, 4), F(1)]),
-)
+@given(inst=instances(r_max=7), rho=LEVELS)
 def test_compact_optimum_is_the_loops_within_the_bound(inst, rho):
     result = exact_privacy(inst, rho)
     result.witness  # raises unless the loop reaches the same optimum
     assert result.optimum <= privacy_bound(inst, rho)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(inst=tie_heavy_instances(), rho=LEVELS)
+def test_class_optimum_is_the_symbol_programs_and_the_loops(inst, rho):
+    result = exact_privacy(inst, rho)
+    symbols = solve_rational(*compact_program(inst, rho, GREATER, per_symbol=True))
+    assert result.optimum == 1 - symbols.objective
+    result.witness  # raises unless the loop reaches the same optimum
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(inst=tie_heavy_instances(), rho=LEVELS, data=st.data())
+def test_relabeled_symbols_keep_the_optimum(inst, rho, data):
+    # Symbol x becomes symbol perm[x]: a permutation moves symbols within
+    # their classes and across them, and the classes move with it.
+    perm = data.draw(st.permutations(range(inst.r)))
+    pmf, f = [None] * inst.r, [None] * inst.r
+    for x, y in enumerate(perm):
+        pmf[y], f[y] = inst.pmf[x], inst.f[x]
+    relabeled = Instance(pmf=tuple(pmf), f=tuple(f), l=inst.l)
+    moved = {(w, i, frozenset(perm[x] for x in members)) for w, i, members in inst._classes}
+    assert moved == {(w, i, frozenset(members)) for w, i, members in relabeled._classes}
+    assert exact_privacy(relabeled, rho).optimum == exact_privacy(inst, rho).optimum
