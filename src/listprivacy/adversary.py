@@ -22,7 +22,6 @@ from .core import (
     _check_type,
     check_dims,
     format_rational,
-    over_common_denominator,
     ranked,
 )
 from .errors import DimensionMismatch
@@ -54,29 +53,28 @@ def best_list(scores: Sequence, l: int) -> tuple[Fraction | int, tuple[int, ...]
     return sum([scores[x] for x in picked], scores[0] * 0 if scores else 0), tuple(sorted(picked))
 
 
-def _scores(inst: Instance, entries: Sequence[int]) -> list[list[int]]:
+def _scores(inst: Instance, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Per output i, every symbol's joint mass pmf[x] * W(i|x) as an int: the
-    profile's pmf times `entries[x * k + i]`, a matrix row-major as ints over
-    one scale (entries past the r * k of the matrix are not read). The scores
-    share the scale den times the entries', so `best_list` picks on them the
-    lists of the Fraction scores."""
-    pw, k = inst._profile.pw, inst.k
-    return [[p * w for p, w in zip(pw, entries[i : len(pw) * k : k])] for i in range(k)]
+    profile's pmf times `rows[x][i]`, a matrix's r rows of k ints over one
+    scale, as `StochasticMatrix._scaled` gives them. The scores share the
+    scale den times the rows', so `best_list` picks on them the lists of the
+    Fraction scores."""
+    pw = inst._profile.pw
+    return [[p * w for p, w in zip(pw, column)] for column in zip(*rows)]
 
 
 def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
     """Exact privacy of a mechanism against the optimal list adversary.
 
     The miss probability is one minus the sum over outputs of their heaviest
-    l-list mass, each output scored by `_scores` on the entries over their
-    common denominator.
+    l-list mass, each output scored by `_scores` on the matrix's integer view.
     """
     check_dims(inst, mech)
-    entries, scale = over_common_denominator([v for row in mech.rows for v in row])
+    rows, scale = mech._scaled
     scale *= inst._profile.den
     lists = []
     masses = []
-    for scores in _scores(inst, entries):
+    for scores in _scores(inst, rows):
         mass, members = best_list(scores, inst.l)
         masses.append(mass)
         lists.append(members)

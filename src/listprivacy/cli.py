@@ -31,6 +31,7 @@ from .core import (
     parse_instance,
 )
 from .envelope import (
+    _check_points,
     curve_samples_csv,
     curve_segments_csv,
     curve_to_text,
@@ -169,6 +170,7 @@ def cmd_oracle(inst: Instance, args) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     _require(args.grid >= 2, "--grid needs at least two points")
+    _check_points(args.grid)
     lines = ["rho,oracle,envelope,equal"]
     grid = [Fraction(j, args.grid - 1) for j in range(args.grid)]
     curve = privacy_curve(inst)
@@ -186,6 +188,7 @@ def cmd_simulate(inst: Instance, args) -> str:
         _require(args.kind is not None, "--grid needs --kind")
         _require(args.kind != "noise-file", "--grid does not support noise-file")
         _require(args.grid >= 2, "--grid needs at least two points")
+        _check_points(args.grid)
         lo, hi = Fraction(0), Fraction(1)
         if args.kind == "ternary-example":
             lo = Fraction(1, 2)

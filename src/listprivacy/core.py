@@ -1,9 +1,10 @@
 """Exact domain types: problem instances, row-stochastic mechanisms, list estimators.
 
 Values are exact throughout. Probabilities are `fractions.Fraction` values at
-the API; inside, the work is done in ints over common denominators, and an
+the API; inside, the work is done in ints over common denominators. An
 instance's pmf in that form, with its rankings, is read from the instance's
-profile (`Instance._profile`). Nothing in this package ever rounds;
+profile (`Instance._profile`), and a mechanism's entries from its integer
+view (`StochasticMatrix._scaled`). Nothing in this package ever rounds;
 serialization keeps the exact numerator/denominator form so a round trip is
 bit-identical.
 """
@@ -262,7 +263,8 @@ class StochasticMatrix:
     read off the numerators and each sum is taken in ints over its row's
     common denominator. A row object given at several indices is parsed and
     checked once and shared by them; a failure names the first offending
-    index either way.
+    index either way. `_scaled` puts those ints over one denominator: the
+    one place a mechanism is scaled, read by every reader of its entries.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -291,6 +293,8 @@ class StochasticMatrix:
         if not rows or not rows[0]:
             raise NotRowStochastic("matrix has no entries")
         width = len(rows[0])
+        # Each distinct row's ints over its own denominator, by first index.
+        row_ints = {}
         for x, row in parsed.values():
             if len(row) != width:
                 raise NotRowStochastic(f"row {x} has {len(row)} entries, expected {width}")
@@ -299,9 +303,22 @@ class StochasticMatrix:
                     raise NotRowStochastic(f"row {x} has negative entry {v}")
             # The sum in ints over the row's common denominator; the Fraction
             # total is built only for the message.
-            nums, den = over_common_denominator(row)
+            row_ints[x] = nums, den = over_common_denominator(row)
             if sum(nums) != den:
                 raise NotRowStochastic(f"row {x} sums to {_shown(sum(row))}")
+        object.__setattr__(self, "_row_ints", row_ints)
+
+    @cached_property
+    def _scaled(self) -> tuple[list[tuple[int, ...]], int]:
+        """Every row as ints over D, the lcm of the distinct rows' denominators,
+        and D: each distinct row object scaled once, on first use, and its ints
+        shared by every index that holds it."""
+        den = _lcm([d for _, d in self._row_ints.values()])
+        scaled = {
+            id(self.rows[x]): tuple([n * (den // d) for n in nums])
+            for x, (nums, d) in self._row_ints.items()
+        }
+        return [scaled[id(row)] for row in self.rows], den
 
     @property
     def r(self) -> int:
@@ -352,12 +369,18 @@ def ranked(scores: Sequence, members: Iterable[int]) -> list[int]:
     return sorted(members, key=scores.__getitem__, reverse=True)
 
 
-def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as ints over their common denominator D, the lcm of theirs,
-    and D; folded pairwise, as math.lcm(*...) grows the allocator on many calls."""
+def _lcm(values: Iterable[int]) -> int:
+    """The lcm of positive ints, folded pairwise, as math.lcm(*...) grows the
+    allocator on many calls."""
     den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    for d in values:
+        den = den * d // math.gcd(den, d)
+    return den
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as ints over their common denominator D, the lcm of theirs, and D."""
+    den = _lcm([v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
@@ -377,15 +400,18 @@ def top_elements(members: Iterable[int], t: int, pmf: Sequence[Fraction]) -> tup
     """The t heaviest symbols of a pool by `ranked`'s rule, as an ascending index tuple.
 
     The tie-break makes the result unique even under tied masses. t = 0 gives
-    (). Every member must be a symbol of the pmf: a non-bool int in
-    range(len(pmf)), and t a non-bool int.
+    (). The pmf is a sequence whose entries `parse_rational` reads, every
+    member a symbol of it: a non-bool int in range(len(pmf)), and t a
+    non-bool int.
     """
     if not _is_int(t):
         raise InstanceFormatError(f"need a whole number of elements, got {_shown(t)}")
-    pool = sorted(_symbol_set(members, len(pmf)))
+    _check_sequence("pmf", pmf)
+    masses = [parse_rational(p) for p in pmf]
+    pool = sorted(_symbol_set(members, len(masses)))
     if not 0 <= t <= len(pool):
         raise TooManyRequested(f"asked for {_shown(t)} of {len(pool)} elements")
-    return tuple(sorted(ranked(pmf, pool)[:t]))
+    return tuple(sorted(ranked(masses, pool)[:t]))
 
 
 def check_dims(inst: Instance, mech: StochasticMatrix):
@@ -407,7 +433,8 @@ def is_recoverable(mech: StochasticMatrix, inst: Instance, rho: Fraction) -> boo
 def recoverability_level(mech: StochasticMatrix, inst: Instance) -> Fraction:
     """Largest rho at which the mechanism is still rho-recoverable."""
     check_dims(inst, mech)
-    return min(mech.rows[x][inst.f[x]] for x in range(inst.r))
+    rows, den = mech._scaled
+    return Fraction(min([row[i] for row, i in zip(rows, inst.f)]), den)
 
 
 # --- serialization -----------------------------------------------------------

@@ -33,7 +33,17 @@ from .core import (
     ensure_rho,
     format_rational,
 )
-from .errors import InstanceFormatError
+from .errors import InstanceFormatError, InstanceTooLarge
+
+
+# Most points `PrivacyCurve.samples`, `oracle --grid` or `simulate --grid`
+# builds; `_check_points` counts them before the first is built.
+_MAX_POINTS = 100_000
+
+
+def _check_points(n: int):
+    if n > _MAX_POINTS:
+        raise InstanceTooLarge(f"{n} points asked for, over {_MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,9 @@ class EnvelopeLine:
     def cardinality(self) -> int:
         return len(self.anchor)
 
-    def value_at(self, rho: Fraction) -> Fraction:
-        return self.intercept + self.slope * rho
+    def value_at(self, rho) -> Fraction:
+        """The line at rho; raises RhoOutOfRange unless rho lies in [0, 1]."""
+        return self.intercept + self.slope * ensure_rho(rho)
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,9 @@ class CurveSegment:
     slope: Fraction
     intercept: Fraction
 
-    def value_at(self, rho: Fraction) -> Fraction:
-        return self.intercept + self.slope * rho
+    def value_at(self, rho) -> Fraction:
+        """The piece's line at rho; raises RhoOutOfRange unless rho lies in [0, 1]."""
+        return self.intercept + self.slope * ensure_rho(rho)
 
 
 @dataclass(frozen=True)
@@ -108,11 +120,12 @@ class PrivacyCurve:
         raise InstanceFormatError(f"no segment of the curve holds rho = {format_rational(rho)}")
 
     def samples(self, n: int) -> list[tuple[Fraction, Fraction]]:
-        """n+1 equispaced exact samples of the bound on [0, 1]."""
+        """n+1 equispaced exact samples of the bound on [0, 1]; at most _MAX_POINTS."""
         if not _is_int(n) or n < 1:
             raise InstanceFormatError(
                 f"need a whole number of sampling intervals >= 1, got {_shown(n)}"
             )
+        _check_points(n + 1)
         return [(Fraction(j, n), self.value_at(Fraction(j, n))) for j in range(n + 1)]
 
 
@@ -157,9 +170,9 @@ def _per_class_counts(inst: Instance, members: Iterable[int]) -> tuple[int, ...]
 
 
 def _preference(line: EnvelopeLine, rho: Fraction):
-    # Sort key of the preferred line at rho: highest value, then largest
-    # cardinality, then the lexicographically smallest anchor.
-    return (-line.value_at(rho), -line.cardinality, line.anchor)
+    # Sort key of the preferred line at a checked rho: highest value, then
+    # largest cardinality, then the lexicographically smallest anchor.
+    return (-line.intercept - line.slope * rho, -line.cardinality, line.anchor)
 
 
 def anchor_set(inst: Instance, rho) -> AnchorSet:

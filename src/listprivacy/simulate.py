@@ -65,7 +65,6 @@ from .core import (
     check_dims,
     ensure_rho,
     format_rational,
-    over_common_denominator,
 )
 from .errors import DimensionMismatch, InstanceFormatError
 
@@ -256,7 +255,8 @@ def simulate_game(
     _check_seed(seed)
     rng = random.Random(seed)
     x_cuts = _thresholds(inst._profile.pw, inst._profile.den)
-    z_cuts = [_thresholds(*over_common_denominator(row)) for row in mech.rows]
+    rows, den = mech._scaled
+    z_cuts = [_thresholds(row, den) for row in rows]
     members = [frozenset(lst) for lst in estimator.lists]
     # Per symbol, the runs of its z draw that hit and miss its list. A symbol
     # with one run has a constant class; the first 253 mixed symbols each

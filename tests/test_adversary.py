@@ -6,20 +6,31 @@ import pytest
 
 from listprivacy import (
     ListEstimator,
+    NoisePmf,
     StochasticMatrix,
+    active_lists,
+    add_noise_qr,
     list_privacy,
     map_list_estimator,
     optimal_binary_qr,
     privacy_bound,
     recoverability_level,
+    simulate_game,
     ternary_example_qr,
     uniform_qr,
 )
+from listprivacy import core
 from listprivacy.adversary import best_list, report_to_jsonable, report_to_text
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
 from listprivacy.errors import DimensionMismatch
-from conftest import random_instance, random_mechanism, random_rho, reference_list_privacy
+from conftest import (
+    random_instance,
+    random_mechanism,
+    random_rho,
+    reference_list_privacy,
+    reference_simulate_game,
+)
 
 SKEW7 = catalog_instance("skew7")
 UNIFORM4 = catalog_instance("uniform4")
@@ -261,3 +272,79 @@ class TestLargeCoprimeDenominators:
         assert report == reference_list_privacy(inst, mech)
         assert report.per_output_mass == (F(7, 535), F(728, 1605))
         assert report.privacy == 1 - F(7, 535) - F(728, 1605)
+
+
+class TestIntegerView:
+    """`list_privacy`, `active_lists`, `recoverability_level` and
+    `simulate_game` read a mechanism's entries as ints only through
+    `StochasticMatrix._scaled`. They must agree with Fraction references on
+    rows that several symbols share, each row over a prime of its own."""
+
+    @staticmethod
+    def prime_row(rng, k, p):
+        # k entries over p that sum to one; some may be 0 or reduce.
+        cuts = sorted(rng.randint(0, p) for _ in range(k - 1))
+        return tuple(F(b - a, p) for a, b in zip([0] + cuts, cuts + [p]))
+
+    def mechanism(self, rng, inst, shape):
+        primes = iter(rng.sample(PRIMES[10:], 10))
+        if shape == "add-noise":
+            rows = tuple(self.prime_row(rng, inst.k, next(primes)) for _ in range(inst.k))
+            return add_noise_qr(inst, NoisePmf(conditional=rows))
+        rows = [None] * inst.r
+        if shape == "classes":  # one row object per symbol class, as witnesses give
+            for _, _, members in inst._classes:
+                row = self.prime_row(rng, inst.k, next(primes))
+                for x in members:
+                    rows[x] = row
+        else:  # a few row objects spread at random, one symbol keeping its own
+            pool = [self.prime_row(rng, inst.k, next(primes)) for _ in range(3)]
+            rows = [rng.choice(pool) for _ in range(inst.r)]
+            rows[rng.randrange(inst.r)] = self.prime_row(rng, inst.k, next(primes))
+        return StochasticMatrix(rows=tuple(rows))
+
+    def test_readers_match_the_fraction_references(self):
+        rng = random.Random(28)
+        for j in range(60):
+            inst = random_instance(rng, r_max=8, k_max=4, l_max=3)
+            if j % 2:  # ties in the scores
+                inst = Instance(pmf=(F(1, inst.r),) * inst.r, f=inst.f, l=inst.l)
+            mech = self.mechanism(rng, inst, ("add-noise", "classes", "spread")[j % 3])
+            report = list_privacy(inst, mech)
+            assert report == reference_list_privacy(inst, mech)
+            recover = min(mech.rows[x][inst.f[x]] for x in range(inst.r))
+            assert recoverability_level(mech, inst) == recover
+            lists = active_lists(inst, mech)
+            for i in range(inst.k):
+                assert lists[i] == tuple(
+                    lst
+                    for lst in combinations(range(inst.r), inst.l)
+                    if sum(inst.pmf[x] * mech.rows[x][i] for x in lst) == report.per_output_mass[i]
+                )
+            est = report.estimator
+            got = simulate_game(inst, mech, est, 300, j).misses
+            assert got == reference_simulate_game(inst, mech, est, 300, j)
+            rows, den = mech._scaled
+            assert rows == [tuple(v * den for v in row) for row in mech.rows]
+            for x, y in combinations(range(inst.r), 2):
+                assert (rows[x] is rows[y]) == (mech.rows[x] is mech.rows[y])
+
+    def test_shared_rows_are_scaled_once(self, monkeypatch):
+        r = 10**5
+        inst = Instance(pmf=(F(1, r),) * r, f=tuple(x % 2 for x in range(r)), l=3)
+        inst._profile  # the pmf's own scaling, before the spy
+        scaled = []
+        scale = core.over_common_denominator
+
+        def spy(values):
+            scaled.append(len(values))
+            return scale(values)
+
+        monkeypatch.setattr(core, "over_common_denominator", spy)
+        per_value = ((F(2, 3), F(1, 3)), (F(1, 5), F(4, 5)))
+        mech = StochasticMatrix(rows=tuple(per_value[i] for i in inst.f))
+        assert list_privacy(inst, mech).privacy == 1 - F(3, r) * (F(2, 3) + F(4, 5))
+        assert recoverability_level(mech, inst) == F(2, 3)
+        assert scaled == [2, 2]
+        rows, den = mech._scaled
+        assert den == 15 and len({id(row) for row in rows}) == 2

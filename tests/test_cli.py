@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import listprivacy
+import listprivacy.cli as cli
 import listprivacy.oracle as oracle
 from listprivacy import errors, instance_to_text, uniform_qr, matrix_to_text
 from listprivacy.catalog import instance as catalog_instance
@@ -313,6 +314,31 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(inst_file), "--rho", "1/2")
         assert code == 1 and out == ""
         assert err.startswith("error: InstanceTooLarge:")
+
+
+class TestPointLimits:
+    """`curve --samples`, `oracle --grid` and `simulate --grid` refuse more
+    points than envelope._MAX_POINTS before any point is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "skew7", "--samples", "100000"],
+            ["oracle", "skew7", "--grid", "100001"],
+            ["simulate", "skew7", "--kind", "optimal-binary", "--grid", "100001",
+             "--trials", "1", "--seed", "1"],
+        ],
+    )
+    def test_one_point_over_is_refused(self, capsys, monkeypatch, argv):
+        def built(*args):
+            raise AssertionError("the points were built")
+
+        monkeypatch.setattr(cli, "exact_privacy_curve", built)
+        monkeypatch.setattr(cli, "privacy_sweep", built)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InstanceTooLarge:")
+        assert "over 100000" in err
 
 
 class TestOracleBytes:

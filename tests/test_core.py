@@ -279,6 +279,16 @@ class TestTopElements:
         with pytest.raises(InstanceFormatError):
             top_elements(range(3), t, SKEW7.pmf)
 
+    def test_entries_are_ranked_as_rationals(self):
+        # As strings, "9/100" sorts above "1/10"; as rationals it is lighter.
+        assert top_elements([0, 1], 1, ["9/100", "1/10"]) == (1,)
+        assert top_elements([0, 1, 2], 2, [0.3, "1/5", 1]) == (0, 2)
+
+    @pytest.mark.parametrize("pmf", [None, 5, "ab", [None, None], [Fraction(1, 2), "half"]])
+    def test_pmf_must_be_a_sequence_of_rationals(self, pmf):
+        with pytest.raises(InstanceFormatError):
+            top_elements([0, 1], 1, pmf)
+
 
 class TestMassAndLabelTakeSymbols:
     """`mass` and `label_of` check each symbol by `top_elements`'s rule, and

@@ -18,7 +18,7 @@ from listprivacy import (
 )
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
-from listprivacy.errors import InstanceFormatError
+from listprivacy.errors import InstanceFormatError, InstanceTooLarge, RhoOutOfRange
 from listprivacy import envelope
 from listprivacy.envelope import (
     PrivacyCurve,
@@ -342,6 +342,32 @@ class TestLargeInstance:
         assert curve.value_at(F(0)) == privacy_at_zero(inst)
         assert curve.value_at(F(1)) == privacy_at_one(inst)
         assert 1 - anchor_set(inst, F(1, 2)).objective == curve.value_at(F(1, 2))
+
+
+class TestValueAtAndSamples:
+    """Every value_at reads rho through ensure_rho and stays exact; samples
+    count their points before building any."""
+
+    def test_pieces_and_lines_are_exact_at_any_rational_form(self):
+        curve = privacy_curve(SKEW7)
+        line = enumerate_lines(SKEW7)[-1]
+        assert curve.segments[-1].value_at(0.3) == F(143, 200)
+        for piece in (curve.segments[-1], line):
+            want = piece.intercept + piece.slope * F(3, 10)
+            for rho in (0.3, "0.3", "3/10", F(3, 10)):
+                got = piece.value_at(rho)
+                assert type(got) is F and got == want
+            with pytest.raises(InstanceFormatError):
+                piece.value_at("three tenths")
+            with pytest.raises(RhoOutOfRange):
+                piece.value_at(F(3, 2))
+
+    def test_samples_are_counted_before_any_is_built(self, monkeypatch):
+        curve = privacy_curve(SKEW7)
+        monkeypatch.setattr(envelope, "_MAX_POINTS", 5)
+        assert len(curve.samples(4)) == 5
+        with pytest.raises(InstanceTooLarge, match="6 points asked for, over 5"):
+            curve.samples(5)
 
 
 class TestExports:
