@@ -9,15 +9,17 @@ solved in two formulations:
 
 - `exact_privacy` solves the compact top-l program, with no l-list in it,
   over symbol classes: symbols of equal mass and function value are
-  interchangeable, so one row of the mechanism serves a whole class, and
-  the program has Ck + 2C rows for C classes (`Instance._classes`) where
-  one per symbol would have rk + 2r. Its witness gives every member of a
-  class the same row object, and `list_privacy` certifies it over all r
-  symbols. On tie-heavy priors this is what keeps a solve small: one level
-  of a seeded r=60, k=10, l=10 prior of masses 1 or 2 takes 0.014-0.039 s
-  of CPU time instead of 0.17-0.37 s, and a uniform prior on 10^5 symbols
-  (k=10, l=500) is a 120-row program, solved and certified in 0.20-0.25 s
-  (one core of a 2-core x86-64 box, Python 3.11).
+  interchangeable, so one row of the mechanism serves a whole class. Each
+  class's stochastic row is substituted away, so for C classes
+  (`Instance._classes`) the program has Ck + C rows, none of them `=`,
+  where one row per symbol with its stochastic row kept would have rk + 2r.
+  Its witness gives every member of a class the same row object, and
+  `list_privacy` certifies it over all r symbols. On tie-heavy priors this
+  is what keeps a solve small: one level of a seeded r=60, k=10, l=10
+  prior of masses 1 or 2 takes 0.014-0.039 s of CPU time instead of
+  0.17-0.37 s, and a uniform prior on 10^5 symbols (k=10, l=500) is a
+  110-row program, solved and certified in 0.20-0.25 s (one core of a
+  2-core x86-64 box, Python 3.11).
 - The result's `witness`, read for `oracle --rho`, comes from the list
   program over symbols by Kelley's cutting-plane method: most of its
   k * C(r, l) list rows are slack, so the optimal adversary, run on the
@@ -65,6 +67,7 @@ from .core import (
     format_rational,
     parse_rational,
     ranked,
+    recoverability_level,
 )
 from .errors import InstanceTooLarge
 from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
@@ -164,46 +167,67 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     output i gets a column u(i) and, per class c, a column v(c,i) with the
     row `p_c w(c,i) - u(i) - v(c,i) <= 0`, scaled by the pmf's common
     denominator, and costs l on u(i) and m_c on v(c,i): a multiset's top-l
-    sum. With a stochastic and a recover row per class, the program has
-    2Ck + k columns and Ck + 2C rows. At an optimum each output's u and v
-    terms add up to exactly its top-l mass, so the optimum is the privacy
-    of the vertex's w part, every member given its class's row, which
-    `list_privacy` certifies over all r symbols.
+    sum.
+
+    Each class's stochastic row is substituted away (Andersen and Andersen,
+    1995): with f = f_c, w(c,f) = 1 - S_c, S_c the sum of w(c,i) over i != f,
+    has no column. Its top-l row becomes `u(f) + v(c,f) + p_c S_c >= p_c`,
+    and its recover row `S_c <= 1 - rho`, which at rho = 0 still keeps
+    w(c,f) >= 0 and starts at its slack; so phase 1 has C artificials, one
+    per class. The program has 2Ck + k - C columns and Ck + C rows, none of
+    them `=`. At an optimum each output's u and v terms add up to exactly
+    its top-l mass, so the optimum is the privacy of the vertex's w part,
+    every member given its class's row, which `list_privacy` certifies over
+    all r symbols.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
     k, l = inst.k, inst.l
     classes = inst._classes
-    nw = len(classes) * k
+    # Columns: v(c,i) at c * k + i, then u(i), then class c's w(c,i), i != f_c,
+    # in order of i; the recover rows come first. Orders change only the
+    # pivots: on seeded k = 8-10 priors this one took 6-45% fewer than
+    # w, u, v under the top-l rows.
+    nu = len(classes) * k
+    nw = nu + k
+    blocks = [range(nw + c * (k - 1), nw + (c + 1) * (k - 1)) for c in range(len(classes))]
     den = inst._profile.den
-    rows = [
-        ({c * k + i: w, nw + i: -den, nw + k + c * k + i: -den}, LESS, 0, den)
-        for i in range(k)
-        for c, (w, _, _) in enumerate(classes)
-    ]
-    cost = dict.fromkeys(range(nw, nw + k), l)
+    q = rho.denominator
+    rows = [(dict.fromkeys(block, q), LESS, q - rho.numerator, q) for block in blocks]
+    for i in range(k):
+        for c, (w, f, _) in enumerate(classes):
+            if i != f:
+                row = {blocks[c][i - (i > f)]: w, nu + i: -den, c * k + i: -den}
+                rows.append((row, LESS, 0, den))
+            else:
+                row = {nu + f: den, c * k + f: den} | dict.fromkeys(blocks[c], w)
+                rows.append((row, GREATER, w, den))
+    cost = dict.fromkeys(range(nu, nu + k), l)
     for c, (_, _, members) in enumerate(classes):
-        cost |= dict.fromkeys(range(nw + k + c * k, nw + k + c * k + k), len(members))
-    fixed = _fixed_rows([i for _, i, _ in classes], k, rho)
-    status, basic, objective = solve_lp(2 * nw + k, rows + fixed, cost, 1)
+        cost |= dict.fromkeys(range(c * k, c * k + k), len(members))
+    status, basic, objective = solve_lp(nw + len(classes) * (k - 1), rows, cost, 1)
     if status is not LpStatus.OPTIMAL:
         raise AssertionError(f"privacy program should always solve, got {status}")
     optimum = 1 - Fraction(*objective)
-    vertex = [Fraction(*basic[j]) if j in basic else Fraction(0) for j in range(nw)]
     # One row object per class, shared by its members: StochasticMatrix
     # checks it once.
     mech = [()] * inst.r
-    for c, (_, _, members) in enumerate(classes):
-        row = tuple(vertex[c * k : c * k + k])
+    for block, (_, f, members) in zip(blocks, classes):
+        rest = [Fraction(*basic[j]) if j in basic else Fraction(0) for j in block]
+        row = tuple(rest[:f] + [1 - sum(rest)] + rest[f:])
         for x in members:
             mech[x] = row
     witness = StochasticMatrix(rows=tuple(mech))
-    _certify(inst, witness, optimum)
+    _certify(inst, rho, witness, optimum)
     return OracleResult(optimum=optimum, inst=inst, rho=rho)
 
 
-def _certify(inst: Instance, witness: StochasticMatrix, optimum: Fraction) -> None:
-    """The one fault check: a program's optimum must be its witness's privacy."""
+def _certify(inst: Instance, rho: Fraction, witness: StochasticMatrix, optimum: Fraction) -> None:
+    """The one fault check: a program's witness must be rho-recoverable, and
+    its optimum the witness's privacy."""
+    level = recoverability_level(witness, inst)
+    if level < rho:
+        raise AssertionError(f"witness recovers at {level}, below rho = {rho}")
     certified = list_privacy(inst, witness).privacy
     if certified != optimum:
         raise AssertionError(f"witness certifies {certified}, program claims {optimum}")
@@ -248,7 +272,7 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
     witness = StochasticMatrix(
         rows=tuple([tuple([Fraction(v, scale) for v in row]) for row in vertex])
     )
-    _certify(inst, witness, optimum)
+    _certify(inst, rho, witness, optimum)
     return optimum, witness
 
 

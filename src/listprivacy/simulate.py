@@ -256,12 +256,31 @@ def simulate_game(
     rng = random.Random(seed)
     x_cuts = _thresholds(inst._profile.pw, inst._profile.den)
     rows, den = mech._scaled
-    z_cuts = [_thresholds(row, den) for row in rows]
     members = [frozenset(lst) for lst in estimator.lists]
-    # Per symbol, the runs of its z draw that hit and miss its list. A symbol
-    # with one run has a constant class; the first 253 mixed symbols each
-    # have a lane class of their own, and later ones are unsure.
-    z_runs = [_runs(cuts, [x in m for m in members]) for x, cuts in enumerate(z_cuts)]
+    # The outputs whose list holds x, ascending, for every listed symbol x.
+    listed: dict[int, tuple[int, ...]] = {}
+    for i, lst in enumerate(estimator.lists):
+        for x in lst:
+            listed[x] = listed.get(x, ()) + (i,)
+    # Per symbol, its z draw's cuts and the runs of them that hit and miss
+    # its list. Symbols that hold one row object share its int tuple, so
+    # each distinct row's cuts are computed once, and its runs once per set
+    # of lists that hold the symbol. A symbol with one run has a constant
+    # class; the first 253 mixed symbols each have a lane class of their
+    # own, and later ones are unsure.
+    cuts_of: dict[int, list[int]] = {}
+    runs_of: dict[tuple, tuple[list[int], list]] = {}
+    z_cuts, z_runs = [], []
+    for x, row in enumerate(rows):
+        cuts = cuts_of.get(id(row))
+        if cuts is None:
+            cuts = cuts_of[id(row)] = _thresholds(row, den)
+        key = (id(row), listed.get(x, ()))
+        runs = runs_of.get(key)
+        if runs is None:
+            runs = runs_of[key] = _runs(cuts, [i in key[1] for i in range(inst.k)])
+        z_cuts.append(cuts)
+        z_runs.append(runs)
     laned = [x for x, (_, hits) in enumerate(z_runs) if len(hits) > 1][:_UNSURE - _MIXED]
     lane_class = {x: _MIXED + j for j, x in enumerate(laned)}
     classes = [

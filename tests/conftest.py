@@ -564,36 +564,76 @@ def symbol_classes(inst: Instance) -> list[tuple[Fraction, int, tuple[int, ...]]
 
 
 def compact_program(inst: Instance, rho: Fraction, sense: str, per_symbol: bool = False):
-    """The compact top-l program over symbol classes: variables w(c,i), then
-    u_i, then v(c,i), one row of the mechanism per class c.
+    """The compact top-l program: minimize the sum over outputs of
+    l*u_i + sum_c m_c*v(c,i), m_c the size of class c, where
+    v(c,i) + u_i - p_c*w(c,i) >= 0 is written with `sense` ">=" as is and
+    with "<=" negated; the optimum is each output's top-l mass, summed.
 
-    Minimize the sum over outputs of l*u_i + sum_c m_c*v(c,i), m_c the
-    class's size, where v(c,i) + u_i - p_c*w(c,i) >= 0, written with
-    `sense` ">=" as is and with "<=" negated; the optimum is each output's
-    top-l mass, summed. With `per_symbol` every symbol is its own class: the
-    unreduced program over symbols, a reference for the class program.
+    Over symbol classes it is the oracle's program: each class's stochastic
+    row substituted away, so with f = f_c and S_c the sum of w(c,i) over
+    i != f, the variables are v(c,i), then u_i, then those w(c,i); a
+    recover row S_c <= 1 - rho per class comes first, then the top-l rows,
+    the (c, f) one being u_f + v(c,f) + p_c*S_c >= p_c in either sense.
+    With `per_symbol` every symbol is its own class and no row is
+    substituted: variables w(x,i), then u_i, then v(x,i), and the stochastic
+    and recover rows of the loop's program, an independent reference for
+    the class program.
     """
     if per_symbol:
-        classes = [(p, i, (x,)) for x, (p, i) in enumerate(zip(inst.pmf, inst.f))]
-    else:
-        classes = symbol_classes(inst)
+        return _symbol_program(inst, rho, sense)
+    classes = symbol_classes(inst)
     c_count, k = len(classes), inst.k
-    nw = c_count * k
+    nu = c_count * k
+    nw = nu + k
+    blocks = [slice(nw + c * (k - 1), nw + (c + 1) * (k - 1)) for c in range(c_count)]
+    n = nw + c_count * (k - 1)
+    costs = [len(members) for _, _, members in classes for _ in range(k)] + [inst.l] * k
+    costs += [0] * (n - nw)
+    sign = 1 if sense == GREATER else -1
+    rows, senses, rhs = [], [], []
+    for block in blocks:
+        row = [0] * n
+        row[block] = [1] * (k - 1)
+        rows.append(row)
+        senses.append(LESS)
+        rhs.append(1 - rho)
+    for i in range(k):
+        for c, (p, f, _) in enumerate(classes):
+            row = [0] * n
+            if i == f:
+                row[blocks[c]] = [p] * (k - 1)
+                row[c * k + i] = row[nu + i] = 1
+                rows.append(row)
+                senses.append(GREATER)
+                rhs.append(p)
+            else:
+                row[blocks[c].start + i - (i > f)] = -sign * p
+                row[c * k + i] = row[nu + i] = sign
+                rows.append(row)
+                senses.append(sense)
+                rhs.append(0)
+    return costs, rows, senses, rhs
+
+
+def _symbol_program(inst: Instance, rho: Fraction, sense: str):
+    """`compact_program` with one class per symbol and the stochastic rows kept."""
+    r, k = inst.r, inst.k
+    nw = r * k
     n = 2 * nw + k
-    costs = [0] * nw + [inst.l] * k + [len(members) for _, _, members in classes for _ in range(k)]
+    costs = [0] * nw + [inst.l] * k + [1] * nw
     sign = 1 if sense == GREATER else -1
     rows, senses, rhs = [], [], []
     for i in range(k):
-        for c, (p, _, _) in enumerate(classes):
+        for x, p in enumerate(inst.pmf):
             row = [0] * n
-            row[c * k + i] = -sign * p
+            row[x * k + i] = -sign * p
             row[nw + i] = sign
-            row[nw + k + c * k + i] = sign
+            row[nw + k + x * k + i] = sign
             rows.append(row)
             senses.append(sense)
             rhs.append(0)
-    # The oracle's stochastic and recover rows, with zeros for the v columns.
-    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows([i for _, i, _ in classes], k, rho)
+    # The loop's stochastic and recover rows, with zeros for the v columns.
+    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows(inst.f, k, rho)
     rows += [row + [0] * nw for row in fixed_rows]
     return costs, rows, senses + fixed_senses, rhs + fixed_rhs
 

@@ -83,6 +83,13 @@ class TestFrozenValues:
         result = exact_privacy(TERNARY5, F(3, 4))
         assert result.optimum == F(1, 4)
 
+    def test_zero_level_keeps_every_entry_nonnegative(self):
+        # At rho = 0 the recover row still bounds each class's other entries
+        # by 1: without it this solve's vertex gives a row a negative entry.
+        pmf = tuple(F(w, 74) for w in (9, 5, 5, 7, 8, 11, 10, 9, 10))
+        inst = Instance(pmf=pmf, f=(0, 0, 0, 1, 1, 1, 1, 0, 0), l=6)
+        assert exact_privacy(inst, F(0)).optimum == privacy_at_zero(inst) == F(17, 74)
+
     def test_low_rho_equals_mass_outside_global_top(self):
         rng = random.Random(51)
         for _ in range(8):
@@ -105,6 +112,35 @@ class TestCertificates:
         result = OracleResult(optimum=F(1, 3), inst=SKEW7, rho=F(7, 10))
         with pytest.raises(AssertionError, match="cutting planes reach 63/200"):
             result.witness
+
+    def test_compact_witness_must_be_recoverable(self, monkeypatch):
+        # A solve that answers the rho = 0 program: its witness certifies that
+        # program's optimum, 7/20, but recovers below 9/10, where the optimum
+        # is 29/200.
+        solve = oracle.solve_lp
+        answers = []
+
+        def keep(*args):
+            answers.append(solve(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(oracle, "solve_lp", keep)
+        assert exact_privacy(SKEW7, F(0)).optimum == F(7, 20)
+        monkeypatch.setattr(oracle, "solve_lp", lambda *args: answers[0])
+        with pytest.raises(AssertionError, match="below rho = 9/10"):
+            exact_privacy(SKEW7, F(9, 10))
+
+    def test_loop_witness_must_be_recoverable(self, monkeypatch):
+        # A loop whose solves drop the recover rows answers the rho = 0
+        # program, whose witness certifies its own optimum.
+        solve = oracle.solve_lp
+
+        def loose(n, rows, cost, den):
+            return solve(n, [row for row in rows if row[1] != simplex.GREATER], cost, den)
+
+        monkeypatch.setattr(oracle, "solve_lp", loose)
+        with pytest.raises(AssertionError, match="below rho = 9/10"):
+            oracle._cutting_plane(SKEW7, F(9, 10))
 
     def test_active_lists_attain_per_output_mass(self):
         result = exact_privacy(SKEW7, F(7, 10))
@@ -267,9 +303,11 @@ class TestCoreSeam:
         result = exact_privacy(UNIFORM4, F(1, 2))
         assert len(calls) == 1
         senses = [s for _, s, _, _ in calls[0][1]]
-        # One top-l row per output and symbol class (uniform4 has two, one
-        # per preimage), then a stochastic and a recover row per class.
-        assert senses == [simplex.LESS] * 4 + [simplex.EQUAL] * 2 + [simplex.GREATER] * 2
+        # A recover row per symbol class (uniform4 has two, one per
+        # preimage), then one top-l row per output and class, `>=` where the
+        # output is the class's own, with its stochastic row substituted in.
+        G, L = simplex.GREATER, simplex.LESS
+        assert senses == [L] * 2 + [G, L, L, G]
         result.witness
         assert len(calls) == 2
         senses = [s for _, s, _, _ in calls[1][1]]
@@ -542,7 +580,7 @@ class TestMetamorphicAtScale:
 
 class TestUniformAtScale:
     """A seeded uniform prior on r = 10^5 symbols: one symbol class per
-    output, so the program has k * k + 2k rows whatever r is, and only
+    output, so the program has k * k + k rows whatever r is, and only
     `list_privacy`'s certification over every symbol grows with r."""
 
     def test_one_small_program_certified_over_every_symbol(self, monkeypatch):
@@ -561,6 +599,6 @@ class TestUniformAtScale:
         monkeypatch.setattr(oracle, "solve_lp", spy)
         rho = F(1, 2)
         optimum = exact_privacy(inst, rho).optimum
-        assert sizes == [(2 * k * k + k, k * k + 2 * k)]
+        assert sizes == [(2 * k * k, k * k + k)]
         assert optimum <= privacy_bound(inst, rho)
         assert exact_privacy(inst.with_list_size(501), rho).optimum <= optimum

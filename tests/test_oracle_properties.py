@@ -8,12 +8,13 @@ denominators times a random factor, as the oracle reads each round's vertex;
 with the pmf over its common denominator, the integer scores are the Fraction
 scores times one positive scale. On smaller instances, the compact program's
 optimum must equal the cutting-plane loop's, which a witness read checks, and
-stay within the envelope's bound.
+the program over symbols with its stochastic rows kept, and stay within the
+envelope's bound.
 
 Tie-heavy instances, whose masses are 1 or 2 over their sum or all equal,
-split into few symbol classes: there the class program's optimum must equal
-the program over symbols and the loop's, and relabeling the symbols must
-leave it unchanged.
+split into few symbol classes: there too the class program's optimum must
+equal the program over symbols and the loop's, and relabeling the symbols
+must leave it unchanged.
 """
 
 import math
@@ -97,6 +98,8 @@ def tie_heavy_instances(draw):
 @given(inst=instances(r_max=7), rho=LEVELS)
 def test_compact_optimum_is_the_loops_within_the_bound(inst, rho):
     result = exact_privacy(inst, rho)
+    symbols = solve_rational(*compact_program(inst, rho, GREATER, per_symbol=True))
+    assert result.optimum == 1 - symbols.objective
     result.witness  # raises unless the loop reaches the same optimum
     assert result.optimum <= privacy_bound(inst, rho)
 

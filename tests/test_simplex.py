@@ -425,21 +425,25 @@ class TestSparseRows:
 
     @pytest.mark.parametrize("sense", [GREATER, LESS])
     def test_compact_programs(self, same_solution, stored, sense):
+        # The class program has no `=` row to copy; the program over symbols
+        # keeps its stochastic rows, so it takes the copies.
         pivots, phases = stored
         rng = random.Random(82)
         for _ in range(6):
             inst = wide_instance(rng)
             rho = random_rho(rng)
-            program = compact_program(inst, rho, sense)
-            assert zero_share(program[1]) >= 0.85
-            if rng.random() < 0.5:
-                program, copies = with_redundant_rows(rng, program)
-            else:
-                copies = 0
-            phases.clear()
-            sol = same_solution(*program)
-            assert phases[-1] <= len(program[1]) - copies
-            assert 1 - sol.objective == exact_privacy(inst, rho).optimum
+            optimum = exact_privacy(inst, rho).optimum
+            for per_symbol in (False, True):
+                program = compact_program(inst, rho, sense, per_symbol)
+                assert zero_share(program[1]) >= 0.85
+                if per_symbol and rng.random() < 0.5:
+                    program, copies = with_redundant_rows(rng, program)
+                else:
+                    copies = 0
+                phases.clear()
+                sol = same_solution(*program)
+                assert phases[-1] <= len(program[1]) - copies
+                assert 1 - sol.objective == optimum
         assert len(pivots) > 200
 
     def test_zeros_of_every_type_are_dropped(self, same_solution, stored):

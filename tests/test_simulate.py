@@ -8,7 +8,9 @@ import pytest
 from listprivacy import (
     Instance,
     ListEstimator,
+    NoisePmf,
     StochasticMatrix,
+    add_noise_qr,
     deterministic_qr,
     derive_stream_seed,
     list_privacy,
@@ -19,6 +21,7 @@ from listprivacy import (
     ternary_example_qr,
     uniform_qr,
 )
+import listprivacy.simulate as simulate
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import over_common_denominator
 from listprivacy.errors import DimensionMismatch, InstanceFormatError, RhoOutOfRange
@@ -365,6 +368,39 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("case", list(EDGE_CASES))
     def test_edge_cases(self, case):
         self.assert_same(*EDGE_CASES[case](), trials=self.TRIALS + (1 << 17,))
+
+
+class TestSharedRows:
+    """Symbols that hold one row object share its z draw's cuts, and its runs
+    when the same lists hold them."""
+
+    def test_cuts_once_per_row_and_runs_once_per_row_and_lists(self, monkeypatch):
+        r, k, trials, seed = 2000, 10, 3000, 9
+        rng = random.Random(107)
+        f = list(range(k)) + [rng.randrange(k) for _ in range(r - k)]
+        rng.shuffle(f)
+        inst = Instance(pmf=(F(1, r),) * r, f=tuple(f), l=50)
+        noise = []
+        for _ in range(k):
+            weights = [rng.randint(1, 12) for _ in range(k)]
+            noise.append(tuple(F(w, sum(weights)) for w in weights))
+        mech = add_noise_qr(inst, NoisePmf(conditional=tuple(noise)))
+        est = list_privacy(inst, mech).estimator
+        calls = {"_thresholds": 0, "_runs": 0}
+        for name in calls:
+
+            def count(*args, name=name, call=getattr(simulate, name)):
+                calls[name] += 1
+                return call(*args)
+
+            monkeypatch.setattr(simulate, name, count)
+        misses = simulate_game(inst, mech, est, trials, seed).misses
+        # The x draw's cuts and runs, then the z draw's: add_noise_qr gives
+        # every symbol of preimage i the one row object of output value i.
+        assert calls["_thresholds"] == 1 + k
+        held = {(f[x], tuple([x in lst for lst in est.lists])) for x in range(r)}
+        assert calls["_runs"] == 1 + len(held) < r // 10
+        assert misses == reference_simulate_game(inst, mech, est, trials, seed)
 
 
 class TestSweep:
