@@ -19,12 +19,14 @@ from .core import (
     Instance,
     ListEstimator,
     StochasticMatrix,
+    _check_sequence,
     _check_type,
     check_dims,
+    check_estimator,
     format_rational,
+    parse_rational,
     ranked,
 )
-from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,13 @@ class PrivacyReport:
     privacy: Fraction
     estimator: ListEstimator
     per_output_mass: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "privacy", parse_rational(self.privacy))
+        _check_type("estimator", self.estimator, ListEstimator)
+        _check_sequence("per_output_mass", self.per_output_mass)
+        masses = tuple([parse_rational(m) for m in self.per_output_mass])
+        object.__setattr__(self, "per_output_mass", masses)
 
 
 def map_list_estimator(inst: Instance, mech: StochasticMatrix) -> ListEstimator:
@@ -93,11 +102,7 @@ def report_to_jsonable(report: PrivacyReport, inst: Instance | None = None) -> d
     _check_type("report", report, PrivacyReport)
     given = report.estimator.lists
     if inst is not None:
-        _check_type("instance", inst, Instance)
-        if len(given) != inst.k:
-            raise DimensionMismatch(f"report has {len(given)} outputs, instance has {inst.k}")
-        if max(map(max, given)) >= inst.r:
-            raise DimensionMismatch(f"report lists a symbol past the instance's {inst.r} symbols")
+        check_estimator(inst, report.estimator)
         lists = [[inst.label_of(x) for x in lst] for lst in given]
     else:
         lists = [list(lst) for lst in given]

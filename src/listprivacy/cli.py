@@ -31,7 +31,7 @@ from .core import (
     parse_instance,
 )
 from .envelope import (
-    _check_points,
+    _levels,
     curve_samples_csv,
     curve_segments_csv,
     curve_to_text,
@@ -169,10 +169,8 @@ def cmd_oracle(inst: Instance, args) -> str:
             "active_lists": [list(map(list, per)) for per in active_lists(inst, result.witness)],
         }
         return json.dumps(payload, indent=2) + "\n"
-    _require(args.grid >= 2, "--grid needs at least two points")
-    _check_points(args.grid)
+    grid = _levels(args.grid, 0)
     lines = ["rho,oracle,envelope,equal"]
-    grid = [Fraction(j, args.grid - 1) for j in range(args.grid)]
     curve = privacy_curve(inst)
     for rho, result in exact_privacy_curve(inst, grid):
         got, want = result.optimum, curve.value_at(rho)
@@ -187,13 +185,7 @@ def cmd_simulate(inst: Instance, args) -> str:
     if args.grid is not None:
         _require(args.kind is not None, "--grid needs --kind")
         _require(args.kind != "noise-file", "--grid does not support noise-file")
-        _require(args.grid >= 2, "--grid needs at least two points")
-        _check_points(args.grid)
-        lo, hi = Fraction(0), Fraction(1)
-        if args.kind == "ternary-example":
-            lo = Fraction(1, 2)
-        step = (hi - lo) / (args.grid - 1)
-        rhos = [lo + step * j for j in range(args.grid)]
+        rhos = _levels(args.grid, Fraction(1, 2) if args.kind == "ternary-example" else 0)
 
         def factory(rho):
             return _build_mechanism(inst, args.kind, rho, None)

@@ -424,6 +424,19 @@ def check_dims(inst: Instance, mech: StochasticMatrix):
         )
 
 
+def check_estimator(inst: Instance, estimator: ListEstimator):
+    """Raise InstanceFormatError on other types, DimensionMismatch unless the
+    estimator has one list per output, each of the instance's symbols."""
+    _check_type("instance", inst, Instance)
+    _check_type("estimator", estimator, ListEstimator)
+    lists = estimator.lists
+    if len(lists) != inst.k:
+        raise DimensionMismatch(f"estimator has {len(lists)} lists, instance needs {inst.k}")
+    for i, lst in enumerate(lists):
+        if lst[-1] >= inst.r:  # each list is sorted and nonempty
+            raise DimensionMismatch(f"list {i} names {_shown(lst[-1])}, alphabet is {inst.r}")
+
+
 def is_recoverable(mech: StochasticMatrix, inst: Instance, rho: Fraction) -> bool:
     """True when every symbol reports its own function value with chance >= rho.
     Raises RhoOutOfRange unless rho lies in [0, 1]."""

@@ -27,23 +27,30 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Instance,
+    _check_sequence,
     _check_type,
     _is_int,
     _shown,
     ensure_rho,
     format_rational,
+    parse_rational,
 )
 from .errors import InstanceFormatError, InstanceTooLarge
 
 
 # Most points `PrivacyCurve.samples`, `oracle --grid` or `simulate --grid`
-# builds; `_check_points` counts them before the first is built.
+# builds; `_levels` counts them before the first is built.
 _MAX_POINTS = 100_000
 
 
-def _check_points(n: int):
-    if n > _MAX_POINTS:
-        raise InstanceTooLarge(f"{n} points asked for, over {_MAX_POINTS}")
+def _levels(points: int, lo) -> list[Fraction]:
+    """`points` equispaced levels from lo to 1: 2 to _MAX_POINTS, counted before any is built."""
+    if not _is_int(points) or points < 2:
+        raise InstanceFormatError(f"need a whole number of points >= 2, got {_shown(points)}")
+    if points > _MAX_POINTS:
+        raise InstanceTooLarge(f"{points} points asked for, over {_MAX_POINTS}")
+    step = Fraction(1 - lo, points - 1)
+    return [lo + step * j for j in range(points)]
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,10 @@ class EnvelopeLine:
         return len(self.anchor)
 
     def value_at(self, rho) -> Fraction:
-        """The line at rho; raises RhoOutOfRange unless rho lies in [0, 1]."""
-        return self.intercept + self.slope * ensure_rho(rho)
+        """The line at rho; raises RhoOutOfRange unless rho lies in [0, 1].
+        The fields are read here, not checked at construction: `anchor_set`
+        builds one line per count vector and reads one of them."""
+        return parse_rational(self.intercept) + parse_rational(self.slope) * ensure_rho(rho)
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,10 @@ class CurveSegment:
     slope: Fraction
     intercept: Fraction
 
+    def __post_init__(self):
+        for name in ("rho_lo", "rho_hi", "slope", "intercept"):
+            object.__setattr__(self, name, parse_rational(getattr(self, name)))
+
     def value_at(self, rho) -> Fraction:
         """The piece's line at rho; raises RhoOutOfRange unless rho lies in [0, 1]."""
         return self.intercept + self.slope * ensure_rho(rho)
@@ -109,6 +122,20 @@ class PrivacyCurve:
     breakpoints: tuple[Fraction, ...]
     lambda_sizes: tuple[int, ...]
 
+    def __post_init__(self):
+        # Types only: whether the fields fit together is the exports' check.
+        for name in ("segments", "breakpoints", "lambda_sizes"):
+            _check_sequence(name, getattr(self, name))
+        for seg in self.segments:
+            _check_type("segment", seg, CurveSegment)
+        for size in self.lambda_sizes:
+            if not _is_int(size):
+                raise InstanceFormatError(f"anchor sizes must be integers, got {_shown(size)}")
+        object.__setattr__(self, "segments", tuple(self.segments))
+        breakpoints = tuple([parse_rational(b) for b in self.breakpoints])
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "lambda_sizes", tuple(self.lambda_sizes))
+
     def value_at(self, rho) -> Fraction:
         """The bound at rho, from the first segment that holds it. Raises
         InstanceFormatError when none does, as on a hand-built curve whose
@@ -121,12 +148,9 @@ class PrivacyCurve:
 
     def samples(self, n: int) -> list[tuple[Fraction, Fraction]]:
         """n+1 equispaced exact samples of the bound on [0, 1]; at most _MAX_POINTS."""
-        if not _is_int(n) or n < 1:
-            raise InstanceFormatError(
-                f"need a whole number of sampling intervals >= 1, got {_shown(n)}"
-            )
-        _check_points(n + 1)
-        return [(Fraction(j, n), self.value_at(Fraction(j, n))) for j in range(n + 1)]
+        if not _is_int(n):
+            raise InstanceFormatError(f"need a whole number of intervals, got {_shown(n)}")
+        return [(rho, self.value_at(rho)) for rho in _levels(n + 1, 0)]
 
 
 def _count_vectors(sizes: list[int], budget: int) -> Iterator[tuple[int, ...]]:

@@ -58,9 +58,9 @@ class NotBinaryFunction(ListPrivacyError):
 
 
 class InstanceTooLarge(ListPrivacyError):
-    """`active_lists` (and so `oracle --rho`) meets more tied lists, or an LP
-    dump needs more list rows, than its fixed limit allows; `exact_privacy`
-    itself never raises it."""
+    """`active_lists` (so `oracle --rho`), an LP dump, or `curve --samples`,
+    `oracle --grid` or `simulate --grid` needs more tied lists, list rows or
+    points than its fixed limit; `exact_privacy` itself never raises it."""
 
 
 class NotRowStochastic(ListPrivacyError):

@@ -117,15 +117,24 @@ def _list_row(inst: Instance, i: int, lst: tuple[int, ...]):
     return row, LESS, 0, den
 
 
-def _fixed_rows(outputs: Sequence[int], k: int, rho: Fraction) -> list:
+def _fixed_rows(inst: Instance, rho: Fraction) -> list:
     """The stochastic rows, then the recover rows, of a mechanism whose row x
-    must recover output `outputs[x]`, each recover row scaled by rho's
-    denominator; there are no recover rows when rho is 0."""
-    rows = [(dict.fromkeys(range(x * k, x * k + k), 1), EQUAL, 1, 1) for x in range(len(outputs))]
+    must recover output f(x), each recover row scaled by rho's denominator;
+    there are no recover rows when rho is 0."""
+    k = inst.k
+    rows = [(dict.fromkeys(range(x * k, x * k + k), 1), EQUAL, 1, 1) for x in range(inst.r)]
     if rho > 0:
         q = rho.denominator
-        rows += [({x * k + i: q}, GREATER, rho.numerator, q) for x, i in enumerate(outputs)]
+        rows += [({x * k + i: q}, GREATER, rho.numerator, q) for x, i in enumerate(inst.f)]
     return rows
+
+
+def _solve(n: int, rows: list, cost: dict[int, int]) -> tuple[dict, Fraction]:
+    """A privacy program's basic variables and privacy by this module's `solve_lp`."""
+    status, basic, objective = solve_lp(n, rows, cost)
+    if status is not LpStatus.OPTIMAL:
+        raise AssertionError(f"privacy program should always solve, got {status}")
+    return basic, 1 - Fraction(*objective)
 
 
 def active_lists(inst: Instance, mech: StochasticMatrix):
@@ -205,10 +214,7 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     cost = dict.fromkeys(range(nu, nu + k), l)
     for c, (_, _, members) in enumerate(classes):
         cost |= dict.fromkeys(range(c * k, c * k + k), len(members))
-    status, basic, objective = solve_lp(nw + len(classes) * (k - 1), rows, cost, 1)
-    if status is not LpStatus.OPTIMAL:
-        raise AssertionError(f"privacy program should always solve, got {status}")
-    optimum = 1 - Fraction(*objective)
+    basic, optimum = _solve(nw + len(classes) * (k - 1), rows, cost)
     # One row object per class, shared by its members: StochasticMatrix
     # checks it once.
     mech = [()] * inst.r
@@ -246,15 +252,13 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
     r, k = inst.r, inst.k
     nw = r * k
     den = inst._profile.den
-    fixed = _fixed_rows(inst.f, k, rho)
+    fixed = _fixed_rows(inst, rho)
     cost = dict.fromkeys(range(nw, nw + k), 1)
     # Each output's list rows, in the order their cuts were generated.
     cuts = [[_list_row(inst, i, inst._profile.top)] for i in range(k)]
     while True:
         rows = [row for per_output in cuts for row in per_output]
-        status, basic, objective = solve_lp(nw + k, rows + fixed, cost, 1)
-        if status is not LpStatus.OPTIMAL:
-            raise AssertionError(f"privacy program should always solve, got {status}")
+        basic, optimum = _solve(nw + k, rows + fixed, cost)
         # The vertex as ints over one scale, the lcm of the basic scales: the scores
         # then share the scale den * scale, so best_list picks the Fraction lists.
         scale = _lcm([s for _, s in basic.values()])
@@ -268,7 +272,6 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
             break
         for i in cut:
             cuts[i].append(_list_row(inst, i, best[i][1]))
-    optimum = 1 - Fraction(*objective)
     witness = StochasticMatrix(
         rows=tuple([tuple([Fraction(v, scale) for v in row]) for row in vertex])
     )
@@ -347,7 +350,7 @@ def lp_lines(inst: Instance, rho) -> Iterator[str]:
                 yield line(name, _list_row(inst, i, lst))
         # map stops after the stochastic rows when rho = 0 leaves no recover rows.
         names = [f"row_{x}" for x in range(r)] + [f"recover_{x}" for x in range(r)]
-        yield from map(line, names, _fixed_rows(inst.f, k, rho))
+        yield from map(line, names, _fixed_rows(inst, rho))
         yield "End\n"
 
     return lines()

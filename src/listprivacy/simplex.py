@@ -16,13 +16,13 @@ One rule keeps the integers small: an update divides its row by the row's
 content, the gcd of its entries, only once its first entry reaches
 `_CONTENT_BOUND`. The content divides that entry, so it stays below the bound.
 
-`solve_lp` takes sparse `{column: int}` rows, each with its own positive
-scale, which is also its slack's and artificial's coefficient, and builds
-each tableau row whole from one: its ints, its rhs, then its slack and its
-artificial. Slacks are numbered from n in row order, and artificials after
-every slack. It returns each basic structural variable as (numerator, scale)
-and the objective as (numerator, denominator), so a caller that works in
-integers, as the oracle does, never builds a Fraction.
+`solve_lp` takes integer costs and sparse `{column: int}` rows, each with its
+own positive scale, which is also its slack's and artificial's coefficient,
+and builds each tableau row whole from one: its ints, its rhs, then its slack
+and its artificial. Slacks are numbered from n in row order, and artificials
+after every slack. It returns each basic structural variable as (numerator,
+scale) and the objective as (numerator, denominator), so a caller that works
+in integers, as the oracle does, never builds a Fraction.
 
 The entering rule is steepest Dantzig descent until the objective stalls on
 degenerate pivots, at which point Bland's rule takes over so cycling is
@@ -98,9 +98,9 @@ def _pivot(T: list, basis: list, red: dict, row: int, col: int):
     basis[row] = col
 
 
-def _run(T: list, basis: list, cost: dict, den: int) -> tuple[LpStatus, dict]:
-    """Minimize cost/den over the current basic feasible solution, in place."""
-    red = {**cost, _DEN: den}
+def _run(T: list, basis: list, cost: dict) -> tuple[LpStatus, dict]:
+    """Minimize the integer cost over the current basic feasible solution, in place."""
+    red = {**cost, _DEN: 1}
     for i, bi in enumerate(basis):
         if bi in red:
             _eliminate(red, T[i], bi)
@@ -139,16 +139,16 @@ def _run(T: list, basis: list, cost: dict, den: int) -> tuple[LpStatus, dict]:
 
 
 def solve_lp(
-    n: int, rows: Sequence[tuple[dict[int, int], str, int, int]], cost: dict[int, int], den: int
+    n: int, rows: Sequence[tuple[dict[int, int], str, int, int]], cost: dict[int, int]
 ) -> tuple[LpStatus, dict[int, tuple[int, int]] | None, tuple[int, int] | None]:
-    """Minimize cost/den over x >= 0 subject to integer rows.
+    """Minimize cost.x over x >= 0 subject to integer rows.
 
-    `cost` holds the nonzero cost numerators over `den` > 0, by column below
-    n. Each row is `(coeffs, sense, rhs, scale)`: `coeffs` a `{column: int}`
-    dict over columns below n, rhs >= 0, and the row is `coeffs op rhs` divided
-    by its positive `scale`, which is also its slack's and artificial's
-    coefficient. The rows are copied, never changed. Returns the status, then,
-    when optimal, each basic structural variable as `{column: (numerator,
+    `cost` holds the nonzero integer costs by column below n. Each row is
+    `(coeffs, sense, rhs, scale)`: `coeffs` a `{column: int}` dict over
+    columns below n, rhs >= 0, and the row is `coeffs op rhs` divided by its
+    positive `scale`, which is also its slack's and artificial's coefficient.
+    The rows are copied, never changed. Returns the status, then, when
+    optimal, each basic structural variable as `{column: (numerator,
     scale)}`, every other one being zero, and the objective as `(numerator,
     denominator)`, neither pair reduced.
     """
@@ -170,7 +170,7 @@ def solve_lp(
         basis.append(slack - 1 if s == LESS else art - 1)
 
     if art > art_start:
-        status, red = _run(T, basis, dict.fromkeys(range(art_start, art), 1), 1)
+        status, red = _run(T, basis, dict.fromkeys(range(art_start, art), 1))
         if status is not LpStatus.OPTIMAL:
             raise AssertionError("phase one is bounded below by zero")
         if _RHS in red:
@@ -188,7 +188,7 @@ def solve_lp(
                 _pivot(T, basis, red, i, pivot_col)
         T = [{j: v for j, v in row.items() if j < art_start} for row in T]
 
-    status, red = _run(T, basis, cost, den)
+    status, red = _run(T, basis, cost)
     if status is LpStatus.UNBOUNDED:
         return status, None, None
     x = {bi: (T[i].get(_RHS, 0), T[i][bi]) for i, bi in enumerate(basis) if bi < n}

@@ -63,10 +63,12 @@ from .core import (
     _is_int,
     _shown,
     check_dims,
+    check_estimator,
     ensure_rho,
     format_rational,
+    parse_rational,
 )
-from .errors import DimensionMismatch, InstanceFormatError
+from .errors import InstanceFormatError
 
 _SCALE = 1 << 64
 # Trials per getrandbits call: 16 bytes of draws each, a 64 KB buffer.
@@ -108,6 +110,12 @@ class SweepPoint:
     empirical: float
     analytic: Fraction
     abs_error: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", parse_rational(self.rho))
+        object.__setattr__(self, "analytic", parse_rational(self.analytic))
+        _check_type("empirical", self.empirical, float)
+        _check_type("abs_error", self.abs_error, float)
 
 
 def _check_seed(seed):
@@ -242,14 +250,7 @@ def simulate_game(
     The seed is a non-negative int; each seed gives its own stream.
     """
     check_dims(inst, mech)
-    _check_type("estimator", estimator, ListEstimator)
-    if len(estimator.lists) != inst.k:
-        raise DimensionMismatch(
-            f"estimator has {len(estimator.lists)} lists, instance needs {inst.k}"
-        )
-    for i, lst in enumerate(estimator.lists):
-        if lst and lst[-1] >= inst.r:
-            raise DimensionMismatch(f"list {i} names {_shown(lst[-1])}, alphabet is {inst.r}")
+    check_estimator(inst, estimator)
     if not _is_int(trials) or trials < 1:
         raise InstanceFormatError(f"need a whole number of trials >= 1, got {_shown(trials)}")
     _check_seed(seed)

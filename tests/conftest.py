@@ -291,9 +291,11 @@ def solve_rational(
     `senses[i]` is one of "<=", "=", ">="; coefficients are ints, Fractions or
     anything `Fraction()` accepts. Each row is written as ints over the lcm of
     its denominators, which is its scale, and a row with a negative rhs is
-    negated and its sense flipped. The core is looked up at each call, so a
-    test that patches `simplex.solve_lp` sees these solves too. Returns exact
-    Fractions for the objective and the structural variables.
+    negated and its sense flipped. The costs are written as ints over the lcm
+    of theirs, and the objective is divided back by it. The core is looked up
+    at each call, so a test that patches `simplex.solve_lp` sees these solves
+    too. Returns exact Fractions for the objective and the structural
+    variables.
     """
     m, n = len(rows), len(costs)
     if len(senses) != m or len(rhs) != m:
@@ -317,13 +319,13 @@ def solve_rational(
             s = flip[s]
         int_rows.append((ints, s, b, den))
 
-    status, basic, objective = simplex.solve_lp(n, int_rows, cost, c_den)
+    status, basic, objective = simplex.solve_lp(n, int_rows, cost)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, objective=None, x=None)
     x = [Fraction(0)] * n
     for j, (num, scale) in basic.items():
         x[j] = Fraction(num, scale)
-    return LpSolution(status=status, objective=Fraction(*objective) * sign, x=tuple(x))
+    return LpSolution(status=status, objective=Fraction(*objective) / c_den * sign, x=tuple(x))
 
 
 def reference_solve_rational(
@@ -432,21 +434,21 @@ def reference_solve_rational(
     return LpSolution(status=LpStatus.OPTIMAL, objective=objective, x=tuple(x))
 
 
-def dense_program(n: int, rows: Sequence, cost: dict, den: int) -> tuple[list, list, list, list]:
+def dense_program(n: int, rows: Sequence, cost: dict) -> tuple[list, list, list, list]:
     """A `simplex.solve_lp` program as `solve_rational` takes it: costs, rows,
     senses and rhs, each row's entries and rhs divided by its scale as Fractions."""
-    costs = [Fraction(cost.get(j, 0), den) for j in range(n)]
+    costs = [cost.get(j, 0) for j in range(n)]
     dense = [[Fraction(coeffs.get(j, 0), scale) for j in range(n)] for coeffs, _, _, scale in rows]
     senses = [s for _, s, _, _ in rows]
     rhs = [Fraction(b, scale) for _, _, b, scale in rows]
     return costs, dense, senses, rhs
 
 
-def reference_solve_lp(n: int, rows: Sequence, cost: dict, den: int):
+def reference_solve_lp(n: int, rows: Sequence, cost: dict):
     """Dense-`Fraction` reference for `simplex.solve_lp`: `reference_solve_rational`
     on the `dense_program`, its answer in `solve_lp`'s shape, every nonzero
     structural variable as its (numerator, denominator)."""
-    sol = reference_solve_rational(*dense_program(n, rows, cost, den))
+    sol = reference_solve_rational(*dense_program(n, rows, cost))
     if sol.status is not LpStatus.OPTIMAL:
         return sol.status, None, None
     x = {j: (v.numerator, v.denominator) for j, v in enumerate(sol.x) if v}
@@ -522,15 +524,15 @@ def _list_row(inst: Instance, i: int, lst: tuple[int, ...]) -> list:
     return row
 
 
-def _fixed_rows(outputs: Sequence[int], k: int, rho: Fraction):
+def _fixed_rows(inst: Instance, rho: Fraction):
     """Dense rows, senses and rhs of the stochastic rows, then the recover rows,
-    of a mechanism whose row x must recover output `outputs[x]`."""
-    r = len(outputs)
+    of a mechanism whose row x must recover output f(x)."""
+    r, k = inst.r, inst.k
     rows = [[0] * (r * k + k) for _ in range(2 * r if rho > 0 else r)]
     for x in range(r):
         rows[x][x * k : x * k + k] = [1] * k
         if rho > 0:
-            rows[r + x][x * k + outputs[x]] = 1
+            rows[r + x][x * k + inst.f[x]] = 1
     m = len(rows) - r
     return rows, [EQUAL] * r + [GREATER] * m, [1] * r + [rho] * m
 
@@ -550,7 +552,7 @@ def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int,
     Their rows come first, output by output, then the fixed rows.
     """
     rows = [_list_row(inst, i, lst) for i in range(inst.k) for lst in lists[i]]
-    return _program(inst, rows, _fixed_rows(inst.f, inst.k, rho))
+    return _program(inst, rows, _fixed_rows(inst, rho))
 
 
 def symbol_classes(inst: Instance) -> list[tuple[Fraction, int, tuple[int, ...]]]:
@@ -633,7 +635,7 @@ def _symbol_program(inst: Instance, rho: Fraction, sense: str):
             senses.append(sense)
             rhs.append(0)
     # The loop's stochastic and recover rows, with zeros for the v columns.
-    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows(inst.f, k, rho)
+    fixed_rows, fixed_senses, fixed_rhs = _fixed_rows(inst, rho)
     rows += [row + [0] * nw for row in fixed_rows]
     return costs, rows, senses + fixed_senses, rhs + fixed_rhs
 

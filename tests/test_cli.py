@@ -317,8 +317,17 @@ class TestOracle:
 
 
 class TestPointLimits:
-    """`curve --samples`, `oracle --grid` and `simulate --grid` refuse more
-    points than envelope._MAX_POINTS before any point is built."""
+    """`curve --samples`, `oracle --grid` and `simulate --grid` refuse fewer
+    than 2 points, or more than envelope._MAX_POINTS, before any point is
+    built."""
+
+    @pytest.fixture(autouse=True)
+    def unbuilt(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("the points were built")
+
+        monkeypatch.setattr(cli, "exact_privacy_curve", built)
+        monkeypatch.setattr(cli, "privacy_sweep", built)
 
     @pytest.mark.parametrize(
         "argv",
@@ -329,16 +338,24 @@ class TestPointLimits:
              "--trials", "1", "--seed", "1"],
         ],
     )
-    def test_one_point_over_is_refused(self, capsys, monkeypatch, argv):
-        def built(*args):
-            raise AssertionError("the points were built")
-
-        monkeypatch.setattr(cli, "exact_privacy_curve", built)
-        monkeypatch.setattr(cli, "privacy_sweep", built)
+    def test_one_point_over_is_refused(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: InstanceTooLarge:")
         assert "over 100000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "skew7", "--grid", "1"],
+            ["simulate", "skew7", "--kind", "uniform", "--grid", "1",
+             "--trials", "1", "--seed", "1"],
+        ],
+    )
+    def test_one_point_is_too_few(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InstanceFormatError:")
 
 
 class TestOracleBytes:

@@ -52,7 +52,11 @@ from listprivacy.errors import (
 )
 from listprivacy import adversary, simulate
 from listprivacy.core import _MAX_DIGITS, instance_to_jsonable
+from listprivacy.adversary import PrivacyReport
 from listprivacy.envelope import (
+    CurveSegment,
+    EnvelopeLine,
+    PrivacyCurve,
     curve_samples_csv,
     curve_segments_csv,
     curve_to_text,
@@ -63,7 +67,7 @@ from listprivacy.envelope import (
 )
 from listprivacy.mechanisms import deterministic_qr, matrix_to_text
 from listprivacy.oracle import exact_privacy_curve, lp_lines
-from listprivacy.simulate import derive_stream_seed, privacy_sweep, sweep_to_csv
+from listprivacy.simulate import SweepPoint, derive_stream_seed, privacy_sweep, sweep_to_csv
 from conftest import random_instance
 
 SKEW7 = catalog_instance("skew7")
@@ -713,6 +717,50 @@ class TestPublicApiErrors:
         with pytest.raises(ListPrivacyError) as caught:
             call()
         assert caught.type is code
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CurveSegment(0, 1, "a", 0).value_at("1/2"),
+            lambda: PrivacyCurve((CurveSegment("x", 1, 0, 0),), (1, 1, 1), (3,)).value_at("1/2"),
+            lambda: EnvelopeLine((0,), "a", 0).value_at(0),
+            lambda: curve_samples_csv(PrivacyCurve((CurveSegment(0, 1, None, 0),), (), (3,)), 2),
+            lambda: adversary.report_to_jsonable(
+                PrivacyReport(privacy=1, estimator=None, per_output_mass=()), SKEW7
+            ),
+            lambda: sweep_to_csv([SweepPoint(rho=1, empirical="a", analytic=1, abs_error=0.0)]),
+        ],
+        ids=[
+            "curve_segment", "privacy_curve", "envelope_line", "curve_samples_csv",
+            "privacy_report", "sweep_point",
+        ],
+    )
+    def test_hand_built_results(self, call):
+        # Exported result types built by hand with a field of the wrong type.
+        with pytest.raises(ListPrivacyError):
+            call()
+
+    @pytest.mark.parametrize(
+        "estimator, code",
+        [
+            (ListEstimator(lists=((0, 1, 2),)), DimensionMismatch),
+            (ListEstimator(lists=((0, 1, 2), (4, 5, 7))), DimensionMismatch),
+            (((0, 1, 2), (3, 4, 5)), InstanceFormatError),
+        ],
+        ids=["k_minus_one_lists", "symbol_r", "not_an_estimator"],
+    )
+    def test_one_estimator_fit_check(self, estimator, code):
+        # The game and the report export refuse the same misfits alike.
+        mech = uniform_qr(SKEW7)
+        for call in (
+            lambda: simulate_game(SKEW7, mech, estimator, 10, 1),
+            lambda: adversary.report_to_jsonable(
+                PrivacyReport(privacy=0, estimator=estimator, per_output_mass=(0, 0)), SKEW7
+            ),
+        ):
+            with pytest.raises(ListPrivacyError) as caught:
+                call()
+            assert caught.type is code
 
     @pytest.mark.parametrize("render", [adversary.report_to_jsonable, adversary.report_to_text])
     def test_report_of_another_shape(self, render):

@@ -54,9 +54,9 @@ CATALOG_LEVELS = tuple(
 def logged(solve, log: list, pivots: list):
     """`solve_lp`, appending each call's row count and the pivots it logged to `log`."""
 
-    def run(n, rows, cost, den):
+    def run(n, rows, cost):
         start = len(pivots)
-        result = solve(n, rows, cost, den)
+        result = solve(n, rows, cost)
         log.append((len(rows), pivots[start:]))
         return result
 
@@ -135,8 +135,8 @@ class TestCertificates:
         # program, whose witness certifies its own optimum.
         solve = oracle.solve_lp
 
-        def loose(n, rows, cost, den):
-            return solve(n, [row for row in rows if row[1] != simplex.GREATER], cost, den)
+        def loose(n, rows, cost):
+            return solve(n, [row for row in rows if row[1] != simplex.GREATER], cost)
 
         monkeypatch.setattr(oracle, "solve_lp", loose)
         with pytest.raises(AssertionError, match="below rho = 9/10"):
@@ -269,9 +269,9 @@ class TestAgainstFullProgram:
             reference_exact_privacy(inst, rho)
             wanted_programs.append(programs[:])
 
-        def dense_core(n, rows, cost, den):
-            programs.append(dense_program(n, rows, cost, den))
-            return reference_solve_lp(n, rows, cost, den)
+        def dense_core(n, rows, cost):
+            programs.append(dense_program(n, rows, cost))
+            return reference_solve_lp(n, rows, cost)
 
         monkeypatch.setattr(oracle, "solve_lp", dense_core)
         for (inst, rho), result, witness, wanted in zip(cases, results, witnesses, wanted_programs):
@@ -334,11 +334,11 @@ class TestWrongObjective:
         def install(shift: int) -> list:
             solves = []
 
-            def off(n, rows, cost, den):
+            def off(n, rows, cost):
                 solves.append(len(rows))
                 if len(solves) > 50:
                     raise RuntimeError("still solving after 50 calls")
-                status, basic, (num, dnm) = solve(n, rows, cost, den)
+                status, basic, (num, dnm) = solve(n, rows, cost)
                 return status, basic, (num + shift, dnm)
 
             monkeypatch.setattr(oracle, "solve_lp", off)
@@ -592,9 +592,9 @@ class TestUniformAtScale:
         solve = oracle.solve_lp
         sizes = []
 
-        def spy(n, rows, cost, den):
+        def spy(n, rows, cost):
             sizes.append((n, len(rows)))
-            return solve(n, rows, cost, den)
+            return solve(n, rows, cost)
 
         monkeypatch.setattr(oracle, "solve_lp", spy)
         rho = F(1, 2)

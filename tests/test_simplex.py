@@ -167,7 +167,8 @@ def same_solution(pivot_log):
 def scaled_rows(rng: random.Random, costs, rows, senses, rhs, maximize):
     """A `random_program` as `solve_lp` takes it: each row negated when its
     rhs is negative, then written as ints over the lcm of its denominators
-    times a random factor, which is its scale."""
+    times a random factor, which is its scale, and the costs as ints over the
+    lcm of theirs."""
     flip = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
     out = []
     for row, s, b in zip(rows, senses, rhs):
@@ -179,7 +180,7 @@ def scaled_rows(rng: random.Random, costs, rows, senses, rhs, maximize):
     den = math.lcm(*(c.denominator for c in costs))
     sign = -1 if maximize else 1
     cost = {j: int(c * den) * sign for j, c in enumerate(costs) if c}
-    return len(costs), out, cost, den
+    return len(costs), out, cost
 
 
 class TestIntegerCore:
@@ -213,7 +214,7 @@ class TestIntegerCore:
         # max x + y subject to x/3 + y/2 <= 1 and x >= 1/5: x = 3, y = 0.
         # The oracle hands the same row objects to every round's solve.
         rows = [({0: 2, 1: 3}, LESS, 6, 6), ({0: 5}, GREATER, 1, 5)]
-        status, x, objective = solve_lp(2, rows, {0: -1, 1: -1}, 1)
+        status, x, objective = solve_lp(2, rows, {0: -1, 1: -1})
         assert status is LpStatus.OPTIMAL
         assert F(*objective) == F(-3)
         assert {j: F(*v) for j, v in x.items() if v[0]} == {0: F(3)}
@@ -352,9 +353,9 @@ class TestSparseRows:
             nonzero_only(T, red)
             pivots.append((row, col))
 
-        def count(T, basis, cost, den):
+        def count(T, basis, cost):
             phases.append(len(T))
-            return run(T, basis, cost, den)
+            return run(T, basis, cost)
 
         monkeypatch.setattr(simplex, "_pivot", spy)
         monkeypatch.setattr(simplex, "_run", count)
@@ -472,7 +473,7 @@ def degenerate_program(rng: random.Random, n=25, m=40):
         rows.append(({j: rng.choice([-3, -2, -1, 1, 2, 3]) for j in columns}, LESS, 0, 1))
     rows.append((dict.fromkeys(range(n), 1), LESS, 1, 1))
     cost = {j: c for j in range(n) if (c := rng.randint(-5, 1))}
-    return n, rows, cost, 1
+    return n, rows, cost
 
 
 class TestContentBound:
