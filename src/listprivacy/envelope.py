@@ -67,6 +67,9 @@ class EnvelopeLine:
 
     @property
     def cardinality(self) -> int:
+        """The anchor's size; raises InstanceFormatError unless the anchor is
+        a sequence."""
+        _check_sequence("anchor", self.anchor)
         return len(self.anchor)
 
     def value_at(self, rho) -> Fraction:
@@ -195,8 +198,10 @@ def _per_class_counts(inst: Instance, members: Iterable[int]) -> tuple[int, ...]
 
 def _preference(line: EnvelopeLine, rho: Fraction):
     # Sort key of the preferred line at a checked rho: highest value, then
-    # largest cardinality, then the lexicographically smallest anchor.
-    return (-line.intercept - line.slope * rho, -line.cardinality, line.anchor)
+    # largest cardinality, then the lexicographically smallest anchor. Every
+    # line here comes from `enumerate_lines`, so its anchor's length is read
+    # without `cardinality`'s check.
+    return (-line.intercept - line.slope * rho, -len(line.anchor), line.anchor)
 
 
 def anchor_set(inst: Instance, rho) -> AnchorSet:

@@ -23,7 +23,7 @@ from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.adversary import PrivacyReport
 from listprivacy.core import check_dims, ensure_rho, over_common_denominator
 from listprivacy.envelope import CurveSegment, EnvelopeLine, PrivacyCurve
-from listprivacy.simplex import _STALL_LIMIT, EQUAL, GREATER, LESS, LpStatus
+from listprivacy.simplex import EQUAL, GREATER, LESS, LpStatus
 
 
 def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instance:
@@ -249,7 +249,8 @@ def _reference_run(T: list, basis: list, cost: list) -> tuple[str, list]:
             return "unbounded", red
         if best_ratio == 0:
             stall += 1
-            if stall >= _STALL_LIMIT:
+            # The solver's stall limit, as a literal: a changed limit must not move this too.
+            if stall >= 12:
                 bland = True
         else:
             stall = 0
@@ -555,70 +556,16 @@ def _lp_parts(inst: Instance, rho: Fraction, lists: Sequence[Sequence[tuple[int,
     return _program(inst, rows, _fixed_rows(inst, rho))
 
 
-def symbol_classes(inst: Instance) -> list[tuple[Fraction, int, tuple[int, ...]]]:
-    """Reference for `Instance._classes` on the Fraction pmf: the symbols
-    grouped by (mass, function value), each class as (mass, output, members
-    ascending), in order of first member."""
-    groups = {}
-    for x, key in enumerate(zip(inst.pmf, inst.f)):
-        groups.setdefault(key, []).append(x)
-    return [(p, i, tuple(members)) for (p, i), members in groups.items()]
+def symbol_program(inst: Instance, rho: Fraction, sense: str):
+    """The compact top-l program over symbols, with nothing substituted: an
+    independent reference for the oracle's program over symbol classes.
 
-
-def compact_program(inst: Instance, rho: Fraction, sense: str, per_symbol: bool = False):
-    """The compact top-l program: minimize the sum over outputs of
-    l*u_i + sum_c m_c*v(c,i), m_c the size of class c, where
-    v(c,i) + u_i - p_c*w(c,i) >= 0 is written with `sense` ">=" as is and
-    with "<=" negated; the optimum is each output's top-l mass, summed.
-
-    Over symbol classes it is the oracle's program: each class's stochastic
-    row substituted away, so with f = f_c and S_c the sum of w(c,i) over
-    i != f, the variables are v(c,i), then u_i, then those w(c,i); a
-    recover row S_c <= 1 - rho per class comes first, then the top-l rows,
-    the (c, f) one being u_f + v(c,f) + p_c*S_c >= p_c in either sense.
-    With `per_symbol` every symbol is its own class and no row is
-    substituted: variables w(x,i), then u_i, then v(x,i), and the stochastic
-    and recover rows of the loop's program, an independent reference for
-    the class program.
+    Minimize the sum over outputs of l*u_i + sum_x v(x,i), where
+    v(x,i) + u_i - p_x*w(x,i) >= 0 is written with `sense` ">=" as is and
+    with "<=" negated; the optimum is each output's top-l mass, summed. The
+    variables are w(x,i), then u_i, then v(x,i); the top-l rows come first,
+    then the stochastic and recover rows of the loop's program.
     """
-    if per_symbol:
-        return _symbol_program(inst, rho, sense)
-    classes = symbol_classes(inst)
-    c_count, k = len(classes), inst.k
-    nu = c_count * k
-    nw = nu + k
-    blocks = [slice(nw + c * (k - 1), nw + (c + 1) * (k - 1)) for c in range(c_count)]
-    n = nw + c_count * (k - 1)
-    costs = [len(members) for _, _, members in classes for _ in range(k)] + [inst.l] * k
-    costs += [0] * (n - nw)
-    sign = 1 if sense == GREATER else -1
-    rows, senses, rhs = [], [], []
-    for block in blocks:
-        row = [0] * n
-        row[block] = [1] * (k - 1)
-        rows.append(row)
-        senses.append(LESS)
-        rhs.append(1 - rho)
-    for i in range(k):
-        for c, (p, f, _) in enumerate(classes):
-            row = [0] * n
-            if i == f:
-                row[blocks[c]] = [p] * (k - 1)
-                row[c * k + i] = row[nu + i] = 1
-                rows.append(row)
-                senses.append(GREATER)
-                rhs.append(p)
-            else:
-                row[blocks[c].start + i - (i > f)] = -sign * p
-                row[c * k + i] = row[nu + i] = sign
-                rows.append(row)
-                senses.append(sense)
-                rhs.append(0)
-    return costs, rows, senses, rhs
-
-
-def _symbol_program(inst: Instance, rho: Fraction, sense: str):
-    """`compact_program` with one class per symbol and the stochastic rows kept."""
     r, k = inst.r, inst.k
     nw = r * k
     n = 2 * nw + k

@@ -724,6 +724,7 @@ class TestPublicApiErrors:
             lambda: CurveSegment(0, 1, "a", 0).value_at("1/2"),
             lambda: PrivacyCurve((CurveSegment("x", 1, 0, 0),), (1, 1, 1), (3,)).value_at("1/2"),
             lambda: EnvelopeLine((0,), "a", 0).value_at(0),
+            lambda: EnvelopeLine(5, 0, 0).cardinality,
             lambda: curve_samples_csv(PrivacyCurve((CurveSegment(0, 1, None, 0),), (), (3,)), 2),
             lambda: adversary.report_to_jsonable(
                 PrivacyReport(privacy=1, estimator=None, per_output_mass=()), SKEW7
@@ -731,7 +732,8 @@ class TestPublicApiErrors:
             lambda: sweep_to_csv([SweepPoint(rho=1, empirical="a", analytic=1, abs_error=0.0)]),
         ],
         ids=[
-            "curve_segment", "privacy_curve", "envelope_line", "curve_samples_csv",
+            "curve_segment", "privacy_curve", "envelope_line", "envelope_line_cardinality",
+            "curve_samples_csv",
             "privacy_report", "sweep_point",
         ],
     )

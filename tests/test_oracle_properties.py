@@ -30,7 +30,7 @@ from listprivacy import Instance, exact_privacy, privacy_bound  # noqa: E402
 from listprivacy.adversary import best_list  # noqa: E402
 from listprivacy.core import over_common_denominator  # noqa: E402
 from listprivacy.simplex import GREATER  # noqa: E402
-from conftest import compact_program, solve_rational  # noqa: E402
+from conftest import solve_rational, symbol_program  # noqa: E402
 
 LEVELS = st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2), F(3, 4), F(1)])
 
@@ -98,7 +98,7 @@ def tie_heavy_instances(draw):
 @given(inst=instances(r_max=7), rho=LEVELS)
 def test_compact_optimum_is_the_loops_within_the_bound(inst, rho):
     result = exact_privacy(inst, rho)
-    symbols = solve_rational(*compact_program(inst, rho, GREATER, per_symbol=True))
+    symbols = solve_rational(*symbol_program(inst, rho, GREATER))
     assert result.optimum == 1 - symbols.objective
     result.witness  # raises unless the loop reaches the same optimum
     assert result.optimum <= privacy_bound(inst, rho)
@@ -108,7 +108,7 @@ def test_compact_optimum_is_the_loops_within_the_bound(inst, rho):
 @given(inst=tie_heavy_instances(), rho=LEVELS)
 def test_class_optimum_is_the_symbol_programs_and_the_loops(inst, rho):
     result = exact_privacy(inst, rho)
-    symbols = solve_rational(*compact_program(inst, rho, GREATER, per_symbol=True))
+    symbols = solve_rational(*symbol_program(inst, rho, GREATER))
     assert result.optimum == 1 - symbols.objective
     result.witness  # raises unless the loop reaches the same optimum
 
