@@ -10,9 +10,12 @@ solved in two formulations:
 - `exact_privacy` solves the compact top-l program, with no l-list in it,
   over symbol classes: symbols of equal mass and function value are
   interchangeable, so one row of the mechanism serves a whole class. Each
-  class's stochastic row is substituted away, so for C classes
-  (`Instance._classes`) the program has Ck + C rows, none of them `=`,
-  where one row per symbol with its stochastic row kept would have rk + 2r.
+  class's stochastic row is substituted away, and its own output's top-l
+  row becomes a bound on that row's surplus, so for C classes
+  (`Instance._classes`) the program has Ck + C rows, every one `<=` with a
+  nonnegative right-hand side: the core starts at the slack basis and runs
+  no phase 1, where one row per symbol with its stochastic row kept would
+  have rk + 2r rows and a phase 1.
   Its witness gives every member of a class the same row object, and
   `list_privacy` certifies it over all r symbols. On tie-heavy priors this
   is what keeps a solve small: one level of a seeded r=60, k=10, l=10
@@ -130,11 +133,12 @@ def _fixed_rows(inst: Instance, rho: Fraction) -> list:
 
 
 def _solve(n: int, rows: list, cost: dict[int, int]) -> tuple[dict, Fraction]:
-    """A privacy program's basic variables and privacy by this module's `solve_lp`."""
+    """A privacy program's basic variables and minimum by this module's
+    `solve_lp`; each caller reads its privacy from the minimum."""
     status, basic, objective = solve_lp(n, rows, cost)
     if status is not LpStatus.OPTIMAL:
         raise AssertionError(f"privacy program should always solve, got {status}")
-    return basic, 1 - Fraction(*objective)
+    return basic, Fraction(*objective)
 
 
 def active_lists(inst: Instance, mech: StochasticMatrix):
@@ -175,28 +179,34 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     mass p_c shares one row w(c,.) (Bodi, Herr and Joswig, 2013). So each
     output i gets a column u(i) and, per class c, a column v(c,i) with the
     row `p_c w(c,i) - u(i) - v(c,i) <= 0`, scaled by the pmf's common
-    denominator, and costs l on u(i) and m_c on v(c,i): a multiset's top-l
+    denominator D, and costs l on u(i) and m_c on v(c,i): a multiset's top-l
     sum.
 
     Each class's stochastic row is substituted away (Andersen and Andersen,
     1995): with f = f_c, w(c,f) = 1 - S_c, S_c the sum of w(c,i) over i != f,
-    has no column. Its top-l row becomes `u(f) + v(c,f) + p_c S_c >= p_c`,
-    and its recover row `S_c <= 1 - rho`, which at rho = 0 still keeps
-    w(c,f) >= 0 and starts at its slack; so phase 1 has C artificials, one
-    per class. The program has 2Ck + k - C columns and Ck + C rows, none of
-    them `=`. At an optimum each output's u and v terms add up to exactly
-    its top-l mass, so the optimum is the privacy of the vertex's w part,
-    every member given its class's row, which `list_privacy` certifies over
-    all r symbols.
+    has no column, and the recover row becomes `S_c <= 1 - rho`. Then v(c,f)
+    gives way to the surplus y(c) = u(f) + v(c,f) + p_c S_c - p_c of the own
+    output's top-l row, which is that row's slack, so the row becomes the
+    bound y(c) >= 0 and goes, and v(c,f) >= 0 becomes the row
+    `u(f) + p_c S_c - y(c) <= p_c`. Every row is then `<=` with rhs >= 0, so
+    the slack basis is feasible and the core runs no phase 1: a crash basis
+    (Bixby, 1992). The costs, times D, are l D - D n_i on u(i), n_i the
+    number of symbols of output i, m_c D on v(c,i) and y(c), and -m_c p_c D
+    on w(c,i); the constant they drop, D times the total mass 1, is the 1 of
+    1 - top-l masses, so privacy is -min / D. The program has 2Ck + k - C
+    columns and Ck + C rows. At an optimum each output's u and v terms add
+    up to exactly its top-l mass, so the optimum is the privacy of the
+    vertex's w part, every member given its class's row, which
+    `list_privacy` certifies over all r symbols.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
     k, l = inst.k, inst.l
     classes = inst._classes
-    # Columns: v(c,i) at c * k + i, then u(i), then class c's w(c,i), i != f_c,
-    # in order of i; the recover rows come first. Orders change only the
-    # pivots: on seeded k = 8-10 priors this one took 6-45% fewer than
-    # w, u, v under the top-l rows.
+    # Columns: v(c,i) at c * k + i, y(c) in v(c,f_c)'s place, then u(i), then
+    # class c's w(c,i), i != f_c, in order of i; the recover rows come first.
+    # Orders change only the pivots: on seeded k = 8-10 priors this one took
+    # 6-45% fewer than w, u, v under the top-l rows.
     nu = len(classes) * k
     nw = nu + k
     blocks = [range(nw + c * (k - 1), nw + (c + 1) * (k - 1)) for c in range(len(classes))]
@@ -209,12 +219,17 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
                 row = {blocks[c][i - (i > f)]: w, nu + i: -den, c * k + i: -den}
                 rows.append((row, LESS, 0, den))
             else:
-                row = {nu + f: den, c * k + f: den} | dict.fromkeys(blocks[c], w)
-                rows.append((row, GREATER, w, den))
-    cost = dict.fromkeys(range(nu, nu + k), l)
-    for c, (_, _, members) in enumerate(classes):
-        cost |= dict.fromkeys(range(c * k, c * k + k), len(members))
-    basic, optimum = _solve(nw + len(classes) * (k - 1), rows, cost)
+                row = {nu + f: den, c * k + f: -den} | dict.fromkeys(blocks[c], w)
+                rows.append((row, LESS, w, den))
+    cost = dict.fromkeys(range(nu, nu + k), l * den)
+    for c, (w, f, members) in enumerate(classes):
+        m = len(members)
+        cost |= dict.fromkeys(range(c * k, c * k + k), m * den)
+        cost |= dict.fromkeys(blocks[c], -m * w)
+        cost[nu + f] -= m * den
+    cost = {j: v for j, v in cost.items() if v}
+    basic, objective = _solve(nw + len(classes) * (k - 1), rows, cost)
+    optimum = -objective / den
     # One row object per class, shared by its members: StochasticMatrix
     # checks it once.
     mech = [()] * inst.r
@@ -258,7 +273,8 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
     cuts = [[_list_row(inst, i, inst._profile.top)] for i in range(k)]
     while True:
         rows = [row for per_output in cuts for row in per_output]
-        basic, optimum = _solve(nw + k, rows + fixed, cost)
+        basic, objective = _solve(nw + k, rows + fixed, cost)
+        optimum = 1 - objective
         # The vertex as ints over one scale, the lcm of the basic scales: the scores
         # then share the scale den * scale, so best_list picks the Fraction lists.
         scale = _lcm([s for _, s in basic.values()])

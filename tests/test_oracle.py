@@ -310,6 +310,31 @@ class TestCoreSeam:
         result.witness  # kept: no further solve
         assert len(calls) == 2
 
+    def test_class_program_starts_at_its_slack_basis(self, monkeypatch):
+        # Every row `exact_privacy` hands the core is `<=` with rhs >= 0, so
+        # the slack basis is feasible and the core runs one phase, no phase 1.
+        solve, run = oracle.solve_lp, simplex._run
+        programs, phases = [], []
+
+        def spy(n, rows, cost):
+            programs.append(rows)
+            phases.append(0)
+            return solve(n, rows, cost)
+
+        def count(T, basis, cost):
+            phases[-1] += 1
+            return run(T, basis, cost)
+
+        monkeypatch.setattr(oracle, "solve_lp", spy)
+        monkeypatch.setattr(simplex, "_run", count)
+        rng = random.Random(83)
+        cases = [(inst, rho) for inst in CATALOG for rho in (F(0), F(1, 3), F(1))]
+        cases += [(random_instance(rng), random_rho(rng)) for _ in range(20)]
+        for inst, rho in cases:
+            exact_privacy(inst, rho)
+        assert all(s == simplex.LESS and b >= 0 for rows in programs for _, s, b, _ in rows)
+        assert phases == [1] * len(cases)
+
 
 class TestWrongObjective:
     """The one fault check is the certification of each program's vertex: a

@@ -86,9 +86,20 @@ class TestKnownPrograms:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == F(1)
 
-    def test_beale_cycling_example_terminates(self):
+    def test_beale_cycling_example_terminates(self, monkeypatch):
         # The classic degenerate program that cycles under naive most-negative
         # pivoting; the stall counter must switch to lowest-index pivoting.
+        # A cap on pivots turns a cycle into a failure instead of a hang.
+        pivot = simplex._pivot
+        pivots = []
+
+        def capped(T, basis, red, row, col):
+            pivots.append((row, col))
+            if len(pivots) > 100:
+                raise RuntimeError("over 100 pivots on Beale's example: the solver cycles")
+            pivot(T, basis, red, row, col)
+
+        monkeypatch.setattr(simplex, "_pivot", capped)
         sol = solve_rational(
             costs=[F(-3, 4), F(150), F(-1, 50), F(6)],
             rows=[
@@ -449,27 +460,31 @@ class TestSparseRows:
         assert len(pivots) > 200
 
     def test_class_programs(self, same_solution, stored, monkeypatch):
-        # The program `exact_privacy` hands the core, as it hands it, densified.
+        # The program `exact_privacy` hands the core, as it hands it,
+        # densified, with the objective the core returned on it: the dense
+        # reference must reach that objective, whatever privacy the oracle
+        # reads from it.
         pivots, _ = stored
         programs = []
         solve = oracle.solve_lp
 
         def spy(n, rows, cost):
-            programs.append(dense_program(n, rows, cost))
-            return solve(n, rows, cost)
+            answer = solve(n, rows, cost)
+            programs.append((dense_program(n, rows, cost), F(*answer[2])))
+            return answer
 
         monkeypatch.setattr(oracle, "solve_lp", spy)
         rng = random.Random(82)
         solved = 0
-        for _ in range(6):
+        for _ in range(8):
             inst = wide_instance(rng)
             rho = random_rho(rng)
             programs.clear()
-            optimum = exact_privacy(inst, rho).optimum
-            (program,) = programs
+            exact_privacy(inst, rho)
+            ((program, objective),) = programs
             assert zero_share(program[1]) >= 0.85
             pivots.clear()
-            assert 1 - same_solution(*program).objective == optimum
+            assert same_solution(*program).objective == objective
             solved += len(pivots)
         assert solved > 80
 
@@ -513,7 +528,8 @@ class TestContentBound:
         """Solve a program with `solve_lp` and the reference, checking after
         every pivot that each stored entry, the reduced-cost row's included,
         is under its bound; return the pivots, the longest run of pivots on
-        zero-rhs rows and the largest content of any stored row."""
+        zero-rhs rows and the largest content of any stored row. Past 1,000
+        pivots the solver is cycling, and the solve fails instead of hanging."""
         reference = pivot_log(conftest, "_reference_pivot")
         pivot = simplex._pivot
 
@@ -522,6 +538,8 @@ class TestContentBound:
 
             def spy(T, basis, red, row, col):
                 pivots.append((row, col))
+                if len(pivots) > 1000:
+                    raise RuntimeError("over 1,000 pivots: the solver cycles")
                 runs.append(runs[-1] + 1 if simplex._RHS not in T[row] else 0)
                 pivot(T, basis, red, row, col)
                 for stored in (*T, red):
