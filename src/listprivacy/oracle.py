@@ -39,10 +39,14 @@ core these rows in the same order, so its pivots, and the printed witness,
 are those of a program rebuilt each round. A round reads its vertex as ints
 over one common scale, scores it with the adversary's scorer and finds each
 output's best list with the adversary's own `best_list`: the separation
-oracle is the adversary itself. Fractions appear only for the optima and
-the vertices that `list_privacy` certifies; only `active_lists`, which
-`oracle --rho` prints, enumerates a witness's tied best lists, on the same
-integer scores.
+oracle is the adversary itself. The compact program's vertex is read the
+same way, each class's own-output entry being that scale minus the class's
+other entries. Fractions appear only for the optima and the vertices that
+`list_privacy` certifies, one per entry of a vertex read in ints; only
+`active_lists`, which `oracle --rho` prints, enumerates a witness's tied
+best lists, on the same integer scores. A vertex that is no mechanism, an
+entry below zero or a row whose ints do not add up to the scale, is a fault
+of the solve, so it raises AssertionError before any matrix is built.
 
 Rows carry no names. `lp_lines` formats each row as soon as it is built and
 names it only in its line, and the CLI's `--lp-dump` writes each line as it
@@ -197,7 +201,9 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     columns and Ck + C rows. At an optimum each output's u and v terms add
     up to exactly its top-l mass, so the optimum is the privacy of the
     vertex's w part, every member given its class's row, which
-    `list_privacy` certifies over all r symbols.
+    `list_privacy` certifies over all r symbols. That row is read in ints
+    over the lcm of the basic scales, w(c,f) as the scale minus the rest,
+    and raises AssertionError if an entry is negative.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
@@ -230,12 +236,18 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     cost = {j: v for j, v in cost.items() if v}
     basic, objective = _solve(nw + len(classes) * (k - 1), rows, cost)
     optimum = -objective / den
-    # One row object per class, shared by its members: StochasticMatrix
-    # checks it once.
+    # Each class's row in ints over one scale, the lcm of the basic scales,
+    # its own output taking the scale minus the rest; a vertex that leaves
+    # any entry negative is a fault of the solve. One row object per class,
+    # shared by its members: StochasticMatrix checks it once.
+    scale = _lcm([s for _, s in basic.values()])
     mech = [()] * inst.r
     for block, (_, f, members) in zip(blocks, classes):
-        rest = [Fraction(*basic[j]) if j in basic else Fraction(0) for j in block]
-        row = tuple(rest[:f] + [1 - sum(rest)] + rest[f:])
+        rest = [basic[j][0] * (scale // basic[j][1]) if j in basic else 0 for j in block]
+        rest.insert(f, scale - sum(rest))
+        if min(rest) < 0:
+            raise AssertionError(f"vertex row {members[0]} is not a mechanism row")
+        row = tuple([Fraction(v, scale) for v in rest])
         for x in members:
             mech[x] = row
     witness = StochasticMatrix(rows=tuple(mech))
@@ -282,6 +294,9 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
         for j, (v, s) in basic.items():
             w[j] = v * (scale // s)
         vertex = [w[x * k : x * k + k] for x in range(r)]
+        for x, row in enumerate(vertex):
+            if min(row) < 0 or sum(row) != scale:
+                raise AssertionError(f"vertex row {x} is not a mechanism row")
         best = [best_list(scores, inst.l) for scores in _scores(inst, vertex)]
         cut = [i for i, (mass, _) in enumerate(best) if mass > w[nw + i] * den]
         if not cut:

@@ -8,9 +8,11 @@ its basic column is the row's scale; the reduced-cost row holds minus the
 objective there and its positive denominator under `_DEN`. Pivots are
 fraction-free and sparse: only rows with a nonzero entry in the pivot column
 change, each as p*row - f*prow over the pivot row's nonzeros, cleared in
-place by `_eliminate`, and the ratio test cross-multiplies. Scaling a row by
-a positive number changes no sign and no ratio, so every decision is the one
-the rational tableau makes, whatever multiple is stored.
+place by `_eliminate`. Each pivot makes one pass over the tableau: the ratio
+test, which cross-multiplies, collects the rows holding the entering column
+as it goes, and `_pivot` updates exactly those. Scaling a row by a positive
+number changes no sign and no ratio, so every decision is the one the
+rational tableau makes, whatever multiple is stored.
 
 One rule keeps the integers small: an update divides its row by the row's
 content, the gcd of its entries, only once its first entry reaches
@@ -24,11 +26,11 @@ after every slack. It returns each basic structural variable as (numerator,
 scale) and the objective as (numerator, denominator), so a caller that works
 in integers, as the oracle does, never builds a Fraction.
 
-The entering rule is steepest Dantzig descent until the objective stalls on
-degenerate pivots, at which point Bland's rule takes over so cycling is
-impossible; the leaving rule always breaks ratio ties toward the smallest
-basis index. Everything is index-deterministic, so repeated solves are
-bit-identical.
+The entering rule is steepest Dantzig descent, ties to the smallest column,
+until the objective stalls on degenerate pivots, at which point Bland's rule
+takes over so cycling is impossible; the leaving rule always breaks ratio
+ties toward the smallest basis index. Everything is index-deterministic, so
+repeated solves are bit-identical.
 """
 
 from __future__ import annotations
@@ -67,14 +69,16 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
     if p != 1:
         for j in row:
             row[j] *= p
-    get = row.get
     for j, v in prow.items():
-        # f * v is nonzero, so a zero result means j was stored in row.
-        w = get(j, 0) - f * v
-        if w:
-            row[j] = w
+        if j in row:
+            w = row[j] - f * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
         else:
-            del row[j]
+            # f * v is nonzero, so no zero is ever stored.
+            row[j] = -f * v
     # A row is never empty: a tableau row keeps its basic entry, the
     # reduced-cost row its denominator.
     if -_CONTENT_BOUND < next(iter(row.values())) < _CONTENT_BOUND:
@@ -85,14 +89,16 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> None:
             row[j] //= g
 
 
-def _pivot(T: list, basis: list, red: dict, row: int, col: int):
+def _pivot(T: list, basis: list, red: dict, row: int, col: int, hits: list):
+    """Pivot on `T[row][col]`; `hits` lists every row with an entry in `col`,
+    the pivot row included, and only those rows change."""
     prow = T[row]
     if prow[col] < 0:
         for j in prow:
             prow[j] = -prow[j]
-    for i, Ti in enumerate(T):
-        if i != row and col in Ti:
-            _eliminate(Ti, prow, col)
+    for i in hits:
+        if i != row:
+            _eliminate(T[i], prow, col)
     if col in red:
         _eliminate(red, prow, col)
     basis[row] = col
@@ -111,13 +117,22 @@ def _run(T: list, basis: list, cost: dict) -> tuple[LpStatus, dict]:
         if bland:
             enter = min((j for j, v in red.items() if v < 0 <= j), default=-1)
         else:
-            best = min(((v, j) for j, v in red.items() if v < 0 <= j), default=None)
-            enter = -1 if best is None else best[1]
+            # The least (reduced cost, column) pair.
+            enter, least = -1, 0
+            for j, v in red.items():
+                if v < 0 <= j and (v < least or v == least and j < enter):
+                    enter, least = j, v
         if enter < 0:
             return LpStatus.OPTIMAL, red
+        # One pass over the tableau: the rows holding the entering column,
+        # which are all the pivot changes, and the ratio test over them.
+        hits = []
         leave = -1
         for i, Ti in enumerate(T):
-            a = Ti.get(enter, 0)
+            a = Ti.get(enter)
+            if a is None:
+                continue
+            hits.append(i)
             if a > 0:
                 if leave < 0:
                     leave, num, dnm = i, Ti.get(_RHS, 0), a
@@ -135,7 +150,7 @@ def _run(T: list, basis: list, cost: dict) -> tuple[LpStatus, dict]:
         else:
             stall = 0
             bland = False
-        _pivot(T, basis, red, leave, enter)
+        _pivot(T, basis, red, leave, enter, hits)
 
 
 def solve_lp(
@@ -185,7 +200,8 @@ def solve_lp(
                 del T[i]
                 del basis[i]
             else:
-                _pivot(T, basis, red, i, pivot_col)
+                hits = [h for h, Th in enumerate(T) if pivot_col in Th]
+                _pivot(T, basis, red, i, pivot_col, hits)
         T = [{j: v for j, v in row.items() if j < art_start} for row in T]
 
     status, red = _run(T, basis, cost)

@@ -632,15 +632,17 @@ def pivot_log(monkeypatch):
 
     Scaling a row by a positive number changes no pivoting decision, so two
     solvers given the same program must log the same pairs in the same order.
+    Any argument after the column, as `simplex._pivot`'s rows to eliminate,
+    is passed through unchanged.
     """
 
     def install(module, name: str) -> list:
         log = []
         pivot = getattr(module, name)
 
-        def record(T, basis, red, row, col):
+        def record(T, basis, red, row, col, *rest):
             log.append((row, col))
-            pivot(T, basis, red, row, col)
+            pivot(T, basis, red, row, col, *rest)
 
         monkeypatch.setattr(module, name, record)
         return log

@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS = Path(__file__).with_name("corpus.json")
 # A mutant whose tests run longer than this counts as a failure of the run.
-TIMEOUT_S = 900
+TIMEOUT_S = 120
 
 
 def killed(entry: dict, folder: Path) -> tuple[bool, str]:

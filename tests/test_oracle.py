@@ -388,6 +388,49 @@ class TestWrongObjective:
         assert solves == rounds
 
 
+class TestFaultyVertex:
+    """A solve whose vertex is no mechanism is a fault of the LP, so it raises
+    AssertionError, never a user-input error such as NotRowStochastic. Here
+    every solve reads its largest basic column of the mechanism 3 units over
+    its scale; a patched solve raises RuntimeError past 50 calls, so a loop
+    that would not stop fails too."""
+
+    @pytest.fixture
+    def patch(self, monkeypatch):
+        """`patch(columns)` moves every solve's largest basic column below
+        `columns`, or its largest when `columns` is None, 3 units over its
+        scale."""
+        solve = oracle.solve_lp
+
+        def install(columns: int | None = None):
+            calls = []
+
+            def over(n, rows, cost):
+                calls.append(n)
+                if len(calls) > 50:
+                    raise RuntimeError("still solving after 50 calls")
+                status, basic, objective = solve(n, rows, cost)
+                j = max(j for j in basic if columns is None or j < columns)
+                num, scale = basic[j]
+                return status, {**basic, j: (num + 3 * scale, scale)}, objective
+
+            monkeypatch.setattr(oracle, "solve_lp", over)
+
+        return install
+
+    def test_compact_vertex(self, patch):
+        # The class program's mechanism columns are its w(c,i), the last ones.
+        patch()
+        with pytest.raises(AssertionError, match="not a mechanism row"):
+            exact_privacy(SKEW7, F(7, 10))
+
+    def test_loop_vertex(self, patch):
+        result = exact_privacy(SKEW7, F(7, 10))
+        patch(SKEW7.r * SKEW7.k)
+        with pytest.raises(AssertionError, match="not a mechanism row"):
+            result.witness
+
+
 class TestAgainstReferenceLoop:
     """The loop a witness read runs against `conftest.reference_exact_privacy`,
     which rebuilds every row and validates a witness matrix in every round:

@@ -93,11 +93,11 @@ class TestKnownPrograms:
         pivot = simplex._pivot
         pivots = []
 
-        def capped(T, basis, red, row, col):
+        def capped(T, basis, red, row, col, hits):
             pivots.append((row, col))
             if len(pivots) > 100:
                 raise RuntimeError("over 100 pivots on Beale's example: the solver cycles")
-            pivot(T, basis, red, row, col)
+            pivot(T, basis, red, row, col, hits)
 
         monkeypatch.setattr(simplex, "_pivot", capped)
         sol = solve_rational(
@@ -252,9 +252,9 @@ class TestAgainstDenseReference:
         negative = []
         pivot = simplex._pivot
 
-        def spy(T, basis, red, row, col):
+        def spy(T, basis, red, row, col, hits):
             negative.append(T[row][col] < 0)
-            pivot(T, basis, red, row, col)
+            pivot(T, basis, red, row, col, hits)
 
         monkeypatch.setattr(simplex, "_pivot", spy)
         sol = same_solution(
@@ -347,8 +347,9 @@ class TestSparseRows:
     @pytest.fixture
     def stored(self, monkeypatch):
         """Check around every pivot that each stored row, the reduced-cost row
-        included, holds only nonzeros, and record the row count each `_run`
-        phase starts with."""
+        included, holds only nonzeros, and that the rows handed to `_pivot`
+        are exactly those holding the pivot column, and record the row count
+        each `_run` phase starts with."""
         pivots = []
         phases = []
         pivot = simplex._pivot
@@ -360,9 +361,10 @@ class TestSparseRows:
             assert all(j >= 0 or j in (simplex._RHS, simplex._DEN) for j in red)
             assert red[simplex._DEN] > 0
 
-        def spy(T, basis, red, row, col):
+        def spy(T, basis, red, row, col, hits):
             nonzero_only(T, red)
-            pivot(T, basis, red, row, col)
+            assert hits == [i for i, Ti in enumerate(T) if col in Ti]
+            pivot(T, basis, red, row, col, hits)
             nonzero_only(T, red)
             pivots.append((row, col))
 
@@ -398,8 +400,8 @@ class TestSparseRows:
         integer, reference = [], []
         pivot, reference_pivot = simplex._pivot, conftest._reference_pivot
 
-        def spy(T, basis, red, row, col):
-            pivot(T, basis, red, row, col)
+        def spy(T, basis, red, row, col, hits):
+            pivot(T, basis, red, row, col, hits)
             den = red[simplex._DEN]
             integer.append(
                 [{j: F(v, Ti[bi]) for j, v in Ti.items()} for Ti, bi in zip(T, basis)]
@@ -536,12 +538,12 @@ class TestContentBound:
         def run(program):
             pivots, runs, contents = [], [0], [1]
 
-            def spy(T, basis, red, row, col):
+            def spy(T, basis, red, row, col, hits):
                 pivots.append((row, col))
                 if len(pivots) > 1000:
                     raise RuntimeError("over 1,000 pivots: the solver cycles")
                 runs.append(runs[-1] + 1 if simplex._RHS not in T[row] else 0)
-                pivot(T, basis, red, row, col)
+                pivot(T, basis, red, row, col, hits)
                 for stored in (*T, red):
                     g = math.gcd(*stored.values())
                     contents.append(g)

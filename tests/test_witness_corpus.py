@@ -15,6 +15,10 @@ its stall limit included, fails by naming the cases that moved:
 The digests live in `witness_digests.txt`, one `case digest` line each.
 Running this file as a script, with the package importable, rewrites it
 from the code it runs on.
+
+A case that takes more than `PIVOT_CAP` pivots fails the test at once: a
+pivoting rule that cycles would otherwise hang it. The most any case takes
+is 1,037 (`degenerate-183`), so the cap is about 19 times that.
 """
 
 from __future__ import annotations
@@ -26,12 +30,15 @@ from contextlib import redirect_stdout
 from fractions import Fraction as F
 from io import StringIO
 from pathlib import Path
+from typing import Iterator
 
+import listprivacy.simplex as simplex
 from listprivacy import Instance, format_rational, instance_to_text
 from listprivacy.cli import main
 from conftest import random_instance, random_rho
 
 DIGESTS = Path(__file__).with_name("witness_digests.txt")
+PIVOT_CAP = 20_000
 
 
 def degenerate_instance(rng: random.Random, uniform: bool) -> tuple[Instance, F]:
@@ -59,23 +66,34 @@ def corpus() -> list[tuple[str, Instance, F]]:
     return cases
 
 
-def printed_digests(folder: Path) -> dict[str, str]:
-    """Each case's `oracle FILE --rho RHO` stdout digest, its instance file
-    written in `folder`."""
-    digests = {}
+def printed_digests(folder: Path) -> Iterator[tuple[str, str]]:
+    """Each case's name and `oracle FILE --rho RHO` stdout digest, case by
+    case, its instance file written in `folder`."""
     for name, inst, rho in corpus():
         path = folder / f"{name}.json"
         path.write_text(instance_to_text(inst))
         out = StringIO()
         with redirect_stdout(out):
             assert main(["oracle", str(path), "--rho", format_rational(rho)]) == 0
-        digests[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    return digests
+        yield name, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def test_printed_witnesses_match_their_digests(tmp_path):
+def test_printed_witnesses_match_their_digests(tmp_path, monkeypatch):
+    pivot = simplex._pivot
+    pivots = []
+
+    def capped(T, basis, red, row, col, hits):
+        pivots.append((row, col))
+        if len(pivots) > PIVOT_CAP:
+            raise RuntimeError(f"over {PIVOT_CAP:,} pivots in one case: the solver cycles")
+        pivot(T, basis, red, row, col, hits)
+
+    monkeypatch.setattr(simplex, "_pivot", capped)
     pinned = dict(line.split() for line in DIGESTS.read_text().splitlines())
-    got = printed_digests(tmp_path)
+    got = {}
+    for name, digest in printed_digests(tmp_path):
+        got[name] = digest
+        pivots.clear()
     assert got.keys() == pinned.keys()
     moved = [name for name in got if got[name] != pinned[name]]
     assert moved == [], f"{len(moved)} printed witnesses moved: {' '.join(moved)}"
@@ -85,6 +103,6 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as folder:
-        digests = printed_digests(Path(folder))
+        digests = dict(printed_digests(Path(folder)))
     DIGESTS.write_text("".join(f"{name} {digest}\n" for name, digest in digests.items()))
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
