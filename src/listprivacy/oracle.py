@@ -11,18 +11,23 @@ solved in two formulations:
   over symbol classes: symbols of equal mass and function value are
   interchangeable, so one row of the mechanism serves a whole class. Each
   class's stochastic row is substituted away, and its own output's top-l
-  row becomes a bound on that row's surplus, so for C classes
-  (`Instance._classes`) the program has Ck + C rows, every one `<=` with a
-  nonnegative right-hand side: the core starts at the slack basis and runs
-  no phase 1, where one row per symbol with its stochastic row kept would
-  have rk + 2r rows and a phase 1.
+  row becomes a bound on that row's surplus. A class is settled when
+  another output has l symbols heavy enough that, under any
+  rho-recoverable mechanism, they outscore the class's noise there: its
+  best row is then rho at its output and 1 - rho at that one, and it
+  leaves the program but for one row. So for C classes
+  (`Instance._classes`), F of them free, the program has F(k + 1) + (C - F)
+  rows, every one `<=` with a nonnegative right-hand side: the core starts
+  at the slack basis and runs no phase 1, where one row per symbol with its
+  stochastic row kept would have rk + 2r rows and a phase 1.
   Its witness gives every member of a class the same row object, and
   `list_privacy` certifies it over all r symbols. On tie-heavy priors this
   is what keeps a solve small: one level of a seeded r=60, k=10, l=10
   prior of masses 1 or 2 takes 0.014-0.039 s of CPU time instead of
   0.17-0.37 s, and a uniform prior on 10^5 symbols (k=10, l=500) is a
-  110-row program, solved and certified in 0.20-0.25 s (one core of a
-  2-core x86-64 box, Python 3.11).
+  110-row program below rho = 1/2, where no class settles, solved and
+  certified in 0.20-0.25 s (one core of a 2-core x86-64 box, Python 3.11),
+  and a 10-row one from 1/2 on, where every class does.
 - The result's `witness`, read for `oracle --rho`, comes from the list
   program over symbols by Kelley's cutting-plane method: most of its
   k * C(r, l) list rows are slack, so the optimal adversary, run on the
@@ -40,9 +45,10 @@ are those of a program rebuilt each round. A round reads its vertex as ints
 over one common scale, scores it with the adversary's scorer and finds each
 output's best list with the adversary's own `best_list`: the separation
 oracle is the adversary itself. The compact program's vertex is read the
-same way, each class's own-output entry being that scale minus the class's
-other entries. Fractions appear only for the optima and the vertices that
-`list_privacy` certifies, one per entry of a vertex read in ints; only
+same way, each free class's own-output entry being that scale minus the
+class's other entries; a settled class's row is known without it. Fractions
+appear only for the optima and the vertices that `list_privacy` certifies,
+one per entry of a vertex read in ints; only
 `active_lists`, which `oracle --rho` prints, enumerates a witness's tied
 best lists, on the same integer scores. A vertex that is no mechanism, an
 entry below zero or a row whose ints do not add up to the scale, is a fault
@@ -59,7 +65,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator, Sequence
 
 from .adversary import _scores, best_list, list_privacy
@@ -172,6 +178,28 @@ def active_lists(inst: Instance, mech: StochasticMatrix):
     )
 
 
+def _settled(inst: Instance, rho: Fraction) -> list:
+    """Per symbol class, its noise output if the class is settled at rho, or
+    None if it is free.
+
+    A class of mass p at output f is settled when some other output i0 has l
+    symbols in its own preimage whose mass times rho is at least p(1 - rho):
+    under any rho-recoverable mechanism those l symbols score at least that at
+    i0, so the class's noise, sent there, never counts in i0's top-l mass.
+    i0 is the other output whose l-th heaviest symbol weighs most, the first
+    such output on ties.
+    """
+    l, a, q = inst.l, rho.numerator, rho.denominator
+    pw = inst._profile.pw
+    orders = inst._profile.orders
+    floors = {i: pw[order[l - 1]] for i, order in enumerate(orders) if len(order) >= l}
+    noise = []
+    for w, f, _ in inst._classes:
+        i0 = max([i for i in floors if i != f], key=floors.__getitem__, default=None)
+        noise.append(i0 if i0 is not None and floors[i0] * a >= w * (q - a) else None)
+    return noise
+
+
 def exact_privacy(inst: Instance, rho) -> OracleResult:
     """Best achievable list privacy at level rho, solved exactly in one LP.
 
@@ -197,57 +225,100 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     (Bixby, 1992). The costs, times D, are l D - D n_i on u(i), n_i the
     number of symbols of output i, m_c D on v(c,i) and y(c), and -m_c p_c D
     on w(c,i); the constant they drop, D times the total mass 1, is the 1 of
-    1 - top-l masses, so privacy is -min / D. The program has 2Ck + k - C
-    columns and Ck + C rows. At an optimum each output's u and v terms add
-    up to exactly its top-l mass, so the optimum is the privacy of the
-    vertex's w part, every member given its class's row, which
-    `list_privacy` certifies over all r symbols. That row is read in ints
-    over the lcm of the basic scales, w(c,f) as the scale minus the rest,
-    and raises AssertionError if an entry is negative.
+    1 - top-l masses, so privacy is -min / D.
+
+    Noise helps a symbol only at outputs where it cannot be listed, so some
+    classes' best rows follow in closed form. A class of mass p at output f
+    is settled at rho when another output i0 has l symbols in its own
+    preimage whose mass times rho is at least p(1 - rho) (`_settled`). It
+    takes the row rho at f, 1 - rho at i0 and 0 elsewhere, and leaves the
+    program but for its own output's row with the constant score p rho,
+    `u(f) - y(c) <= p rho`, whose dropped constant m p rho D leaves
+    (1 - rho) m p to add back to -min / D. This is exact for every feasible
+    mechanism and every settled class at once, as a top-l sum never rises
+    when a score falls: at f the class's score only falls, w(c,f) >= rho; at
+    i0 at least l symbols score p_x rho >= p(1 - rho) under any
+    rho-recoverable mechanism, so the top-l sum ignores the class there; and
+    elsewhere its score drops to 0. A tie changes no top-l sum either way.
+    With F of the C classes free, the program has 2Fk + k + C - 2F columns
+    and F(k + 1) + (C - F) rows, 2Ck + k - C and Ck + C when none settles.
+
+    At an optimum each output's u and v terms add up to exactly its top-l
+    mass, so the optimum is the privacy of the vertex's w part, every member
+    given its class's row, which `list_privacy` certifies over all r
+    symbols, settled rows included. A free class's row is read in ints over
+    the lcm of the basic scales, w(c,f) as the scale minus the rest, and
+    raises AssertionError if an entry is negative.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
     k, l = inst.k, inst.l
     classes = inst._classes
-    # Columns: v(c,i) at c * k + i, y(c) in v(c,f_c)'s place, then u(i), then
-    # class c's w(c,i), i != f_c, in order of i; the recover rows come first.
-    # Orders change only the pivots: on seeded k = 8-10 priors this one took
-    # 6-45% fewer than w, u, v under the top-l rows.
-    nu = len(classes) * k
+    noise = _settled(inst, rho)
+    free = [c for c, i0 in enumerate(noise) if i0 is None]
+    # Columns: class c's v(c,i) from starts[c], y(c) in v(c,f)'s place, a settled
+    # class having only y(c); then u(i); then each free class's w(c,i), i != f,
+    # in order of i. The recover rows come first. Orders change only the
+    # pivots: on seeded k = 8-10 priors this one took 6-45% fewer than w, u, v
+    # under the top-l rows.
+    starts = list(accumulate([k if i0 is None else 1 for i0 in noise], initial=0))
+    nu = starts.pop()
     nw = nu + k
-    blocks = [range(nw + c * (k - 1), nw + (c + 1) * (k - 1)) for c in range(len(classes))]
+    blocks = {c: range(nw + j * (k - 1), nw + (j + 1) * (k - 1)) for j, c in enumerate(free)}
     den = inst._profile.den
-    q = rho.denominator
-    rows = [(dict.fromkeys(block, q), LESS, q - rho.numerator, q) for block in blocks]
+    a, q = rho.numerator, rho.denominator
+    rows = [(dict.fromkeys(block, q), LESS, q - a, q) for block in blocks.values()]
     for i in range(k):
         for c, (w, f, _) in enumerate(classes):
-            if i != f:
-                row = {blocks[c][i - (i > f)]: w, nu + i: -den, c * k + i: -den}
+            v = starts[c]
+            if noise[c] is not None:
+                if i == f:
+                    rows.append(({nu + f: den * q, v: -den * q}, LESS, w * a, den * q))
+            elif i != f:
+                row = {blocks[c][i - (i > f)]: w, nu + i: -den, v + i: -den}
                 rows.append((row, LESS, 0, den))
             else:
-                row = {nu + f: den, c * k + f: -den} | dict.fromkeys(blocks[c], w)
+                row = {nu + f: den, v + f: -den} | dict.fromkeys(blocks[c], w)
                 rows.append((row, LESS, w, den))
     cost = dict.fromkeys(range(nu, nu + k), l * den)
+    settled = 0  # the settled classes' mass, times their size, over den
     for c, (w, f, members) in enumerate(classes):
         m = len(members)
-        cost |= dict.fromkeys(range(c * k, c * k + k), m * den)
-        cost |= dict.fromkeys(blocks[c], -m * w)
+        if noise[c] is None:
+            cost |= dict.fromkeys(range(starts[c], starts[c] + k), m * den)
+            cost |= dict.fromkeys(blocks[c], -m * w)
+        else:
+            cost[starts[c]] = m * den
+            settled += m * w
         cost[nu + f] -= m * den
     cost = {j: v for j, v in cost.items() if v}
-    basic, objective = _solve(nw + len(classes) * (k - 1), rows, cost)
-    optimum = -objective / den
-    # Each class's row in ints over one scale, the lcm of the basic scales,
-    # its own output taking the scale minus the rest; a vertex that leaves
-    # any entry negative is a fault of the solve. One row object per class,
+    basic, objective = _solve(nw + len(free) * (k - 1), rows, cost)
+    # A settled class's noise, 1 - rho, scores at no top-l row: its mass
+    # comes back as privacy.
+    optimum = -objective / den + Fraction((q - a) * settled, q * den)
+    # Each free class's row in ints over one scale, the lcm of the basic
+    # scales, its own output taking the scale minus the rest; a vertex that
+    # leaves any entry negative is a fault of the solve. A settled class's
+    # row is rho at its output and 1 - rho at its noise output. One row
+    # object per free class, and per settled (output, noise output) pair,
     # shared by its members: StochasticMatrix checks it once.
     scale = _lcm([s for _, s in basic.values()])
     mech = [()] * inst.r
-    for block, (_, f, members) in zip(blocks, classes):
-        rest = [basic[j][0] * (scale // basic[j][1]) if j in basic else 0 for j in block]
-        rest.insert(f, scale - sum(rest))
-        if min(rest) < 0:
-            raise AssertionError(f"vertex row {members[0]} is not a mechanism row")
-        row = tuple([Fraction(v, scale) for v in rest])
+    shared = {}
+    for c, (_, f, members) in enumerate(classes):
+        if noise[c] is None:
+            rest = [basic[j][0] * (scale // basic[j][1]) if j in basic else 0 for j in blocks[c]]
+            rest.insert(f, scale - sum(rest))
+            if min(rest) < 0:
+                raise AssertionError(f"vertex row {members[0]} is not a mechanism row")
+            row = tuple([Fraction(v, scale) for v in rest])
+        else:
+            key = (f, noise[c])
+            if key not in shared:
+                entries = [Fraction(0)] * k
+                entries[f], entries[noise[c]] = rho, 1 - rho
+                shared[key] = tuple(entries)
+            row = shared[key]
         for x in members:
             mech[x] = row
     witness = StochasticMatrix(rows=tuple(mech))

@@ -25,6 +25,17 @@ from listprivacy.core import check_dims, ensure_rho, over_common_denominator
 from listprivacy.envelope import CurveSegment, EnvelopeLine, PrivacyCurve
 from listprivacy.simplex import EQUAL, GREATER, LESS, LpStatus
 
+try:
+    from hypothesis import Phase, settings
+except ImportError:  # the property suites skip themselves
+    pass
+else:
+    # Hypothesis's explain phase replays a failing example's shrinks under a
+    # line tracer; on a solver fault that replay ran for minutes. It only
+    # annotates the report of a test that already failed.
+    settings.register_profile("listprivacy", phases=[p for p in Phase if p is not Phase.explain])
+    settings.load_profile("listprivacy")
+
 
 def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instance:
     """A random valid instance with strictly positive rational pmf."""
@@ -623,6 +634,38 @@ def reference_exact_privacy(inst: Instance, rho) -> ReferenceResult:
             if report.per_output_mass[i] > sol.x[r * k + i]:
                 lists[i].append(report.estimator.lists[i])
     return ReferenceResult(optimum=optimum, witness=witness)
+
+
+# Most pivots one `solve_lp` call may take in any test, and the most bits an
+# entry of the pivot row or of the reduced-cost row may hold after a pivot.
+# Tier-1 reaches at most 122 pivots in one call and 239 bits.
+PIVOT_CAP = 20_000
+BITS_CAP = 4096
+
+
+@pytest.fixture(autouse=True)
+def pivot_cap(monkeypatch):
+    """Fail any `solve_lp` call past PIVOT_CAP pivots, or whose pivot row or
+    reduced-cost row holds an entry over BITS_CAP bits after a pivot, so that
+    a pivoting rule that cycles, or a stale tableau whose ints grow by
+    thousands of bits a pivot, fails its test instead of hanging the suite.
+    A call is known by its `basis` list, which `solve_lp` makes once and
+    hands every pivot of the call; holding the last one keeps its identity
+    from being reused. A test's own spy on `simplex._pivot` wraps this one."""
+    pivot = simplex._pivot
+    call = [None, 0]  # the current call's basis, and its pivots so far
+
+    def capped(T, basis, red, row, col, *rest):
+        if basis is not call[0]:
+            call[:] = [basis, 0]
+        call[1] += 1
+        if call[1] > PIVOT_CAP:
+            raise RuntimeError(f"over {PIVOT_CAP:,} pivots in one solve_lp call: the solver cycles")
+        pivot(T, basis, red, row, col, *rest)
+        if max(abs(v).bit_length() for v in (*T[row].values(), *red.values())) > BITS_CAP:
+            raise RuntimeError(f"a tableau entry over {BITS_CAP:,} bits: its ints blow up")
+
+    monkeypatch.setattr(simplex, "_pivot", capped)
 
 
 @pytest.fixture

@@ -39,6 +39,7 @@ from conftest import (
     reference_solve_lp,
     seeded_instance,
     solve_rational,
+    symbol_program,
 )
 
 SKEW7 = catalog_instance("skew7")
@@ -114,8 +115,10 @@ class TestCertificates:
 
     def test_compact_witness_must_be_recoverable(self, monkeypatch):
         # A solve that answers the rho = 0 program: its witness certifies that
-        # program's optimum, 7/20, but recovers below 9/10, where the optimum
-        # is 29/200.
+        # program's optimum, 3/20, but recovers at 1/2, below 9/10, where the
+        # optimum is 1/20. With lists of 5 no output of skew7 has 5 symbols,
+        # so no class settles and every level's program has the same columns.
+        inst = SKEW7.with_list_size(5)
         solve = oracle.solve_lp
         answers = []
 
@@ -124,10 +127,12 @@ class TestCertificates:
             return answers[-1]
 
         monkeypatch.setattr(oracle, "solve_lp", keep)
-        assert exact_privacy(SKEW7, F(0)).optimum == F(7, 20)
+        assert exact_privacy(inst, F(0)).optimum == F(3, 20)
+        assert exact_privacy(inst, F(9, 10)).optimum == F(1, 20)
+        assert set(oracle._settled(inst, F(9, 10))) == {None}
         monkeypatch.setattr(oracle, "solve_lp", lambda *args: answers[0])
-        with pytest.raises(AssertionError, match="below rho = 9/10"):
-            exact_privacy(SKEW7, F(9, 10))
+        with pytest.raises(AssertionError, match="recovers at 1/2, below rho = 9/10"):
+            exact_privacy(inst, F(9, 10))
 
     def test_loop_witness_must_be_recoverable(self, monkeypatch):
         # A loop whose solves drop the recover rows answers the rho = 0
@@ -419,7 +424,9 @@ class TestFaultyVertex:
         return install
 
     def test_compact_vertex(self, patch):
-        # The class program's mechanism columns are its w(c,i), the last ones.
+        # The class program's mechanism columns are its free classes' w(c,i),
+        # the last ones; at 7/10 skew7's heaviest class is free.
+        assert oracle._settled(SKEW7, F(7, 10))[0] is None
         patch()
         with pytest.raises(AssertionError, match="not a mechanism row"):
             exact_privacy(SKEW7, F(7, 10))
@@ -565,6 +572,50 @@ def tie_heavy_instance(rng: random.Random) -> Instance:
     return Instance(pmf=pmf, f=tuple(f), l=rng.randint(1, r - 2))
 
 
+class TestSettledClasses:
+    """A class of mass p at output f is settled when another output has l
+    symbols whose mass times rho is at least p(1 - rho): it takes the row rho
+    at f, 1 - rho there, and leaves the program but for one row."""
+
+    def test_program_shape(self, monkeypatch):
+        # skew7's 5 classes, over 3 outputs' worth of rows each when free
+        # (k + 1 = 3), and one row each when settled.
+        solve = oracle.solve_lp
+        sizes = []
+
+        def spy(n, rows, cost):
+            sizes.append(len(rows))
+            return solve(n, rows, cost)
+
+        monkeypatch.setattr(oracle, "solve_lp", spy)
+        assert len(SKEW7._classes) == 5
+        assert oracle._settled(SKEW7, F(9, 10)) == [1, 1, 1, 0, 0]
+        assert oracle._settled(SKEW7, F(7, 10)) == [None, 1, 1, 0, 0]
+        assert exact_privacy(SKEW7, F(9, 10)).optimum == F(29, 200)
+        assert exact_privacy(SKEW7, F(7, 10)).optimum == F(63, 200)
+        assert sizes == [5, 7]
+
+    def test_optimum_where_classes_settle(self):
+        # Against the program over symbols, which settles nothing, on
+        # tie-heavy priors at levels where classes settle, at rho = 1, and
+        # where every class settles.
+        rng = random.Random(3401)
+        some = every = 0
+        for _ in range(40):
+            inst = tie_heavy_instance(rng)
+            for rho in (F(1, 2), F(2, 3), F(1)):
+                noise = oracle._settled(inst, rho)
+                symbols = solve_rational(*symbol_program(inst, rho, simplex.GREATER))
+                assert exact_privacy(inst, rho).optimum == 1 - symbols.objective
+                some += noise.count(None) < len(noise)
+                every += noise.count(None) == 0
+        assert some >= 80 and every >= 40
+        for inst, rho in ((UNIFORM4, F(1, 2)), (TERNARY5, F(1)), (SKEW7, F(9, 10))):
+            assert None not in oracle._settled(inst, rho)
+            symbols = solve_rational(*symbol_program(inst, rho, simplex.GREATER))
+            assert exact_privacy(inst, rho).optimum == 1 - symbols.objective
+
+
 class TestMetamorphic:
     """Relations the exact optimum keeps without a reference to compare with:
     relabeling the symbols or the outputs leaves it unchanged, a longer list
@@ -642,9 +693,10 @@ class TestMetamorphicAtScale:
 
 class TestUniformAtScale:
     """A seeded uniform prior on r = 10^5 symbols: one symbol class per
-    output, and the class program's documented size is Ck + C rows for C
-    classes, whatever r is, so only `list_privacy`'s certification over
-    every symbol grows with r."""
+    output, and the class program's documented size is F(k + 1) + (C - F)
+    rows for C classes of which F are free, whatever r is, so only
+    `list_privacy`'s certification over every symbol grows with r. Every
+    symbol weighs the same, so a class settles exactly when rho >= 1/2."""
 
     def test_one_small_program_certified_over_every_symbol(self, monkeypatch):
         r, k = 10**5, 10
@@ -660,9 +712,15 @@ class TestUniformAtScale:
             return solve(n, rows, cost)
 
         monkeypatch.setattr(oracle, "solve_lp", spy)
+        classes = len(inst._classes)
+        assert classes == k
+        # Below 1/2 every class is free: Ck + C rows.
+        free = exact_privacy(inst, F(2, 5)).optimum
+        assert sizes == [classes * k + classes]
+        assert free <= privacy_bound(inst, F(2, 5))
+        # At 1/2 every class settles: one row each.
         rho = F(1, 2)
         optimum = exact_privacy(inst, rho).optimum
-        classes = len(inst._classes)
-        assert classes == k and sizes == [classes * k + classes]
-        assert optimum <= privacy_bound(inst, rho)
+        assert sizes[1:] == [classes]
+        assert optimum <= privacy_bound(inst, rho) and optimum <= free
         assert exact_privacy(inst.with_list_size(501), rho).optimum <= optimum

@@ -15,9 +15,16 @@ Tie-heavy instances, whose masses are 1 or 2 over their sum or all equal,
 split into few symbol classes: there too the class program's optimum must
 equal the program over symbols and the loop's, and relabeling the symbols
 must leave it unchanged.
+
+The rule that settles classes is checked with no LP: on both kinds of
+instance, giving each settled class its settled row, rho at its output and
+1 - rho at its noise output, never lowers a random rho-recoverable
+mechanism's privacy, and each noise output has the l heavy symbols the rule
+asks for.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,11 +33,19 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from listprivacy import Instance, exact_privacy, privacy_bound  # noqa: E402
+from listprivacy import (  # noqa: E402
+    Instance,
+    StochasticMatrix,
+    exact_privacy,
+    is_recoverable,
+    list_privacy,
+    privacy_bound,
+)
 from listprivacy.adversary import best_list  # noqa: E402
 from listprivacy.core import over_common_denominator  # noqa: E402
+from listprivacy.oracle import _settled  # noqa: E402
 from listprivacy.simplex import GREATER  # noqa: E402
-from conftest import solve_rational, symbol_program  # noqa: E402
+from conftest import random_mechanism, solve_rational, symbol_program  # noqa: E402
 
 LEVELS = st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2), F(3, 4), F(1)])
 
@@ -126,3 +141,27 @@ def test_relabeled_symbols_keep_the_optimum(inst, rho, data):
     moved = {(w, i, frozenset(perm[x] for x in members)) for w, i, members in inst._classes}
     assert moved == {(w, i, frozenset(members)) for w, i, members in relabeled._classes}
     assert exact_privacy(relabeled, rho).optimum == exact_privacy(inst, rho).optimum
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    inst=st.one_of(instances(r_max=10), tie_heavy_instances()),
+    rho=st.fractions(0, 1, max_denominator=12),
+    seed=st.integers(0, 2**16),
+)
+def test_settled_rows_never_lower_privacy(inst, rho, seed):
+    mech = random_mechanism(random.Random(seed), inst, rho)
+    rows = list(mech.rows)
+    for (_, f, members), i0 in zip(inst._classes, _settled(inst, rho)):
+        if i0 is None:
+            continue
+        p = inst.pmf[members[0]]
+        heavy = [x for x in inst.preimages[i0] if inst.pmf[x] * rho >= p * (1 - rho)]
+        assert i0 != f and len(heavy) >= inst.l
+        row = [F(0)] * inst.k
+        row[f], row[i0] = rho, 1 - rho
+        for x in members:
+            rows[x] = tuple(row)
+    settled = StochasticMatrix(rows=tuple(rows))
+    assert is_recoverable(settled, inst, rho)
+    assert list_privacy(inst, settled).privacy >= list_privacy(inst, mech).privacy
