@@ -18,13 +18,11 @@ solved in two formulations:
   leaves the program but for one row. So for C classes
   (`Instance._classes`), F of them free, the program has F(k + 1) + (C - F)
   rows, every one `<=` with a nonnegative right-hand side: the core starts
-  at the slack basis and runs no phase 1, where one row per symbol with its
-  stochastic row kept would have rk + 2r rows and a phase 1.
-  Its witness gives every member of a class the same row object, and
-  `list_privacy` certifies it over all r symbols. On tie-heavy priors this
-  is what keeps a solve small: one level of a seeded r=60, k=10, l=10
-  prior of masses 1 or 2 takes 0.014-0.039 s of CPU time instead of
-  0.17-0.37 s, and a uniform prior on 10^5 symbols (k=10, l=500) is a
+  at the slack basis and runs no phase 1. Its witness gives every member of
+  a class the same row object, and `list_privacy` certifies it over all r
+  symbols. On tie-heavy priors this is what keeps a solve small: one level
+  of a seeded r=60, k=10, l=10 prior of masses 1 or 2 takes 0.014-0.039 s
+  of CPU time, and a uniform prior on 10^5 symbols (k=10, l=500) is a
   110-row program below rho = 1/2, where no class settles, solved and
   certified in 0.20-0.25 s (one core of a 2-core x86-64 box, Python 3.11),
   and a 10-row one from 1/2 on, where every class does.
@@ -41,18 +39,20 @@ its common denominator D, with its top-l list, from the instance's profile
 `{column: int}` row with its own scale that `simplex.solve_lp` takes; a list
 row, scaled by D, is built when its cut is generated. Every round hands the
 core these rows in the same order, so its pivots, and the printed witness,
-are those of a program rebuilt each round. A round reads its vertex as ints
-over one common scale, scores it with the adversary's scorer and finds each
-output's best list with the adversary's own `best_list`: the separation
-oracle is the adversary itself. The compact program's vertex is read the
-same way, each free class's own-output entry being that scale minus the
-class's other entries; a settled class's row is known without it. Fractions
-appear only for the optima and the vertices that `list_privacy` certifies,
-one per entry of a vertex read in ints; only
-`active_lists`, which `oracle --rho` prints, enumerates a witness's tied
-best lists, on the same integer scores. A vertex that is no mechanism, an
-entry below zero or a row whose ints do not add up to the scale, is a fault
-of the solve, so it raises AssertionError before any matrix is built.
+are those of a program rebuilt each round. `_solve`, the one reader of the
+core's answer, gives each vertex as ints over one common scale. A round
+scores its vertex with the adversary's scorer and finds each output's best
+list with the adversary's own `best_list`: the separation oracle is the
+adversary itself. The compact program reads each free class's own-output
+entry as that scale minus the class's other entries; a settled class's row
+is known without it. Fractions appear only for the optima and the witness
+rows, one per entry of a vertex read in ints, which `_certify`, the one
+builder of a witness, makes into the mechanism that `list_privacy`
+certifies. Only `active_lists`, which `oracle --rho` prints, enumerates a
+witness's tied best lists, on the same integer scores. A vertex that is no
+mechanism, an entry below zero or a row whose ints do not add up to the
+scale, is a fault of the solve, so it raises AssertionError before any
+matrix is built.
 
 Rows carry no names. `lp_lines` formats each row as soon as it is built and
 names it only in its line, and the CLI's `--lp-dump` writes each line as it
@@ -142,13 +142,18 @@ def _fixed_rows(inst: Instance, rho: Fraction) -> list:
     return rows
 
 
-def _solve(n: int, rows: list, cost: dict[int, int]) -> tuple[dict, Fraction]:
-    """A privacy program's basic variables and minimum by this module's
-    `solve_lp`; each caller reads its privacy from the minimum."""
+def _solve(n: int, rows: list, cost: dict[int, int]) -> tuple[list[int], int, Fraction]:
+    """The one read of a privacy program's answer from this module's
+    `solve_lp`: its vertex, the n column values as ints over one scale, the
+    lcm of the basic scales; that scale; and its minimum."""
     status, basic, objective = solve_lp(n, rows, cost)
     if status is not LpStatus.OPTIMAL:
         raise AssertionError(f"privacy program should always solve, got {status}")
-    return basic, Fraction(*objective)
+    scale = _lcm([s for _, s in basic.values()])
+    vertex = [0] * n
+    for j, (v, s) in basic.items():
+        vertex[j] = v * (scale // s)
+    return vertex, scale, Fraction(*objective)
 
 
 def active_lists(inst: Instance, mech: StochasticMatrix):
@@ -247,8 +252,8 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     mass, so the optimum is the privacy of the vertex's w part, every member
     given its class's row, which `list_privacy` certifies over all r
     symbols, settled rows included. A free class's row is read in ints over
-    the lcm of the basic scales, w(c,f) as the scale minus the rest, and
-    raises AssertionError if an entry is negative.
+    the vertex's one scale (`_solve`), w(c,f) as the scale minus the rest,
+    and raises AssertionError if an entry is negative.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
@@ -280,9 +285,10 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
             else:
                 row = {nu + f: den, v + f: -den} | dict.fromkeys(blocks[c], w)
                 rows.append((row, LESS, w, den))
-    cost = dict.fromkeys(range(nu, nu + k), l * den)
+    # u(i) costs (l - n_i) D, n_i the symbols of output i, left out when zero.
+    cost = {nu + i: (l - len(p)) * den for i, p in enumerate(inst.preimages) if len(p) != l}
     settled = 0  # the settled classes' mass, times their size, over den
-    for c, (w, f, members) in enumerate(classes):
+    for c, (w, _, members) in enumerate(classes):
         m = len(members)
         if noise[c] is None:
             cost |= dict.fromkeys(range(starts[c], starts[c] + k), m * den)
@@ -290,24 +296,21 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
         else:
             cost[starts[c]] = m * den
             settled += m * w
-        cost[nu + f] -= m * den
-    cost = {j: v for j, v in cost.items() if v}
-    basic, objective = _solve(nw + len(free) * (k - 1), rows, cost)
+    vertex, scale, objective = _solve(nw + len(free) * (k - 1), rows, cost)
     # A settled class's noise, 1 - rho, scores at no top-l row: its mass
     # comes back as privacy.
     optimum = -objective / den + Fraction((q - a) * settled, q * den)
-    # Each free class's row in ints over one scale, the lcm of the basic
-    # scales, its own output taking the scale minus the rest; a vertex that
-    # leaves any entry negative is a fault of the solve. A settled class's
-    # row is rho at its output and 1 - rho at its noise output. One row
-    # object per free class, and per settled (output, noise output) pair,
-    # shared by its members: StochasticMatrix checks it once.
-    scale = _lcm([s for _, s in basic.values()])
+    # Each free class's row in ints over the vertex's scale, its own output
+    # taking the scale minus the rest; a vertex that leaves any entry
+    # negative is a fault of the solve. A settled class's row is rho at its
+    # output and 1 - rho at its noise output. One row object per free class,
+    # and per settled (output, noise output) pair, shared by its members:
+    # StochasticMatrix checks it once.
     mech = [()] * inst.r
     shared = {}
     for c, (_, f, members) in enumerate(classes):
         if noise[c] is None:
-            rest = [basic[j][0] * (scale // basic[j][1]) if j in basic else 0 for j in blocks[c]]
+            rest = [vertex[j] for j in blocks[c]]
             rest.insert(f, scale - sum(rest))
             if min(rest) < 0:
                 raise AssertionError(f"vertex row {members[0]} is not a mechanism row")
@@ -321,20 +324,22 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
             row = shared[key]
         for x in members:
             mech[x] = row
-    witness = StochasticMatrix(rows=tuple(mech))
-    _certify(inst, rho, witness, optimum)
+    _certify(inst, rho, mech, optimum)
     return OracleResult(optimum=optimum, inst=inst, rho=rho)
 
 
-def _certify(inst: Instance, rho: Fraction, witness: StochasticMatrix, optimum: Fraction) -> None:
-    """The one fault check: a program's witness must be rho-recoverable, and
-    its optimum the witness's privacy."""
+def _certify(inst: Instance, rho: Fraction, rows: Sequence, optimum: Fraction) -> StochasticMatrix:
+    """The one fault check, and the one build of a program's witness: the
+    mechanism with these rows must be rho-recoverable, and its privacy the
+    program's optimum. Returns that witness."""
+    witness = StochasticMatrix(rows=tuple(rows))
     level = recoverability_level(witness, inst)
     if level < rho:
         raise AssertionError(f"witness recovers at {level}, below rho = {rho}")
     certified = list_privacy(inst, witness).privacy
     if certified != optimum:
         raise AssertionError(f"witness certifies {certified}, program claims {optimum}")
+    return witness
 
 
 def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticMatrix]:
@@ -356,14 +361,10 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
     cuts = [[_list_row(inst, i, inst._profile.top)] for i in range(k)]
     while True:
         rows = [row for per_output in cuts for row in per_output]
-        basic, objective = _solve(nw + k, rows + fixed, cost)
+        w, scale, objective = _solve(nw + k, rows + fixed, cost)
         optimum = 1 - objective
-        # The vertex as ints over one scale, the lcm of the basic scales: the scores
-        # then share the scale den * scale, so best_list picks the Fraction lists.
-        scale = _lcm([s for _, s in basic.values()])
-        w = [0] * (nw + k)
-        for j, (v, s) in basic.items():
-            w[j] = v * (scale // s)
+        # The vertex's ints share one scale, so its scores share the scale
+        # den * scale and best_list picks the Fraction lists.
         vertex = [w[x * k : x * k + k] for x in range(r)]
         for x, row in enumerate(vertex):
             if min(row) < 0 or sum(row) != scale:
@@ -374,11 +375,8 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
             break
         for i in cut:
             cuts[i].append(_list_row(inst, i, best[i][1]))
-    witness = StochasticMatrix(
-        rows=tuple([tuple([Fraction(v, scale) for v in row]) for row in vertex])
-    )
-    _certify(inst, rho, witness, optimum)
-    return optimum, witness
+    mech = [tuple([Fraction(v, scale) for v in row]) for row in vertex]
+    return optimum, _certify(inst, rho, mech, optimum)
 
 
 def exact_privacy_curve(
@@ -389,9 +387,11 @@ def exact_privacy_curve(
 
     rho enters the program only through its right-hand side, so the optimum
     is convex in rho and privacy concave: the slopes between consecutive
-    distinct levels cannot increase. Raises InstanceFormatError when the grid
-    is not a sequence.
+    distinct levels cannot increase. The instance and every level are checked
+    before any level is solved. Raises InstanceFormatError unless inst is an
+    Instance and the grid a sequence.
     """
+    _check_type("instance", inst, Instance)
     _check_sequence("grid", grid)
     levels = [ensure_rho(rho) for rho in grid]
     results = [(rho, exact_privacy(inst, rho)) for rho in levels]

@@ -127,6 +127,11 @@ def _check_seed(seed):
         raise InstanceFormatError(f"need a non-negative seed, got {_shown(seed)}")
 
 
+def _check_trials(trials):
+    if not _is_int(trials) or trials < 1:
+        raise InstanceFormatError(f"need a whole number of trials >= 1, got {_shown(trials)}")
+
+
 def derive_stream_seed(seed: int, stream: int) -> int:
     """Seed for the given sweep stream: seed + stream index. Both are
     non-negative ints, so the streams of one seed get distinct seeds."""
@@ -251,8 +256,7 @@ def simulate_game(
     """
     check_dims(inst, mech)
     check_estimator(inst, estimator)
-    if not _is_int(trials) or trials < 1:
-        raise InstanceFormatError(f"need a whole number of trials >= 1, got {_shown(trials)}")
+    _check_trials(trials)
     _check_seed(seed)
     rng = random.Random(seed)
     x_cuts = _thresholds(inst._profile.pw, inst._profile.den)
@@ -351,12 +355,14 @@ def privacy_sweep(
 ) -> list[SweepPoint]:
     """Simulate across levels; stream j uses derive_stream_seed(seed, j).
 
-    Every level, the seed, and that mech_for_rho is callable are checked
-    before any level is simulated.
+    The instance, that mech_for_rho is callable, every level, the trial
+    count and the seed are checked before any level is simulated.
     """
+    _check_type("instance", inst, Instance)
     _check_type("mech_for_rho", mech_for_rho, Callable)
     _check_sequence("rhos", rhos)
     levels = [ensure_rho(rho) for rho in rhos]
+    _check_trials(trials)
     _check_seed(seed)
     points = []
     for j, rho in enumerate(levels):

@@ -7,6 +7,7 @@ normalized, which keeps everything an exact Fraction.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_right
@@ -18,6 +19,7 @@ from typing import NamedTuple, Sequence
 import pytest
 
 import listprivacy.envelope as envelope
+import listprivacy.oracle as oracle
 import listprivacy.simplex as simplex
 from listprivacy import Instance, ListEstimator, StochasticMatrix, top_elements
 from listprivacy.adversary import PrivacyReport
@@ -707,3 +709,21 @@ def tangent_sweeps(monkeypatch) -> list:
 
     monkeypatch.setattr(envelope, "_tangent_sweep", record)
     return sweeps
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """Every `oracle.solve_lp` call's `(n, rows, cost, answer)`, in call
+    order: the one seam between the oracle and its LP core, recorded without
+    changing a solve. The recorder wraps the `solve_lp` it replaced."""
+    calls = []
+    solve = oracle.solve_lp
+
+    @functools.wraps(solve)
+    def record(n, rows, cost):
+        answer = solve(n, rows, cost)
+        calls.append((n, rows, cost, answer))
+        return answer
+
+    monkeypatch.setattr(oracle, "solve_lp", record)
+    return calls

@@ -653,6 +653,7 @@ class TestPublicApiErrors:
             lambda: privacy_at_one(None),
             lambda: exact_privacy(None, 0),
             lambda: exact_privacy_curve(None, [0]),
+            lambda: exact_privacy_curve(None, []),
             lambda: lp_lines(None, 0),
             lambda: lp_text(None, 0),
             lambda: uniform_qr(None),
@@ -675,7 +676,8 @@ class TestPublicApiErrors:
             "parse_matrix", "parse_noise", "top_elements", "derive_stream_seed",
             "enumerate_lines", "anchor_set_instance", "privacy_bound_instance",
             "privacy_curve", "first_breakpoint", "privacy_at_zero", "privacy_at_one",
-            "exact_privacy_instance", "exact_privacy_curve", "lp_lines", "lp_text_instance",
+            "exact_privacy_instance", "exact_privacy_curve", "exact_privacy_curve_no_levels",
+            "lp_lines", "lp_text_instance",
             "uniform_qr", "deterministic_qr", "optimal_binary_qr_instance",
             "instance_to_jsonable", "instance_to_text", "curve_to_text", "curve_segments_csv",
             "curve_samples_csv", "matrix_to_text", "adversary_report_to_jsonable",

@@ -113,24 +113,16 @@ class TestCertificates:
         with pytest.raises(AssertionError, match="cutting planes reach 63/200"):
             result.witness
 
-    def test_compact_witness_must_be_recoverable(self, monkeypatch):
+    def test_compact_witness_must_be_recoverable(self, solves, monkeypatch):
         # A solve that answers the rho = 0 program: its witness certifies that
         # program's optimum, 3/20, but recovers at 1/2, below 9/10, where the
         # optimum is 1/20. With lists of 5 no output of skew7 has 5 symbols,
         # so no class settles and every level's program has the same columns.
         inst = SKEW7.with_list_size(5)
-        solve = oracle.solve_lp
-        answers = []
-
-        def keep(*args):
-            answers.append(solve(*args))
-            return answers[-1]
-
-        monkeypatch.setattr(oracle, "solve_lp", keep)
         assert exact_privacy(inst, F(0)).optimum == F(3, 20)
         assert exact_privacy(inst, F(9, 10)).optimum == F(1, 20)
         assert set(oracle._settled(inst, F(9, 10))) == {None}
-        monkeypatch.setattr(oracle, "solve_lp", lambda *args: answers[0])
+        monkeypatch.setattr(oracle, "solve_lp", lambda *args: solves[0][3])
         with pytest.raises(AssertionError, match="recovers at 1/2, below rho = 9/10"):
             exact_privacy(inst, F(9, 10))
 
@@ -295,50 +287,36 @@ class TestCoreSeam:
     a caller can patch or trace in the oracle's namespace: once for the
     optimum, and once per cutting-plane round when the witness is read."""
 
-    def test_one_solve_with_every_row_on_uniform4(self, monkeypatch):
-        assert oracle.solve_lp is simplex.solve_lp
-        solve = oracle.solve_lp
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(oracle, "solve_lp", spy)
+    def test_one_solve_with_every_row_on_uniform4(self, solves):
+        assert oracle.solve_lp.__wrapped__ is simplex.solve_lp
         result = exact_privacy(UNIFORM4, F(1, 2))
-        assert len(calls) == 1
+        assert len(solves) == 1
         result.witness
-        assert len(calls) == 2
-        senses = [s for _, s, _, _ in calls[1][1]]
+        assert len(solves) == 2
+        senses = [s for _, s, _, _ in solves[1][1]]
         # One list row per output, then a stochastic and a recover row per symbol.
         assert senses == [simplex.LESS] * 2 + [simplex.EQUAL] * 4 + [simplex.GREATER] * 4
         result.witness  # kept: no further solve
-        assert len(calls) == 2
+        assert len(solves) == 2
 
-    def test_class_program_starts_at_its_slack_basis(self, monkeypatch):
+    def test_class_program_starts_at_its_slack_basis(self, solves, monkeypatch):
         # Every row `exact_privacy` hands the core is `<=` with rhs >= 0, so
         # the slack basis is feasible and the core runs one phase, no phase 1.
-        solve, run = oracle.solve_lp, simplex._run
-        programs, phases = [], []
-
-        def spy(n, rows, cost):
-            programs.append(rows)
-            phases.append(0)
-            return solve(n, rows, cost)
+        run = simplex._run
+        runs = []  # per `_run` phase, the number of solves recorded before its own
 
         def count(T, basis, cost):
-            phases[-1] += 1
+            runs.append(len(solves))
             return run(T, basis, cost)
 
-        monkeypatch.setattr(oracle, "solve_lp", spy)
         monkeypatch.setattr(simplex, "_run", count)
         rng = random.Random(83)
         cases = [(inst, rho) for inst in CATALOG for rho in (F(0), F(1, 3), F(1))]
         cases += [(random_instance(rng), random_rho(rng)) for _ in range(20)]
         for inst, rho in cases:
             exact_privacy(inst, rho)
-        assert all(s == simplex.LESS and b >= 0 for rows in programs for _, s, b, _ in rows)
-        assert phases == [1] * len(cases)
+        assert all(s == simplex.LESS and b >= 0 for _, rows, _, _ in solves for _, s, b, _ in rows)
+        assert runs == list(range(len(cases)))  # one solve per case, one phase per solve
 
 
 class TestWrongObjective:
@@ -577,23 +555,15 @@ class TestSettledClasses:
     symbols whose mass times rho is at least p(1 - rho): it takes the row rho
     at f, 1 - rho there, and leaves the program but for one row."""
 
-    def test_program_shape(self, monkeypatch):
+    def test_program_shape(self, solves):
         # skew7's 5 classes, over 3 outputs' worth of rows each when free
         # (k + 1 = 3), and one row each when settled.
-        solve = oracle.solve_lp
-        sizes = []
-
-        def spy(n, rows, cost):
-            sizes.append(len(rows))
-            return solve(n, rows, cost)
-
-        monkeypatch.setattr(oracle, "solve_lp", spy)
         assert len(SKEW7._classes) == 5
         assert oracle._settled(SKEW7, F(9, 10)) == [1, 1, 1, 0, 0]
         assert oracle._settled(SKEW7, F(7, 10)) == [None, 1, 1, 0, 0]
         assert exact_privacy(SKEW7, F(9, 10)).optimum == F(29, 200)
         assert exact_privacy(SKEW7, F(7, 10)).optimum == F(63, 200)
-        assert sizes == [5, 7]
+        assert [len(rows) for _, rows, _, _ in solves] == [5, 7]
 
     def test_optimum_where_classes_settle(self):
         # Against the program over symbols, which settles nothing, on
@@ -698,29 +668,21 @@ class TestUniformAtScale:
     `list_privacy`'s certification over every symbol grows with r. Every
     symbol weighs the same, so a class settles exactly when rho >= 1/2."""
 
-    def test_one_small_program_certified_over_every_symbol(self, monkeypatch):
+    def test_one_small_program_certified_over_every_symbol(self, solves):
         r, k = 10**5, 10
         rng = random.Random(105)
         f = list(range(k)) + [rng.randrange(k) for _ in range(r - k)]
         rng.shuffle(f)
         inst = Instance(pmf=(F(1, r),) * r, f=tuple(f), l=500)
-        solve = oracle.solve_lp
-        sizes = []
-
-        def spy(n, rows, cost):
-            sizes.append(len(rows))
-            return solve(n, rows, cost)
-
-        monkeypatch.setattr(oracle, "solve_lp", spy)
         classes = len(inst._classes)
         assert classes == k
         # Below 1/2 every class is free: Ck + C rows.
         free = exact_privacy(inst, F(2, 5)).optimum
-        assert sizes == [classes * k + classes]
+        assert [len(rows) for _, rows, _, _ in solves] == [classes * k + classes]
         assert free <= privacy_bound(inst, F(2, 5))
         # At 1/2 every class settles: one row each.
         rho = F(1, 2)
         optimum = exact_privacy(inst, rho).optimum
-        assert sizes[1:] == [classes]
+        assert [len(rows) for _, rows, _, _ in solves[1:]] == [classes]
         assert optimum <= privacy_bound(inst, rho) and optimum <= free
         assert exact_privacy(inst.with_list_size(501), rho).optimum <= optimum

@@ -93,11 +93,11 @@ class TestKnownPrograms:
         pivot = simplex._pivot
         pivots = []
 
-        def capped(T, basis, red, row, col, hits):
+        def capped(T, basis, red, row, col, *rest):
             pivots.append((row, col))
             if len(pivots) > 100:
                 raise RuntimeError("over 100 pivots on Beale's example: the solver cycles")
-            pivot(T, basis, red, row, col, hits)
+            pivot(T, basis, red, row, col, *rest)
 
         monkeypatch.setattr(simplex, "_pivot", capped)
         sol = solve_rational(
@@ -252,9 +252,9 @@ class TestAgainstDenseReference:
         negative = []
         pivot = simplex._pivot
 
-        def spy(T, basis, red, row, col, hits):
+        def spy(T, basis, red, row, col, *rest):
             negative.append(T[row][col] < 0)
-            pivot(T, basis, red, row, col, hits)
+            pivot(T, basis, red, row, col, *rest)
 
         monkeypatch.setattr(simplex, "_pivot", spy)
         sol = same_solution(
@@ -361,10 +361,10 @@ class TestSparseRows:
             assert all(j >= 0 or j in (simplex._RHS, simplex._DEN) for j in red)
             assert red[simplex._DEN] > 0
 
-        def spy(T, basis, red, row, col, hits):
+        def spy(T, basis, red, row, col, hits, *rest):
             nonzero_only(T, red)
             assert hits == [i for i, Ti in enumerate(T) if col in Ti]
-            pivot(T, basis, red, row, col, hits)
+            pivot(T, basis, red, row, col, hits, *rest)
             nonzero_only(T, red)
             pivots.append((row, col))
 
@@ -400,8 +400,8 @@ class TestSparseRows:
         integer, reference = [], []
         pivot, reference_pivot = simplex._pivot, conftest._reference_pivot
 
-        def spy(T, basis, red, row, col, hits):
-            pivot(T, basis, red, row, col, hits)
+        def spy(T, basis, red, row, col, *rest):
+            pivot(T, basis, red, row, col, *rest)
             den = red[simplex._DEN]
             integer.append(
                 [{j: F(v, Ti[bi]) for j, v in Ti.items()} for Ti, bi in zip(T, basis)]
@@ -461,30 +461,22 @@ class TestSparseRows:
             assert 1 - sol.objective == optimum
         assert len(pivots) > 200
 
-    def test_class_programs(self, same_solution, stored, monkeypatch):
+    def test_class_programs(self, same_solution, stored, solves):
         # The program `exact_privacy` hands the core, as it hands it,
         # densified, with the objective the core returned on it: the dense
         # reference must reach that objective, whatever privacy the oracle
         # reads from it.
         pivots, _ = stored
-        programs = []
-        solve = oracle.solve_lp
-
-        def spy(n, rows, cost):
-            answer = solve(n, rows, cost)
-            programs.append((dense_program(n, rows, cost), F(*answer[2])))
-            return answer
-
-        monkeypatch.setattr(oracle, "solve_lp", spy)
         rng = random.Random(82)
         solved = 0
         # Settled classes leave small programs, so the pivots come from 12 instances.
         for _ in range(12):
             inst = wide_instance(rng)
             rho = random_rho(rng)
-            programs.clear()
+            solves.clear()
             exact_privacy(inst, rho)
-            ((program, objective),) = programs
+            ((n, rows, cost, answer),) = solves
+            program, objective = dense_program(n, rows, cost), F(*answer[2])
             if None in oracle._settled(inst, rho):
                 assert zero_share(program[1]) >= 0.85
             else:
@@ -544,12 +536,12 @@ class TestContentBound:
         def run(program):
             pivots, runs, contents = [], [0], [1]
 
-            def spy(T, basis, red, row, col, hits):
+            def spy(T, basis, red, row, col, *rest):
                 pivots.append((row, col))
                 if len(pivots) > 1000:
                     raise RuntimeError("over 1,000 pivots: the solver cycles")
                 runs.append(runs[-1] + 1 if simplex._RHS not in T[row] else 0)
-                pivot(T, basis, red, row, col, hits)
+                pivot(T, basis, red, row, col, *rest)
                 for stored in (*T, red):
                     g = math.gcd(*stored.values())
                     contents.append(g)

@@ -472,6 +472,29 @@ class TestSweep:
             privacy_sweep(UNIFORM4, factory, rhos, trials=100, seed=1)
         assert built == []
 
+    @pytest.mark.parametrize(
+        "inst, levels, trials, message",
+        [
+            (None, [], 5, "instance must be Instance"),
+            (None, [F(1, 2)], 5, "instance must be Instance"),
+            (SKEW7, [F(1, 2)], 0, "trials >= 1, got 0"),
+            (SKEW7, [F(1, 2)], "10", "trials >= 1, got '10'"),
+        ],
+        ids=["no_instance_no_levels", "no_instance", "zero_trials", "text_trials"],
+    )
+    def test_instance_and_trials_are_checked_before_any_is_simulated(
+        self, inst, levels, trials, message
+    ):
+        built = []
+
+        def factory(rho):
+            built.append(rho)
+            return uniform_qr(SKEW7)
+
+        with pytest.raises(InstanceFormatError, match=message):
+            privacy_sweep(inst, factory, levels, trials, 1)
+        assert built == []
+
     def test_levels_are_parsed_like_every_other_rho(self):
         points = privacy_sweep(
             UNIFORM4,
