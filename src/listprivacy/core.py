@@ -228,7 +228,7 @@ class Instance:
         optimal-binary sweep reads it. Not part of the eager `_profile`."""
         from .envelope import _tangent_sweep  # envelope imports this module
 
-        return Fraction(*next(_tangent_sweep(self))[2:])
+        return Fraction(*next(_tangent_sweep(self))[3:])
 
     @cached_property
     def _classes(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:

@@ -10,8 +10,8 @@ the optimal-mechanism constructor and the LP oracle both exercise.
 Neither the bound nor the curve enumerates a line: for a fixed anchor size a
 greedy over per-preimage marginal gains gives the best line at one level in
 integers, and the best over every size is the bound there. One tangent sweep
-on those best lines finds every kink of the curve; the first kink, which that
-constructor reads, is the sweep's first step, taken once per instance.
+on those best lines finds each piece of the curve with its line's anchor size;
+its first step, once per instance, is the first kink that constructor reads.
 `enumerate_lines` still lists one line per count vector, and `anchor_set`
 picks its anchor, with its tie-breaks, from that list.
 """
@@ -266,29 +266,27 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
     J. ACM 23(4), 1976) finds every kink from those tangents alone, with no
     line enumerated (`_tangent_sweep`); pieces of zero width are dropped. A
     segment's anchor size is the largest size whose best line reaches the
-    envelope at the segment's midpoint. Masses are ints over the pmf's common
-    denominator, read from the instance's profile; Fractions are built only
-    for the segments and breakpoints returned.
+    envelope where the sweep found the segment's line, as `_best_line`
+    returned it there. Every size owning that line reaches it there, and
+    inside the segment no other line touches the envelope, so this is the
+    largest size owning the line, the size at every level inside. Masses
+    are ints over the pmf's common denominator, read from the instance's
+    profile; Fractions are built only for the segments and breakpoints.
     """
     _check_type("instance", inst, Instance)
     profile = inst._profile
-    prefix, l, den = profile.prefix, inst.l, profile.den
-    top = _top_mass(profile)
-    # A piece is (intercept, slope, p, q): its line leads from rho = p/q on.
-    # The l-symbol anchor leads at rho = 0, as every smaller one has less mass.
-    pieces = [(top, 0, 0, 1)]
+    l, den = inst.l, profile.den
+    # A piece is (intercept, slope, anchor size, p, q): its line leads from
+    # rho = p/q on. The l-symbol anchor leads at 0: smaller ones have less mass.
+    pieces = [(_top_mass(profile), 0, l, 0, 1)]
     for piece in _tangent_sweep(inst):
         # A piece that starts where the last one did leads on no interval.
-        if piece[2] * pieces[-1][3] == pieces[-1][2] * piece[3]:
+        if piece[3] * pieces[-1][4] == pieces[-1][3] * piece[4]:
             pieces.pop()
         pieces.append(piece)
-    if pieces[-1][2] == pieces[-1][3]:  # nor does one that starts at 1
+    if pieces[-1][3] == pieces[-1][4]:  # nor does one that starts at 1
         pieces.pop()
-    ends = [(p, q) for *_, p, q in pieces[1:]] + [(1, 1)]
-    sizes = [
-        _best_line(prefix, l, top, p0 * q1 + p1 * q0, 2 * q0 * q1)[3]
-        for (*_, p0, q0), (p1, q1) in zip(pieces, ends)
-    ]
+    sizes = [size for _, _, size, _, _ in pieces]
     if sizes[0] != l:
         raise AssertionError("curve does not start at full anchor cardinality")
     if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
@@ -301,7 +299,7 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
             slope=Fraction(-slope, den),
             intercept=Fraction(den - intercept, den),
         )
-        for idx, (intercept, slope, _, _) in enumerate(pieces)
+        for idx, (intercept, slope, *_) in enumerate(pieces)
     ]
     # Kinks where the anchor cardinality drops give the breakpoints; a drop by
     # d emits the same abscissa d times, and drops that never happen before
@@ -319,31 +317,32 @@ def privacy_curve(inst: Instance) -> PrivacyCurve:
     )
 
 
-def _tangent_sweep(inst: Instance) -> Iterator[tuple[int, int, int, int]]:
+def _tangent_sweep(inst: Instance) -> Iterator[tuple[int, int, int, int, int]]:
     """The lines the tangent sweep confirms on the envelope, left to right, as
-    (intercept, slope, p, q) in ints over the pmf's common denominator: the
-    line leads from rho = p/q on. A crossing of the lead, at first the top-l
-    line, and the nearest pending tangent is confirmed when no line beats
-    both there; the pending line is yielded and becomes the lead. The first
-    yield starts below 1, as k >= 2 and l < r: it is the first kink."""
+    (intercept, slope, size, p, q) in ints over the pmf's common denominator:
+    the line leads from rho = p/q on, with the anchor size `_best_line` found
+    it with. A crossing of the lead, at first the top-l line, and the nearest
+    pending tangent is confirmed when no line beats both there; the pending
+    line is yielded and becomes the lead. The first yield starts below 1, as
+    k >= 2 and l < r: it is the first kink."""
     profile = inst._profile
     prefix, l, top = profile.prefix, inst.l, _top_mass(profile)
     lead, lead_slope = top, 0
     # Lines tangent to the envelope right of the lead's start, nearest last;
     # each one's tangent point lies left of the one below it.
-    pending = [_best_line(prefix, l, top, 1, 1)[1:3]]
+    pending = [_best_line(prefix, l, top, 1, 1)[1:]]
     while pending:
         right = pending[-1]
         # The lead is tangent at its start and right further on, so right is
         # the steeper line and they cross at p/q, with q > 0.
         p, q = lead - right[0], right[1] - lead_slope
-        value, intercept, slope, _ = _best_line(prefix, l, top, p, q)
-        if value > q * lead + p * lead_slope:
-            pending.append((intercept, slope))
+        best = _best_line(prefix, l, top, p, q)
+        if best[0] > q * lead + p * lead_slope:
+            pending.append(best[1:])
             continue
         pending.pop()
         yield (*right, p, q)
-        lead, lead_slope = right
+        lead, lead_slope, _ = right
 
 
 def _top_mass(profile) -> int:

@@ -54,10 +54,11 @@ def random_instance(rng: random.Random, r_max=8, k_max=4, l_max=None) -> Instanc
     return Instance(pmf=pmf, f=tuple(f), l=l)
 
 
-def seeded_instance(r, k, l, seed) -> Instance:
-    """A random instance of exactly r symbols, k outputs and list size l."""
+def seeded_instance(r, k, l, seed, max_weight=12) -> Instance:
+    """A random instance of exactly r symbols, k outputs and list size l, its
+    weights drawn from 1 to max_weight: with 2, many symbols tie."""
     rng = random.Random(seed)
-    weights = [rng.randint(1, 12) for _ in range(r)]
+    weights = [rng.randint(1, max_weight) for _ in range(r)]
     f = list(range(k)) + [rng.randrange(k) for _ in range(r - k)]
     rng.shuffle(f)
     return Instance(pmf=tuple(Fraction(w, sum(weights)) for w in weights), f=tuple(f), l=l)

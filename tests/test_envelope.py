@@ -436,6 +436,20 @@ def curve_40_8_8():
     return inst, reference_privacy_curve(inst)
 
 
+@pytest.fixture
+def best_line_levels(monkeypatch):
+    """The levels `envelope._best_line` is called at, as (p, q), in call order."""
+    levels = []
+    best_line = envelope._best_line
+
+    def record(prefix, l, top, p, q):
+        levels.append((p, q))
+        return best_line(prefix, l, top, p, q)
+
+    monkeypatch.setattr(envelope, "_best_line", record)
+    return levels
+
+
 class TestFirstBreakpointAtScale:
     """`first_breakpoint` builds no curve: it stops the curve's tangent sweep
     at its first step."""
@@ -450,17 +464,10 @@ class TestFirstBreakpointAtScale:
                 sized = inst.with_list_size(l)
                 assert first_breakpoint(sized) == reference_privacy_curve(sized).breakpoints[0]
 
-    def test_evaluates_a_prefix_of_the_curves_levels(self, monkeypatch):
+    def test_evaluates_a_prefix_of_the_curves_levels(self, best_line_levels):
         # The kink is the sweep's first step: the levels it evaluates are the
-        # first of the curve's, and far fewer (5 against 31 here).
-        levels = []
-        best_line = envelope._best_line
-
-        def record(prefix, l, top, p, q):
-            levels.append((p, q))
-            return best_line(prefix, l, top, p, q)
-
-        monkeypatch.setattr(envelope, "_best_line", record)
+        # first of the curve's, and far fewer (5 against 20 here).
+        levels = best_line_levels
         inst = seeded_instance(60, 10, 10, 1)
         rho1 = first_breakpoint(inst)
         kink_levels = list(levels)
@@ -534,6 +541,45 @@ class TestPrivacyCurveAtScale:
         assert curve.value_at(0) == privacy_at_zero(inst)
         assert curve.value_at(1) == privacy_at_one(inst)
         assert curve.breakpoints[0] == first_breakpoint(inst)
+
+    def test_evaluates_only_the_sweeps_levels(self, best_line_levels):
+        # Each piece keeps the anchor size its line was found with, so the
+        # curve evaluates no level of its own: 20 here, where a second look
+        # at every segment's midpoint made 31.
+        inst = seeded_instance(60, 10, 10, 1)
+        list(envelope._tangent_sweep(inst))
+        sweep_levels = list(best_line_levels)
+        best_line_levels.clear()
+        privacy_curve(inst)
+        assert best_line_levels == sweep_levels and len(sweep_levels) == 20
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            seeded_instance(60, 10, 10, 1),
+            seeded_instance(60, 10, 10, 2),
+            seeded_instance(60, 10, 10, 3),
+            seeded_instance(60, 10, 10, 1, max_weight=2),
+            seeded_instance(200, 20, 30, 1),
+        ],
+        ids=["60-10-10-s1", "60-10-10-s2", "60-10-10-s3", "60-10-10-ties", "200-20-30-s1"],
+    )
+    def test_anchor_sizes_are_the_largest_at_each_midpoint(self, inst):
+        # Beyond the exhaustive hull's reach: each segment's anchor size is
+        # the largest size whose best line reaches the envelope at the
+        # segment's midpoint, which `_best_line` reports there.
+        curve = privacy_curve(inst)
+        profile = inst._profile
+        top = envelope._top_mass(profile)
+        sizes = []
+        for seg in curve.segments:
+            mid = (seg.rho_lo + seg.rho_hi) / 2
+            p, q = mid.numerator, mid.denominator
+            value, _, _, size = envelope._best_line(profile.prefix, inst.l, top, p, q)
+            assert 1 - F(value, q * profile.den) == curve.value_at(mid)
+            sizes.append(size)
+        assert curve.lambda_sizes == tuple(sizes)
+        assert len(set(sizes)) > 2
 
     def test_relabeling_symbols(self):
         inst = seeded_instance(60, 10, 10, 1)
