@@ -4,9 +4,10 @@ Values are exact throughout. Probabilities are `fractions.Fraction` values at
 the API; inside, the work is done in ints over common denominators. An
 instance's pmf in that form, with its rankings, is read from the instance's
 profile (`Instance._profile`), and a mechanism's entries from its integer
-view (`StochasticMatrix._scaled`). Nothing in this package ever rounds;
-serialization keeps the exact numerator/denominator form so a round trip is
-bit-identical.
+view (`StochasticMatrix._scaled`). The constructor builds that view from the
+ints its one pass over the distinct rows keeps while it parses and checks
+them. Nothing in this package ever rounds; serialization keeps the exact
+numerator/denominator form so a round trip is bit-identical.
 """
 
 from __future__ import annotations
@@ -259,12 +260,16 @@ class Instance:
 class StochasticMatrix:
     """Row-stochastic r x k matrix; rows[x][i] is the chance of output i given x.
 
-    Entries are exact rationals, each row sums to exactly one; signs are
-    read off the numerators and each sum is taken in ints over its row's
-    common denominator. A row object given at several indices is parsed and
-    checked once and shared by them; a failure names the first offending
-    index either way. `_scaled` puts those ints over one denominator: the
-    one place a mechanism is scaled, read by every reader of its entries.
+    Entries are exact rationals, each row sums to exactly one. The
+    constructor first requires every distinct row object to be a sequence,
+    then makes one pass over the distinct rows in order of first index: it
+    parses each row, checks its width, reads its signs off the numerators,
+    takes its sum in ints over its own common denominator and keeps those
+    ints, so a failure names the first faulty row. A row object given at
+    several indices is parsed, checked and scaled once and shared by them.
+    `_scaled`, set at the end, holds every row's ints over D, the lcm of the
+    distinct rows' denominators, and D: the one place a mechanism is scaled,
+    read by every reader of its entries.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -272,30 +277,21 @@ class StochasticMatrix:
     def __post_init__(self):
         _check_sequence("rows", self.rows)
         source = list(self.rows)  # keeps every row alive, so ids stay unique
-        # Each distinct row object is parsed and checked once, at its first
-        # index: add_noise_qr repeats one row per output value. The checks
-        # run in row order, so the first offending index is the same as if
-        # every row were checked.
-        distinct: dict[int, tuple[int, Sequence]] = {}
+        # Each distinct row object, by first index: add_noise_qr repeats one
+        # row per output value, and a witness one per symbol class.
+        distinct: dict[int, tuple] = {}
         for x, row in enumerate(source):
             if id(row) not in distinct:
                 _check_sequence("a row", row)
-                distinct[id(row)] = (x, row)
-        # Tuples on per-operation paths are built from lists: tuple() of a
-        # generator shrinks an oversized tuple, which skips CPython's tuple
-        # free lists on allocation but refills them on release.
-        parsed = {
-            key: (x, tuple([parse_rational(v) for v in row]))
-            for key, (x, row) in distinct.items()
-        }
-        rows = tuple([parsed[id(row)][1] for row in source])
-        object.__setattr__(self, "rows", rows)
-        if not rows or not rows[0]:
+                distinct[id(row)] = x, row
+        width = len(source[0]) if source else 0
+        if not width:
             raise NotRowStochastic("matrix has no entries")
-        width = len(rows[0])
-        # Each distinct row's ints over its own denominator, by first index.
-        row_ints = {}
-        for x, row in parsed.values():
+        for key, (x, row) in distinct.items():
+            # Tuples on per-operation paths are built from lists: tuple() of a
+            # generator shrinks an oversized tuple, which skips CPython's tuple
+            # free lists on allocation but refills them on release.
+            row = tuple([parse_rational(v) for v in row])
             if len(row) != width:
                 raise NotRowStochastic(f"row {x} has {len(row)} entries, expected {width}")
             for v in row:
@@ -303,22 +299,15 @@ class StochasticMatrix:
                     raise NotRowStochastic(f"row {x} has negative entry {v}")
             # The sum in ints over the row's common denominator; the Fraction
             # total is built only for the message.
-            row_ints[x] = nums, den = over_common_denominator(row)
-            if sum(nums) != den:
+            nums, d = over_common_denominator(row)
+            if sum(nums) != d:
                 raise NotRowStochastic(f"row {x} sums to {_shown(sum(row))}")
-        object.__setattr__(self, "_row_ints", row_ints)
-
-    @cached_property
-    def _scaled(self) -> tuple[list[tuple[int, ...]], int]:
-        """Every row as ints over D, the lcm of the distinct rows' denominators,
-        and D: each distinct row object scaled once, on first use, and its ints
-        shared by every index that holds it."""
-        den = _lcm([d for _, d in self._row_ints.values()])
-        scaled = {
-            id(self.rows[x]): tuple([n * (den // d) for n in nums])
-            for x, (nums, d) in self._row_ints.items()
-        }
-        return [scaled[id(row)] for row in self.rows], den
+            distinct[key] = row, nums, d
+        den = _lcm([d for _, _, d in distinct.values()])
+        for key, (row, nums, d) in distinct.items():
+            distinct[key] = row, tuple([n * (den // d) for n in nums])
+        object.__setattr__(self, "rows", tuple([distinct[id(row)][0] for row in source]))
+        object.__setattr__(self, "_scaled", ([distinct[id(row)][1] for row in source], den))
 
     @property
     def r(self) -> int:

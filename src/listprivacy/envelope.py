@@ -150,9 +150,10 @@ class PrivacyCurve:
         raise InstanceFormatError(f"no segment of the curve holds rho = {format_rational(rho)}")
 
     def samples(self, n: int) -> list[tuple[Fraction, Fraction]]:
-        """n+1 equispaced exact samples of the bound on [0, 1]; at most _MAX_POINTS."""
-        if not _is_int(n):
-            raise InstanceFormatError(f"need a whole number of intervals, got {_shown(n)}")
+        """n+1 equispaced exact samples of the bound on [0, 1], for a whole n >= 1;
+        at most _MAX_POINTS."""
+        if not _is_int(n) or n < 1:
+            raise InstanceFormatError(f"need a whole number of intervals >= 1, got {_shown(n)}")
         return [(rho, self.value_at(rho)) for rho in _levels(n + 1, 0)]
 
 

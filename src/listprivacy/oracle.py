@@ -303,25 +303,19 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     # Each free class's row in ints over the vertex's scale, its own output
     # taking the scale minus the rest; a vertex that leaves any entry
     # negative is a fault of the solve. A settled class's row is rho at its
-    # output and 1 - rho at its noise output. One row object per free class,
-    # and per settled (output, noise output) pair, shared by its members:
-    # StochasticMatrix checks it once.
+    # output and 1 - rho at its noise output. Every class, free or settled,
+    # gives its members one row object, which StochasticMatrix checks once.
     mech = [()] * inst.r
-    shared = {}
     for c, (_, f, members) in enumerate(classes):
         if noise[c] is None:
             rest = [vertex[j] for j in blocks[c]]
             rest.insert(f, scale - sum(rest))
             if min(rest) < 0:
                 raise AssertionError(f"vertex row {members[0]} is not a mechanism row")
-            row = tuple([Fraction(v, scale) for v in rest])
+            row = [Fraction(v, scale) for v in rest]
         else:
-            key = (f, noise[c])
-            if key not in shared:
-                entries = [Fraction(0)] * k
-                entries[f], entries[noise[c]] = rho, 1 - rho
-                shared[key] = tuple(entries)
-            row = shared[key]
+            row = [Fraction(0)] * k
+            row[f], row[noise[c]] = rho, 1 - rho
         for x in members:
             mech[x] = row
     _certify(inst, rho, mech, optimum)

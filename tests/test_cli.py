@@ -147,6 +147,8 @@ class TestCurve:
         code, out, err = run(capsys, "curve", "ternary5", "--samples", samples)
         assert code == 1 and out == ""
         assert err.startswith("error: InstanceFormatError:")
+        # The message echoes the number given, not the point count it makes.
+        assert f"got {samples}\n" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "curve.json"

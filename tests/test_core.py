@@ -453,6 +453,31 @@ class TestMatrixChecksOverCommonDenominators:
             assert sum(mech.rows[0]) == 1
 
 
+class TestFirstFaultyRowIsNamed:
+    """One pass parses and checks each row in order of first index, so of
+    two faulty rows the first is named, whatever the faults; a row that is
+    not a sequence is still reported before any other fault."""
+
+    def test_a_bad_sum_before_a_bad_entry(self):
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=((Fraction(1, 2), 1), (Fraction(1, 2), "half")))
+        assert str(exc.value) == "row 0 sums to 3/2"
+        with pytest.raises(InstanceFormatError) as exc:
+            StochasticMatrix(rows=((Fraction(1, 2), "half"), (Fraction(1, 2), 1)))
+        assert str(exc.value) == "not a rational: 'half'"
+
+    def test_a_repeated_bad_row_before_a_later_one(self):
+        negative = (Fraction(3, 2), Fraction(-1, 2))
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix(rows=(negative, ("x", 1), negative, (Fraction(1),)))
+        assert str(exc.value) == "row 0 has negative entry -1/2"
+
+    def test_a_non_sequence_row_comes_first(self):
+        with pytest.raises(InstanceFormatError) as exc:
+            StochasticMatrix(rows=((Fraction(1, 2), "half"), (Fraction(1), Fraction(1)), 5))
+        assert str(exc.value) == "a row must be a sequence, got int"
+
+
 class TestDigitLimitAtConstruction:
     """Parts of at most 3 * _MAX_DIGITS bits skip the write-back test; the
     limit itself is unchanged at the constructors."""

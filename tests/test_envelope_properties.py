@@ -11,9 +11,14 @@ routes must agree exactly: the sweep and the Fraction hull over
 and anchor size, the first sweep step and that hull's first breakpoint, and the
 greedy's bound and the best enumerated line at each level. Ties also make
 the profile's index tie-break decide its orders and its top-l list.
+
+On r <= 6 the bound is also checked against the polytope P of the oracle's
+program (`test_oracle_properties`): it is 1 minus the best 0/1 point of P,
+found by trying every labeling of the symbols.
 """
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -36,8 +41,8 @@ from conftest import reference_privacy_curve  # noqa: E402
 
 
 @st.composite
-def instances(draw):
-    r = draw(st.integers(2, 10))
+def instances(draw, r_max=10):
+    r = draw(st.integers(2, r_max))
     k = draw(st.integers(2, min(r, 5)))
     f = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=r - k, max_size=r - k))
     kind = draw(st.sampled_from(["random", "uniform", "random", "ties"]))
@@ -90,3 +95,25 @@ def test_profile_matches_its_fraction_references(inst):
     curve = reference_privacy_curve(inst)
     assert privacy_at_zero(inst) == curve.value_at(0)
     assert privacy_at_one(inst) == curve.value_at(1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(inst=instances(r_max=6), drawn=st.fractions(0, 1, max_denominator=60))
+def test_bound_is_the_best_zero_one_point(inst, drawn):
+    # Each symbol is left out, an anchor (beta = 1) or a pick (alpha = 1);
+    # a labeling is a point of P when every output i has at most l anchors
+    # and picks of f^-1(i) together, and it scores its anchors' mass plus
+    # rho times its picks'.
+    points = []
+    for labels in product((0, 1, 2), repeat=inst.r):
+        anchors = labels.count(1)
+        picks = [0] * inst.k
+        for x, label in enumerate(labels):
+            picks[inst.f[x]] += label == 2
+        if anchors + max(picks) <= inst.l:
+            anchor = sum((p for p, label in zip(inst.pmf, labels) if label == 1), F(0))
+            pick = sum((p for p, label in zip(inst.pmf, labels) if label == 2), F(0))
+            points.append((anchor, pick))
+    for rho in (F(0), F(1, inst.k), first_breakpoint(inst), F(1), drawn):
+        best = max(anchor + rho * pick for anchor, pick in points)
+        assert privacy_bound(inst, rho) == 1 - best

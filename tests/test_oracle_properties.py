@@ -16,6 +16,11 @@ split into few symbol classes: there too the class program's optimum must
 equal the program over symbols and the loop's, and relabeling the symbols
 must leave it unchanged.
 
+The oracle is an LP over the polytope P of the pairs (alpha, beta) with
+alpha, beta >= 0, alpha_x + beta_x <= 1, and, for each output i, the sum of
+beta plus the sum of alpha over f^-1(i) at most l: its optimum is 1 minus
+the largest sum of p_x (beta_x + rho alpha_x) over P.
+
 The rule that settles classes is checked with no LP: on both kinds of
 instance, giving each settled class its settled row, rho at its output and
 1 - rho at its noise output, never lowers a random rho-recoverable
@@ -44,7 +49,7 @@ from listprivacy import (  # noqa: E402
 from listprivacy.adversary import best_list  # noqa: E402
 from listprivacy.core import over_common_denominator  # noqa: E402
 from listprivacy.oracle import _settled  # noqa: E402
-from listprivacy.simplex import GREATER  # noqa: E402
+from listprivacy.simplex import GREATER, LESS  # noqa: E402
 from conftest import random_mechanism, solve_rational, symbol_program  # noqa: E402
 
 LEVELS = st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2), F(3, 4), F(1)])
@@ -126,6 +131,28 @@ def test_class_optimum_is_the_symbol_programs_and_the_loops(inst, rho):
     symbols = solve_rational(*symbol_program(inst, rho, GREATER))
     assert result.optimum == 1 - symbols.objective
     result.witness  # raises unless the loop reaches the same optimum
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(inst=st.one_of(instances(r_max=10), tie_heavy_instances()), rho=LEVELS)
+def test_optimum_is_the_best_point_of_the_polytope(inst, rho):
+    # Columns alpha_0..alpha_{r-1}, then beta_0..beta_{r-1}; a row per
+    # symbol, then a row per output.
+    r = inst.r
+    rows = []
+    for x in range(r):
+        row = [0] * (2 * r)
+        row[x] = row[r + x] = 1
+        rows.append(row)
+    for block in inst.preimages:
+        row = [0] * r + [1] * r
+        for x in block:
+            row[x] = 1
+        rows.append(row)
+    rhs = [1] * r + [inst.l] * inst.k
+    costs = [p * rho for p in inst.pmf] + list(inst.pmf)
+    best = solve_rational(costs, rows, [LESS] * len(rows), rhs, maximize=True)
+    assert exact_privacy(inst, rho).optimum == 1 - best.objective
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
