@@ -6,7 +6,13 @@ instance's pmf in that form, with its rankings, is read from the instance's
 profile (`Instance._profile`), and a mechanism's entries from its integer
 view (`StochasticMatrix._scaled`). The constructor builds that view from the
 ints its one pass over the distinct rows keeps while it parses and checks
-them. Nothing in this package ever rounds; serialization keeps the exact
+them: `over_common_denominator` reads each entry's numerator and denominator
+once, the row's signs and sum are checked on those ints, and the matrix's
+scale D is the lcm of the rows' denominators. A level rho = a/q is compared
+in ints as well: `ensure_rho` requires 0 <= a <= q, and `is_recoverable`
+requires min * q >= a * D of the view's least own-output entry min. A
+Fraction is built for what a function returns, or for an error message.
+Nothing in this package ever rounds; serialization keeps the exact
 numerator/denominator form so a round trip is bit-identical.
 """
 
@@ -70,7 +76,8 @@ def parse_rational(value) -> Fraction:
             q = Fraction(value.strip())
         else:
             raise ValueError("not a number")
-        if q.numerator.bit_length() > _MAX_BITS or q.denominator.bit_length() > _MAX_BITS:
+        n, d = q.as_integer_ratio()
+        if n.bit_length() > _MAX_BITS or d.bit_length() > _MAX_BITS:
             str(q)  # ValueError when a part is too long to write back
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"not a rational: {_shown(value)}") from exc
@@ -114,9 +121,10 @@ def format_rational(value) -> str:
 
 
 def ensure_rho(rho) -> Fraction:
-    """Parse a recoverability level and require it to lie in [0, 1]."""
+    """Parse a recoverability level and require it to lie in [0, 1]: a/q with
+    0 <= a <= q, compared in ints, as the denominator q is positive."""
     rho = parse_rational(rho)
-    if not 0 <= rho <= 1:
+    if not 0 <= rho.numerator <= rho.denominator:
         raise RhoOutOfRange(f"recoverability level {rho} outside [0, 1]")
     return rho
 
@@ -263,9 +271,11 @@ class StochasticMatrix:
     Entries are exact rationals, each row sums to exactly one. The
     constructor first requires every distinct row object to be a sequence,
     then makes one pass over the distinct rows in order of first index: it
-    parses each row, checks its width, reads its signs off the numerators,
-    takes its sum in ints over its own common denominator and keeps those
-    ints, so a failure names the first faulty row. A row object given at
+    parses each row, checks its width, and takes the row as ints over its
+    own common denominator from one numerator/denominator read per entry
+    (`over_common_denominator`); its signs are those ints' signs and its sum
+    is their sum, checked against that denominator. It keeps those ints, and
+    a failure names the first faulty row. A row object given at
     several indices is parsed, checked and scaled once and shared by them.
     `_scaled`, set at the end, holds every row's ints over D, the lcm of the
     distinct rows' denominators, and D: the one place a mechanism is scaled,
@@ -294,12 +304,13 @@ class StochasticMatrix:
             row = tuple([parse_rational(v) for v in row])
             if len(row) != width:
                 raise NotRowStochastic(f"row {x} has {len(row)} entries, expected {width}")
-            for v in row:
-                if v.numerator < 0:
-                    raise NotRowStochastic(f"row {x} has negative entry {v}")
-            # The sum in ints over the row's common denominator; the Fraction
-            # total is built only for the message.
+            # Signs and sum from the row's ints over its common denominator,
+            # which is positive, so each int has its entry's sign; Fractions
+            # are read again only for a message.
             nums, d = over_common_denominator(row)
+            if min(nums) < 0:
+                first = next(v for v in row if v < 0)
+                raise NotRowStochastic(f"row {x} has negative entry {first}")
             if sum(nums) != d:
                 raise NotRowStochastic(f"row {x} sums to {_shown(sum(row))}")
             distinct[key] = row, nums, d
@@ -368,9 +379,11 @@ def _lcm(values: Iterable[int]) -> int:
 
 
 def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values as ints over their common denominator D, the lcm of theirs, and D."""
-    den = _lcm([v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    """The values as ints over their common denominator D, the lcm of theirs,
+    and D, from one numerator/denominator read per value."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = _lcm([d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _symbol_set(members: Iterable[int], r: int) -> set[int]:
@@ -429,14 +442,24 @@ def check_estimator(inst: Instance, estimator: ListEstimator):
 def is_recoverable(mech: StochasticMatrix, inst: Instance, rho: Fraction) -> bool:
     """True when every symbol reports its own function value with chance >= rho.
     Raises RhoOutOfRange unless rho lies in [0, 1]."""
-    return recoverability_level(mech, inst) >= ensure_rho(rho)
+    low, den = _own_floor(mech, inst)
+    rho = ensure_rho(rho)
+    return low * rho.denominator >= rho.numerator * den
 
 
 def recoverability_level(mech: StochasticMatrix, inst: Instance) -> Fraction:
     """Largest rho at which the mechanism is still rho-recoverable."""
+    return Fraction(*_own_floor(mech, inst))
+
+
+def _own_floor(mech: StochasticMatrix, inst: Instance) -> tuple[int, int]:
+    """The least chance of any symbol to report its own function value, as an
+    int over the matrix's scale D, and D: the recoverability level in ints,
+    which `is_recoverable` and the oracle's certificate compare with rho =
+    a/q as `min * q >= a * D`. Raises DimensionMismatch unless mech is r x k."""
     check_dims(inst, mech)
     rows, den = mech._scaled
-    return Fraction(min([row[i] for row, i in zip(rows, inst.f)]), den)
+    return min([row[i] for row, i in zip(rows, inst.f)]), den
 
 
 # --- serialization -----------------------------------------------------------

@@ -48,7 +48,7 @@ def _levels(points: int, lo) -> list[Fraction]:
     if not _is_int(points) or points < 2:
         raise InstanceFormatError(f"need a whole number of points >= 2, got {_shown(points)}")
     if points > _MAX_POINTS:
-        raise InstanceTooLarge(f"{points} points asked for, over {_MAX_POINTS}")
+        raise InstanceTooLarge(f"{_shown(points)} points asked for, over {_MAX_POINTS}")
     step = Fraction(1 - lo, points - 1)
     return [lo + step * j for j in range(points)]
 
@@ -151,10 +151,14 @@ class PrivacyCurve:
 
     def samples(self, n: int) -> list[tuple[Fraction, Fraction]]:
         """n+1 equispaced exact samples of the bound on [0, 1], for a whole n >= 1;
-        at most _MAX_POINTS."""
+        at most _MAX_POINTS. Errors name the n intervals asked for."""
         if not _is_int(n) or n < 1:
             raise InstanceFormatError(f"need a whole number of intervals >= 1, got {_shown(n)}")
-        return [(rho, self.value_at(rho)) for rho in _levels(n + 1, 0)]
+        try:
+            levels = _levels(n + 1, 0)
+        except InstanceTooLarge as exc:  # its message counts points, not intervals
+            raise InstanceTooLarge(f"{exc}, from {_shown(n)} intervals") from None
+        return [(rho, self.value_at(rho)) for rho in levels]
 
 
 def _count_vectors(sizes: list[int], budget: int) -> Iterator[tuple[int, ...]]:
@@ -371,14 +375,16 @@ def _best_line(
     Allocation Problems, 1988).
     """
     best = (q * top, top, 0, l)
+    # Each preimage's marginal masses, then l zeros: the look-ahead term of
+    # the gain at c, the mass of symbol c + t, is 0 past the preimage's end.
+    steps = [[s[c + 1] - s[c] for c in range(len(s) - 1)] + [0] * l for s in prefix]
     for m in range(l - 1, -1, -1):
         t = l - m
-        gains = []
-        for i, s in enumerate(prefix):
-            n = len(s) - 1
-            for c in range(min(n, m)):
-                gain = (q - p) * (s[c + 1] - s[c]) + p * (s[min(c + 1 + t, n)] - s[min(c + t, n)])
-                gains.append((gain, i))
+        gains = [
+            ((q - p) * d[c] + p * d[c + t], i)
+            for i, d in enumerate(steps)
+            for c in range(min(len(d) - l, m))
+        ]
         gains.sort(reverse=True)
         counts = [0] * len(prefix)
         for _, i in gains[:m]:

@@ -105,7 +105,8 @@ def optimal_binary_qr(inst: Instance, rho) -> StochasticMatrix:
     if inst.k != 2:
         raise NotBinaryFunction(f"function has {inst.k} output symbols")
     keep = max(rho, first_breakpoint(inst))
-    per_value = ((keep, 1 - keep), (1 - keep, keep))
+    flip = 1 - keep
+    per_value = ((keep, flip), (flip, keep))
     return StochasticMatrix(rows=tuple([per_value[i] for i in inst.f]))
 
 

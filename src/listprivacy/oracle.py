@@ -40,16 +40,21 @@ its common denominator D, with its top-l list, from the instance's profile
 row, scaled by D, is built when its cut is generated. Every round hands the
 core these rows in the same order, so its pivots, and the printed witness,
 are those of a program rebuilt each round. `_solve`, the one reader of the
-core's answer, gives each vertex as ints over one common scale. A round
+core's answer, gives each vertex as ints over one common scale and the
+minimum as the core's int pair (numerator, denominator), from which each
+program builds its optimum as one Fraction: the compact program's -min / D
+plus the settled classes' mass times 1 - rho, the loop's 1 - min. A round
 scores its vertex with the adversary's scorer and finds each output's best
 list with the adversary's own `best_list`: the separation oracle is the
 adversary itself. The compact program reads each free class's own-output
 entry as that scale minus the class's other entries; a settled class's row
 is known without it. Fractions appear only for the optima and the witness
-rows, one per entry of a vertex read in ints, which `_certify`, the one
-builder of a witness, makes into the mechanism that `list_privacy`
-certifies. Only `active_lists`, which `oracle --rho` prints, enumerates a
-witness's tied best lists, on the same integer scores. A vertex that is no
+rows, one per nonzero entry of a vertex read in ints (zero entries share
+`core.ZERO`), which `_certify`, the one builder of a witness, makes into
+the mechanism that `list_privacy` certifies; it checks the witness's level
+against rho = a/q in ints, min * q >= a * D over the matrix's scale D.
+Only `active_lists`, which `oracle --rho` prints, enumerates a witness's
+tied best lists, on the same integer scores. A vertex that is no
 mechanism, an entry below zero or a row whose ints do not add up to the
 scale, is a fault of the solve, so it raises AssertionError before any
 matrix is built.
@@ -70,17 +75,18 @@ from typing import Iterator, Sequence
 
 from .adversary import _scores, best_list, list_privacy
 from .core import (
+    ZERO,
     Instance,
     StochasticMatrix,
     _check_sequence,
     _check_type,
     _lcm,
+    _own_floor,
     check_dims,
     ensure_rho,
     format_rational,
     parse_rational,
     ranked,
-    recoverability_level,
 )
 from .errors import InstanceTooLarge
 from .simplex import EQUAL, GREATER, LESS, LpStatus, solve_lp
@@ -142,10 +148,11 @@ def _fixed_rows(inst: Instance, rho: Fraction) -> list:
     return rows
 
 
-def _solve(n: int, rows: list, cost: dict[int, int]) -> tuple[list[int], int, Fraction]:
+def _solve(n: int, rows: list, cost: dict[int, int]) -> tuple[list[int], int, tuple[int, int]]:
     """The one read of a privacy program's answer from this module's
     `solve_lp`: its vertex, the n column values as ints over one scale, the
-    lcm of the basic scales; that scale; and its minimum."""
+    lcm of the basic scales; that scale; and its minimum as (numerator,
+    denominator), the denominator positive."""
     status, basic, objective = solve_lp(n, rows, cost)
     if status is not LpStatus.OPTIMAL:
         raise AssertionError(f"privacy program should always solve, got {status}")
@@ -153,7 +160,7 @@ def _solve(n: int, rows: list, cost: dict[int, int]) -> tuple[list[int], int, Fr
     vertex = [0] * n
     for j, (v, s) in basic.items():
         vertex[j] = v * (scale // s)
-    return vertex, scale, Fraction(*objective)
+    return vertex, scale, objective
 
 
 def active_lists(inst: Instance, mech: StochasticMatrix):
@@ -296,10 +303,11 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
         else:
             cost[starts[c]] = m * den
             settled += m * w
-    vertex, scale, objective = _solve(nw + len(free) * (k - 1), rows, cost)
-    # A settled class's noise, 1 - rho, scores at no top-l row: its mass
-    # comes back as privacy.
-    optimum = -objective / den + Fraction((q - a) * settled, q * den)
+    vertex, scale, (obj, obj_den) = _solve(nw + len(free) * (k - 1), rows, cost)
+    # Privacy is -min / D, min = obj / obj_den, plus the settled classes'
+    # noise, 1 - rho, which scores at no top-l row, so their mass comes back:
+    # one Fraction over obj_den * q * D.
+    optimum = Fraction((q - a) * settled * obj_den - obj * q, obj_den * q * den)
     # Each free class's row in ints over the vertex's scale, its own output
     # taking the scale minus the rest; a vertex that leaves any entry
     # negative is a fault of the solve. A settled class's row is rho at its
@@ -312,9 +320,9 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
             rest.insert(f, scale - sum(rest))
             if min(rest) < 0:
                 raise AssertionError(f"vertex row {members[0]} is not a mechanism row")
-            row = [Fraction(v, scale) for v in rest]
+            row = [Fraction(v, scale) if v else ZERO for v in rest]
         else:
-            row = [Fraction(0)] * k
+            row = [ZERO] * k
             row[f], row[noise[c]] = rho, 1 - rho
         for x in members:
             mech[x] = row
@@ -327,9 +335,9 @@ def _certify(inst: Instance, rho: Fraction, rows: Sequence, optimum: Fraction) -
     mechanism with these rows must be rho-recoverable, and its privacy the
     program's optimum. Returns that witness."""
     witness = StochasticMatrix(rows=tuple(rows))
-    level = recoverability_level(witness, inst)
-    if level < rho:
-        raise AssertionError(f"witness recovers at {level}, below rho = {rho}")
+    low, scale = _own_floor(witness, inst)
+    if low * rho.denominator < rho.numerator * scale:
+        raise AssertionError(f"witness recovers at {Fraction(low, scale)}, below rho = {rho}")
     certified = list_privacy(inst, witness).privacy
     if certified != optimum:
         raise AssertionError(f"witness certifies {certified}, program claims {optimum}")
@@ -355,8 +363,8 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
     cuts = [[_list_row(inst, i, inst._profile.top)] for i in range(k)]
     while True:
         rows = [row for per_output in cuts for row in per_output]
-        w, scale, objective = _solve(nw + k, rows + fixed, cost)
-        optimum = 1 - objective
+        w, scale, (obj, obj_den) = _solve(nw + k, rows + fixed, cost)
+        optimum = Fraction(obj_den - obj, obj_den)
         # The vertex's ints share one scale, so its scores share the scale
         # den * scale and best_list picks the Fraction lists.
         vertex = [w[x * k : x * k + k] for x in range(r)]
@@ -369,7 +377,7 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
             break
         for i in cut:
             cuts[i].append(_list_row(inst, i, best[i][1]))
-    mech = [tuple([Fraction(v, scale) for v in row]) for row in vertex]
+    mech = [tuple([Fraction(v, scale) if v else ZERO for v in row]) for row in vertex]
     return optimum, _certify(inst, rho, mech, optimum)
 
 

@@ -8,11 +8,13 @@ that already fails would count every mutant naming it as killed. Then each
 entry of `corpus.json`'s `mutants` is applied to its own copy of the
 checkout in a temporary directory: its `old` text, which must occur exactly
 once in its `file`, is replaced by its `new` text. Then its `killed_by` tests
-run there with `-x` and without bytecode, and must fail. The `equivalent`
-entries are not run, but their `old` text must still occur exactly once, so
-that their reasons keep naming code that exists. Exits 1 and names every
-killer that fails unmutated, or else every entry that survived or could not
-be applied.
+run there with `-x` and without bytecode, and must fail. The mutants run
+in parallel, one worker thread per CPU this process may use, each mutant in
+its own copy and pytest subprocess; their results print in corpus order.
+The `equivalent` entries are not run, but their `old` text must still occur
+exactly once, so that their reasons keep naming code that exists. Exits 1
+and names every killer that fails unmutated, or else every entry that
+survived or could not be applied.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -84,6 +87,14 @@ def killed(entry: dict, folder: Path) -> tuple[bool, str]:
     return run.returncode == 1, run.stdout.strip().splitlines()[-1]
 
 
+def cpus() -> int:
+    """The CPUs this process may run on, or every CPU where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def main() -> int:
     corpus = json.loads(CORPUS.read_text())
     faults = []
@@ -101,11 +112,14 @@ def main() -> int:
         faults += [f"{killer}: fails without a mutant" for killer in failing]
         # A kill by a killer that already fails shows nothing.
         if not failing:
-            for entry in applicable:
-                dead, last = killed(entry, Path(folder))
-                print(f"{entry['name']}: {'killed' if dead else 'SURVIVED'} ({last})", flush=True)
-                if not dead:
-                    faults.append(f"{entry['name']}: survived {' '.join(entry['killed_by'])}")
+            # Each worker thread waits on its own pytest subprocess; map gives
+            # the results in corpus order.
+            with ThreadPoolExecutor(cpus()) as pool:
+                runs = pool.map(lambda entry: killed(entry, Path(folder)), applicable)
+                for entry, (dead, last) in zip(applicable, runs):
+                    print(f"{entry['name']}: {'killed' if dead else 'SURVIVED'} ({last})", flush=True)
+                    if not dead:
+                        faults.append(f"{entry['name']}: survived {' '.join(entry['killed_by'])}")
     for fault in faults:
         print(fault, file=sys.stderr)
     return 1 if faults else 0

@@ -150,6 +150,12 @@ class TestCurve:
         # The message echoes the number given, not the point count it makes.
         assert f"got {samples}\n" in err
 
+    def test_too_many_samples_names_the_intervals_given(self, capsys):
+        code, out, err = run(capsys, "curve", "skew7", "--samples", "10000000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: InstanceTooLarge:")
+        assert "from 10000000 intervals" in err and "over 100000" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "curve.json"
         code, out, _ = run(capsys, "curve", "skew7", "--output", str(target))

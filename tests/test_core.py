@@ -641,13 +641,16 @@ class TestPublicApiErrors:
             lambda: top_elements(range(4), -HUGE, UNIFORM4.pmf),
             lambda: parse_rational([HUGE]),
             lambda: Instance(pmf=(Fraction(1, 2),) * 2, f=(0, 1), l=1, labels=(HUGE, "b")),
+            lambda: StochasticMatrix(rows=((Fraction(1, HUGE), 1 - Fraction(1, HUGE)),)),
+            lambda: is_recoverable(uniform_qr(SKEW7), SKEW7, HUGE),
+            lambda: privacy_curve(SKEW7).samples(HUGE),
         ],
         ids=[
             "ensure_rho", "ensure_rho_fraction", "privacy_bound", "anchor_set",
             "exact_privacy", "lp_text", "optimal_binary_qr", "ternary_example_qr",
             "format_rational", "with_list_size", "value_at", "catalog_instance",
             "instance_l", "instance_k", "instance_f", "top_elements", "in_a_list",
-            "label",
+            "label", "matrix_entry", "is_recoverable", "samples",
         ],
     )
     def test_huge_ints(self, call):

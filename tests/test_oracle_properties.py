@@ -26,6 +26,12 @@ instance, giving each settled class its settled row, rho at its output and
 1 - rho at its noise output, never lowers a random rho-recoverable
 mechanism's privacy, and each noise output has the l heavy symbols the rule
 asks for.
+
+Metamorphic relations hold with no reference to compare with: relabeling
+the symbols or the outputs leaves the optimum, the envelope's bound and, on
+binary instances, the optimal add-noise mechanism's privacy unchanged; a
+longer list never raises any of them; and garbling a random mechanism's
+response through a random k x k channel never lowers its privacy.
 """
 
 import math
@@ -36,7 +42,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from listprivacy import (  # noqa: E402
     Instance,
@@ -44,6 +50,7 @@ from listprivacy import (  # noqa: E402
     exact_privacy,
     is_recoverable,
     list_privacy,
+    optimal_binary_qr,
     privacy_bound,
 )
 from listprivacy.adversary import best_list  # noqa: E402
@@ -192,3 +199,61 @@ def test_settled_rows_never_lower_privacy(inst, rho, seed):
     settled = StochasticMatrix(rows=tuple(rows))
     assert is_recoverable(settled, inst, rho)
     assert list_privacy(inst, settled).privacy >= list_privacy(inst, mech).privacy
+
+
+def _binary_privacy(inst, rho):
+    """The privacy of the optimal add-noise mechanism, on binary instances only."""
+    return list_privacy(inst, optimal_binary_qr(inst, rho)).privacy if inst.k == 2 else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(inst=st.one_of(instances(r_max=8), tie_heavy_instances()), rho=LEVELS, data=st.data())
+def test_relabeling_keeps_the_optimum_and_the_bound(inst, rho, data):
+    # Symbol x becomes perm[x]; output i becomes outs[i].
+    perm = data.draw(st.permutations(range(inst.r)))
+    outs = data.draw(st.permutations(range(inst.k)))
+    pmf, f = [None] * inst.r, [None] * inst.r
+    for x, y in enumerate(perm):
+        pmf[y], f[y] = inst.pmf[x], inst.f[x]
+    symbols = Instance(pmf=tuple(pmf), f=tuple(f), l=inst.l)
+    outputs = Instance(pmf=inst.pmf, f=tuple(outs[v] for v in inst.f), l=inst.l)
+    want = (exact_privacy(inst, rho).optimum, privacy_bound(inst, rho), _binary_privacy(inst, rho))
+    for relabeled in (symbols, outputs):
+        got = exact_privacy(relabeled, rho).optimum, privacy_bound(relabeled, rho)
+        assert (*got, _binary_privacy(relabeled, rho)) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(inst=st.one_of(instances(r_max=8), tie_heavy_instances()), rho=LEVELS)
+def test_longer_lists_never_raise_privacy(inst, rho):
+    assume(inst.l + 1 < inst.r)
+    longer = inst.with_list_size(inst.l + 1)
+    assert exact_privacy(longer, rho).optimum <= exact_privacy(inst, rho).optimum
+    assert privacy_bound(longer, rho) <= privacy_bound(inst, rho)
+    if inst.k == 2:
+        assert _binary_privacy(longer, rho) <= _binary_privacy(inst, rho)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    inst=st.one_of(instances(r_max=10), tie_heavy_instances()),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_garbling_never_lowers_privacy(inst, seed, data):
+    # The response i is replaced by j with chance channel[i][j]: the
+    # adversary could garble it itself, so it learns no more.
+    mech = random_mechanism(random.Random(seed), inst)
+    k = inst.k
+    channel = []
+    for _ in range(k):
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+        weights[data.draw(st.integers(0, k - 1))] += 1
+        channel.append([F(w, sum(weights)) for w in weights])
+    garbled = StochasticMatrix(
+        rows=tuple(
+            tuple(sum(row[i] * channel[i][j] for i in range(k)) for j in range(k))
+            for row in mech.rows
+        )
+    )
+    assert list_privacy(inst, garbled).privacy >= list_privacy(inst, mech).privacy
