@@ -8,10 +8,13 @@ view (`StochasticMatrix._scaled`). The constructor builds that view from the
 ints its one pass over the distinct rows keeps while it parses and checks
 them: `over_common_denominator` reads each entry's numerator and denominator
 once, the row's signs and sum are checked on those ints, and the matrix's
-scale D is the lcm of the rows' denominators. A level rho = a/q is compared
-in ints as well: `ensure_rho` requires 0 <= a <= q, and `is_recoverable`
-requires min * q >= a * D of the view's least own-output entry min. A
-Fraction is built for what a function returns, or for an error message.
+scale D is the lcm of the rows' denominators. The oracle's witness skips the
+parse: `StochasticMatrix._over` takes its rows as ints over one scale, runs
+the same row check on them, and keeps that scale as D. A level rho = a/q is
+compared in ints as well: `ensure_rho` requires 0 <= a <= q, and
+`is_recoverable` requires min * q >= a * D of the view's least own-output
+entry min. A Fraction is built for what a function returns, or for an error
+message.
 Nothing in this package ever rounds; serialization keeps the exact
 numerator/denominator form so a round trip is bit-identical.
 """
@@ -271,15 +274,16 @@ class StochasticMatrix:
     Entries are exact rationals, each row sums to exactly one. The
     constructor first requires every distinct row object to be a sequence,
     then makes one pass over the distinct rows in order of first index: it
-    parses each row, checks its width, and takes the row as ints over its
-    own common denominator from one numerator/denominator read per entry
-    (`over_common_denominator`); its signs are those ints' signs and its sum
-    is their sum, checked against that denominator. It keeps those ints, and
-    a failure names the first faulty row. A row object given at
-    several indices is parsed, checked and scaled once and shared by them.
-    `_scaled`, set at the end, holds every row's ints over D, the lcm of the
-    distinct rows' denominators, and D: the one place a mechanism is scaled,
-    read by every reader of its entries.
+    parses each row and takes it as ints over its own common denominator
+    from one numerator/denominator read per entry
+    (`over_common_denominator`), and `_check_row` checks those ints' count,
+    signs and sum. It keeps those ints, and a failure names the first
+    faulty row. A row object given at several indices is parsed, checked
+    and scaled once and shared by them. `_scaled`, set at the end, holds
+    every row's ints over one common scale D, and D: the one place a
+    mechanism is scaled, read by every reader of its entries. D is the lcm
+    of the distinct rows' denominators for parsed rows, and the given scale
+    for rows of ints that `_over` takes, unparsed, from the oracle.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -302,23 +306,39 @@ class StochasticMatrix:
             # generator shrinks an oversized tuple, which skips CPython's tuple
             # free lists on allocation but refills them on release.
             row = tuple([parse_rational(v) for v in row])
-            if len(row) != width:
-                raise NotRowStochastic(f"row {x} has {len(row)} entries, expected {width}")
-            # Signs and sum from the row's ints over its common denominator,
-            # which is positive, so each int has its entry's sign; Fractions
-            # are read again only for a message.
             nums, d = over_common_denominator(row)
-            if min(nums) < 0:
-                first = next(v for v in row if v < 0)
-                raise NotRowStochastic(f"row {x} has negative entry {first}")
-            if sum(nums) != d:
-                raise NotRowStochastic(f"row {x} sums to {_shown(sum(row))}")
+            _check_row(x, nums, d, width)
             distinct[key] = row, nums, d
         den = _lcm([d for _, _, d in distinct.values()])
         for key, (row, nums, d) in distinct.items():
             distinct[key] = row, tuple([n * (den // d) for n in nums])
         object.__setattr__(self, "rows", tuple([distinct[id(row)][0] for row in source]))
         object.__setattr__(self, "_scaled", ([distinct[id(row)][1] for row in source], den))
+
+    @classmethod
+    def _over(cls, rows: Sequence[Sequence[int]], scale: int) -> "StochasticMatrix":
+        """The matrix whose row x is rows[x] over scale, a positive int: the
+        oracle's witness, built from its vertex's ints with no parse.
+
+        Each distinct row object, by first index, is checked once in ints by
+        the constructor's own row check, and gets one tuple of Fractions,
+        its zeros sharing ZERO, and one int tuple, which `_scaled` gives
+        every index that holds it, over the given scale.
+        """
+        source = list(rows)  # keeps every row alive, so ids stay unique
+        width = len(source[0]) if source else 0
+        if not width:
+            raise NotRowStochastic("matrix has no entries")
+        distinct: dict[int, tuple] = {}
+        for x, row in enumerate(source):
+            if id(row) not in distinct:
+                nums = tuple(row)
+                _check_row(x, nums, scale, width)
+                distinct[id(row)] = tuple([Fraction(n, scale) if n else ZERO for n in nums]), nums
+        mech = cls.__new__(cls)
+        object.__setattr__(mech, "rows", tuple([distinct[id(row)][0] for row in source]))
+        object.__setattr__(mech, "_scaled", ([distinct[id(row)][1] for row in source], scale))
+        return mech
 
     @property
     def r(self) -> int:
@@ -359,6 +379,20 @@ class ListEstimator:
                 raise InstanceFormatError(f"list {i} has a negative element")
         if size < 1:
             raise InstanceFormatError("lists must be nonempty")
+
+
+def _check_row(x: int, nums: Sequence[int], den: int, width: int):
+    """Raise NotRowStochastic naming row x unless its ints over den, a
+    positive scale, are width entries, none negative, that sum to den: the
+    one row check of both matrix constructors. As den is positive, each int
+    has its entry's sign; a Fraction is built only for a message."""
+    if len(nums) != width:
+        raise NotRowStochastic(f"row {x} has {len(nums)} entries, expected {width}")
+    if min(nums) < 0:
+        first = next(n for n in nums if n < 0)
+        raise NotRowStochastic(f"row {x} has negative entry {Fraction(first, den)}")
+    if sum(nums) != den:
+        raise NotRowStochastic(f"row {x} sums to {_shown(Fraction(sum(nums), den))}")
 
 
 def ranked(scores: Sequence, members: Iterable[int]) -> list[int]:

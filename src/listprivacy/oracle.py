@@ -48,11 +48,15 @@ scores its vertex with the adversary's scorer and finds each output's best
 list with the adversary's own `best_list`: the separation oracle is the
 adversary itself. The compact program reads each free class's own-output
 entry as that scale minus the class's other entries; a settled class's row
-is known without it. Fractions appear only for the optima and the witness
-rows, one per nonzero entry of a vertex read in ints (zero entries share
-`core.ZERO`), which `_certify`, the one builder of a witness, makes into
-the mechanism that `list_privacy` certifies; it checks the witness's level
-against rho = a/q in ints, min * q >= a * D over the matrix's scale D.
+is known without it. Fractions appear only for the optima and the
+witness's entries: `_certify`, the one builder of a witness, takes its
+rows as ints over one scale D and hands them to `StochasticMatrix._over`,
+which checks each distinct row once in ints and builds its Fractions once
+(zero entries share `core.ZERO`), with no parse and no rescaling. The
+compact program's rows are over the lcm of its vertex's scale and rho's
+denominator, the loop's over its vertex's. `_certify` checks the witness's
+level against rho = a/q in ints, min * q >= a * D, and `list_privacy`
+certifies its privacy on the same ints.
 Only `active_lists`, which `oracle --rho` prints, enumerates a witness's
 tied best lists, on the same integer scores. A vertex that is no
 mechanism, an entry below zero or a row whose ints do not add up to the
@@ -75,7 +79,6 @@ from typing import Iterator, Sequence
 
 from .adversary import _scores, best_list, list_privacy
 from .core import (
-    ZERO,
     Instance,
     StochasticMatrix,
     _check_sequence,
@@ -258,9 +261,12 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     At an optimum each output's u and v terms add up to exactly its top-l
     mass, so the optimum is the privacy of the vertex's w part, every member
     given its class's row, which `list_privacy` certifies over all r
-    symbols, settled rows included. A free class's row is read in ints over
-    the vertex's one scale (`_solve`), w(c,f) as the scale minus the rest,
-    and raises AssertionError if an entry is negative.
+    symbols, settled rows included. Every row is read in ints over S, the
+    lcm of the vertex's one scale (`_solve`) and q, rho = a/q: a free
+    class's row is its vertex row times S over the vertex's scale, w(c,f)
+    as S minus the rest, and raises AssertionError if an entry is negative;
+    a settled class's row is a S/q at f and (q - a) S/q at i0. `_certify`
+    builds the witness from these ints with no Fraction in between.
     """
     _check_type("instance", inst, Instance)
     rho = ensure_rho(rho)
@@ -308,34 +314,39 @@ def exact_privacy(inst: Instance, rho) -> OracleResult:
     # noise, 1 - rho, which scores at no top-l row, so their mass comes back:
     # one Fraction over obj_den * q * D.
     optimum = Fraction((q - a) * settled * obj_den - obj * q, obj_den * q * den)
-    # Each free class's row in ints over the vertex's scale, its own output
+    # Every class's row in ints over one scale, the lcm of the vertex's and
+    # q. A free class's row is its vertex row scaled up, its own output
     # taking the scale minus the rest; a vertex that leaves any entry
     # negative is a fault of the solve. A settled class's row is rho at its
     # output and 1 - rho at its noise output. Every class, free or settled,
-    # gives its members one row object, which StochasticMatrix checks once.
+    # gives its members one row object, which `_certify` checks once.
+    common = _lcm([scale, q])
+    up, unit = common // scale, common // q
     mech = [()] * inst.r
     for c, (_, f, members) in enumerate(classes):
         if noise[c] is None:
-            rest = [vertex[j] for j in blocks[c]]
-            rest.insert(f, scale - sum(rest))
-            if min(rest) < 0:
+            row = [vertex[j] * up for j in blocks[c]]
+            row.insert(f, common - sum(row))
+            if min(row) < 0:
                 raise AssertionError(f"vertex row {members[0]} is not a mechanism row")
-            row = [Fraction(v, scale) if v else ZERO for v in rest]
         else:
-            row = [ZERO] * k
-            row[f], row[noise[c]] = rho, 1 - rho
+            row = [0] * k
+            row[f], row[noise[c]] = a * unit, (q - a) * unit
         for x in members:
             mech[x] = row
-    _certify(inst, rho, mech, optimum)
+    _certify(inst, rho, mech, common, optimum)
     return OracleResult(optimum=optimum, inst=inst, rho=rho)
 
 
-def _certify(inst: Instance, rho: Fraction, rows: Sequence, optimum: Fraction) -> StochasticMatrix:
+def _certify(
+    inst: Instance, rho: Fraction, rows: Sequence[Sequence[int]], scale: int, optimum: Fraction
+) -> StochasticMatrix:
     """The one fault check, and the one build of a program's witness: the
-    mechanism with these rows must be rho-recoverable, and its privacy the
+    mechanism whose rows are these ints over scale, built by
+    `StochasticMatrix._over`, must be rho-recoverable, and its privacy the
     program's optimum. Returns that witness."""
-    witness = StochasticMatrix(rows=tuple(rows))
-    low, scale = _own_floor(witness, inst)
+    witness = StochasticMatrix._over(rows, scale)
+    low, _ = _own_floor(witness, inst)
     if low * rho.denominator < rho.numerator * scale:
         raise AssertionError(f"witness recovers at {Fraction(low, scale)}, below rho = {rho}")
     certified = list_privacy(inst, witness).privacy
@@ -377,8 +388,7 @@ def _cutting_plane(inst: Instance, rho: Fraction) -> tuple[Fraction, StochasticM
             break
         for i in cut:
             cuts[i].append(_list_row(inst, i, best[i][1]))
-    mech = [tuple([Fraction(v, scale) if v else ZERO for v in row]) for row in vertex]
-    return optimum, _certify(inst, rho, mech, optimum)
+    return optimum, _certify(inst, rho, vertex, scale, optimum)
 
 
 def exact_privacy_curve(

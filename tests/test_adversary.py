@@ -278,7 +278,9 @@ class TestIntegerView:
     """`list_privacy`, `active_lists`, `recoverability_level` and
     `simulate_game` read a mechanism's entries as ints only through
     `StochasticMatrix._scaled`. They must agree with Fraction references on
-    rows that several symbols share, each row over a prime of its own."""
+    rows that several symbols share, each row over a prime of its own, and
+    read a matrix that `StochasticMatrix._over` builds from ints over an
+    unreduced scale as they read the parsed one."""
 
     @staticmethod
     def prime_row(rng, k, p):
@@ -328,6 +330,54 @@ class TestIntegerView:
             assert rows == [tuple(v * den for v in row) for row in mech.rows]
             for x, y in combinations(range(inst.r), 2):
                 assert (rows[x] is rows[y]) == (mech.rows[x] is mech.rows[y])
+
+    @staticmethod
+    def int_row(rng, k, p, g):
+        # A list, as the oracle gives its rows, of k ints over g * p that sum
+        # to it, each a multiple of g, so the scale is never the Fractions'
+        # reduced one; entries off a random support are 0, and some on it
+        # may be too.
+        support = sorted(rng.sample(range(k), rng.randint(1, k)))
+        cuts = sorted(rng.randint(0, p) for _ in range(len(support) - 1))
+        row = [0] * k
+        for x, a, b in zip(support, [0] + cuts, cuts + [p]):
+            row[x] = g * (b - a)
+        return row
+
+    def test_over_matches_the_parsing_constructor(self):
+        # `_over` takes ints over one unreduced scale, a few row objects shared
+        # across symbols; the parsing constructor takes the same Fractions,
+        # one tuple per row object.
+        rng = random.Random(40)
+        for j in range(60):
+            inst = random_instance(rng, r_max=8, k_max=4, l_max=3)
+            if j % 2:  # ties in the scores
+                inst = Instance(pmf=(F(1, inst.r),) * inst.r, f=inst.f, l=inst.l)
+            p, g = rng.choice(PRIMES[10:]), rng.randint(2, 6)
+            pool = [self.int_row(rng, inst.k, p, g) for _ in range(3)]
+            ints = [rng.choice(pool) for _ in range(inst.r)]
+            ints[rng.randrange(inst.r)] = self.int_row(rng, inst.k, p, g)
+            fractions = {id(row): tuple(F(n, g * p) for n in row) for row in ints}
+            over = StochasticMatrix._over(ints, g * p)
+            parsed = StochasticMatrix(rows=tuple(fractions[id(row)] for row in ints))
+            assert over.rows == parsed.rows and over == parsed and hash(over) == hash(parsed)
+            assert all(v is core.ZERO for row in over.rows for v in row if not v)
+            rows, den = over._scaled
+            assert den == g * p and rows == [tuple(row) for row in ints]
+            p_rows, p_den = parsed._scaled
+            assert p_den < den
+            for row, p_row in zip(rows, p_rows):
+                assert [F(n, den) for n in row] == [F(n, p_den) for n in p_row]
+            for x, y in combinations(range(inst.r), 2):
+                shared = ints[x] is ints[y]
+                assert (over.rows[x] is over.rows[y]) == (rows[x] is rows[y]) == shared
+            report = list_privacy(inst, over)
+            assert report == list_privacy(inst, parsed)
+            assert active_lists(inst, over) == active_lists(inst, parsed)
+            assert recoverability_level(over, inst) == recoverability_level(parsed, inst)
+            est = report.estimator
+            got = simulate_game(inst, over, est, 300, j).misses
+            assert got == simulate_game(inst, parsed, est, 300, j).misses
 
     def test_shared_rows_are_scaled_once(self, monkeypatch):
         r = 10**5

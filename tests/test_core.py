@@ -478,6 +478,48 @@ class TestFirstFaultyRowIsNamed:
         assert str(exc.value) == "a row must be a sequence, got int"
 
 
+class TestOverRefusesFaultyRows:
+    """`StochasticMatrix._over` checks each distinct row object of ints once,
+    by the parsing constructor's own check: a ragged row, a negative entry
+    or a sum other than the scale raises NotRowStochastic naming the first
+    faulty row, with the message the parsing constructor gives on the same
+    Fractions."""
+
+    @staticmethod
+    def refusal(rows, scale) -> str:
+        with pytest.raises(NotRowStochastic) as exc:
+            StochasticMatrix._over(rows, scale)
+        fractions = {id(row): tuple(Fraction(n, scale) for n in row) for row in rows}
+        with pytest.raises(NotRowStochastic) as parsed:
+            StochasticMatrix(rows=tuple(fractions[id(row)] for row in rows))
+        assert str(exc.value) == str(parsed.value)
+        return str(exc.value)
+
+    def test_each_fault_is_named(self):
+        good = [2, 4]
+        assert self.refusal([good, good, [6]], 6) == "row 2 has 1 entries, expected 2"
+        assert self.refusal([good, [6, 0, 0], good], 6) == "row 1 has 3 entries, expected 2"
+        assert self.refusal([good, good, [9, -3]], 6) == "row 2 has negative entry -1/2"
+        assert self.refusal([good, [3, 4]], 6) == "row 1 sums to 7/6"
+        assert self.refusal([good, [3, 2]], 6) == "row 1 sums to 5/6"
+
+    def test_the_first_faulty_row_is_named(self):
+        negative, short = [9, -3], [1, 4]
+        assert self.refusal([[2, 4], short, negative], 6) == "row 1 sums to 5/6"
+        rows = [[2, 4], negative, short, negative]
+        assert self.refusal(rows, 6) == "row 1 has negative entry -1/2"
+        assert self.refusal([[2, 4, 0], [6, 0], [3, 3]], 6) == "row 1 has 2 entries, expected 3"
+
+    def test_a_repeated_faulty_row_is_named_at_its_first_index(self):
+        bad = [3, 4]
+        assert self.refusal([[2, 4], bad, [6, 0], bad], 6) == "row 1 sums to 7/6"
+
+    def test_no_rows(self):
+        for rows in ([], [[]]):
+            with pytest.raises(NotRowStochastic, match="matrix has no entries"):
+                StochasticMatrix._over(rows, 6)
+
+
 class TestDigitLimitAtConstruction:
     """Parts of at most 3 * _MAX_DIGITS bits skip the write-back test; the
     limit itself is unchanged at the constructors."""

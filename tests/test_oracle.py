@@ -18,6 +18,7 @@ from listprivacy import (
     privacy_curve,
 )
 import conftest
+import listprivacy.core as core
 import listprivacy.oracle as oracle
 import listprivacy.simplex as simplex
 from listprivacy.catalog import instance as catalog_instance
@@ -137,6 +138,25 @@ class TestCertificates:
         monkeypatch.setattr(oracle, "solve_lp", loose)
         with pytest.raises(AssertionError, match="below rho = 9/10"):
             oracle._cutting_plane(SKEW7, F(9, 10))
+
+    def test_witness_is_built_from_the_vertex_ints(self, monkeypatch):
+        # `_certify` hands the vertex's ints to `StochasticMatrix._over`, so
+        # no witness row is parsed or rescaled; `core.parse_rational` reads
+        # only each level, in `exact_privacy` and in its result. The first
+        # call builds the instance's profile and classes.
+        exact_privacy(SKEW7, F(1, 2))
+        levels = (F(0), F(1, 3), F(7, 10), F(1))
+        bounds = [privacy_bound(SKEW7, rho) for rho in levels]
+        calls = {"over_common_denominator": 0, "parse_rational": 0}
+        for name in calls:
+
+            def spy(*args, _name=name, _real=getattr(core, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(core, name, spy)
+        assert [exact_privacy(SKEW7, rho).optimum for rho in levels] == bounds
+        assert calls == {"over_common_denominator": 0, "parse_rational": 8}
 
     def test_active_lists_attain_per_output_mass(self):
         result = exact_privacy(SKEW7, F(7, 10))

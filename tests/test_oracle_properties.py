@@ -30,8 +30,9 @@ asks for.
 Metamorphic relations hold with no reference to compare with: relabeling
 the symbols or the outputs leaves the optimum, the envelope's bound and, on
 binary instances, the optimal add-noise mechanism's privacy unchanged; a
-longer list never raises any of them; and garbling a random mechanism's
-response through a random k x k channel never lowers its privacy.
+longer list never raises any of them; garbling a random mechanism's
+response through a random k x k channel never lowers its privacy; and
+splitting one output's preimage into two outputs never raises the optimum.
 """
 
 import math
@@ -257,3 +258,21 @@ def test_garbling_never_lowers_privacy(inst, seed, data):
         )
     )
     assert list_privacy(inst, garbled).privacy >= list_privacy(inst, mech).privacy
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(inst=st.one_of(instances(r_max=8), tie_heavy_instances()), rho=LEVELS, data=st.data())
+def test_refining_f_never_raises_the_optimum(inst, rho, data):
+    # Output i's preimage splits into two nonempty outputs, i and a new k.
+    # Merging them again is post-processing, which never lowers privacy,
+    # and keeps every rho-recoverable mechanism of the refinement
+    # rho-recoverable for f, so the refinement's optimum is at most f's.
+    # The envelope's refinement is unproven, so the bound is not compared.
+    split = [i for i, block in enumerate(inst.preimages) if len(block) > 1]
+    assume(split)
+    block = inst.preimages[data.draw(st.sampled_from(split))]
+    moved = data.draw(st.sets(st.sampled_from(block), min_size=1, max_size=len(block) - 1))
+    f = tuple(inst.k if x in moved else v for x, v in enumerate(inst.f))
+    refined = Instance(pmf=inst.pmf, f=f, l=inst.l)
+    assert refined.k == inst.k + 1 <= refined.r
+    assert exact_privacy(refined, rho).optimum <= exact_privacy(inst, rho).optimum
