@@ -21,6 +21,7 @@ from .core import (
     StochasticMatrix,
     _check_sequence,
     _check_type,
+    _trusted,
     check_dims,
     check_estimator,
     format_rational,
@@ -77,6 +78,11 @@ def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
 
     The miss probability is one minus the sum over outputs of their heaviest
     l-list mass, each output scored by `_scores` on the matrix's integer view.
+    The report is built from those checked ints through `core._trusted`:
+    `best_list` gives each list sorted, distinct and in range, and the miss
+    and the masses are ints over one scale, so neither the report nor its
+    estimator re-parses or re-checks them. A matrix from
+    `StochasticMatrix._over` is scored without its `rows` being built.
     """
     check_dims(inst, mech)
     rows, scale = mech._scaled
@@ -90,9 +96,10 @@ def list_privacy(inst: Instance, mech: StochasticMatrix) -> PrivacyReport:
     missed = scale - sum(masses)
     if not 0 <= missed <= scale:
         raise AssertionError(f"privacy {Fraction(missed, scale)} escaped [0, 1]")
-    return PrivacyReport(
+    return _trusted(
+        PrivacyReport,
         privacy=Fraction(missed, scale),
-        estimator=ListEstimator(lists=tuple(lists)),
+        estimator=_trusted(ListEstimator, lists=tuple(lists)),
         per_output_mass=tuple([Fraction(mass, scale) for mass in masses]),
     )
 

@@ -10,11 +10,14 @@ them: `over_common_denominator` reads each entry's numerator and denominator
 once, the row's signs and sum are checked on those ints, and the matrix's
 scale D is the lcm of the rows' denominators. The oracle's witness skips the
 parse: `StochasticMatrix._over` takes its rows as ints over one scale, runs
-the same row check on them, and keeps that scale as D. A level rho = a/q is
-compared in ints as well: `ensure_rho` requires 0 <= a <= q, and
-`is_recoverable` requires min * q >= a * D of the view's least own-output
-entry min. A Fraction is built for what a function returns, or for an error
-message.
+the same row check on them, and keeps that scale as D, with no Fraction at
+all; its `rows` are built from those ints the first time a caller reads
+them, which certification never does. A level rho = a/q is compared in ints
+as well: `ensure_rho` requires 0 <= a <= q, and `is_recoverable` requires
+min * q >= a * D of the view's least own-output entry min. A Fraction is
+built for what a function returns, or for an error message. A value the
+package has already checked in ints is handed to a result type through
+`_trusted`, which skips the public constructor's checks.
 Nothing in this package ever rounds; serialization keeps the exact
 numerator/denominator form so a round trip is bit-identical.
 """
@@ -283,7 +286,10 @@ class StochasticMatrix:
     every row's ints over one common scale D, and D: the one place a
     mechanism is scaled, read by every reader of its entries. D is the lcm
     of the distinct rows' denominators for parsed rows, and the given scale
-    for rows of ints that `_over` takes, unparsed, from the oracle.
+    for rows of ints that `_over` takes, unparsed, from the oracle. A
+    matrix from `_over` keeps only `_scaled`; `__getattr__` builds its
+    `rows` from it on first read, and `r` and `k` read `_scaled`, so a
+    matrix nobody reads the rows of never builds a Fraction.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -321,32 +327,46 @@ class StochasticMatrix:
         oracle's witness, built from its vertex's ints with no parse.
 
         Each distinct row object, by first index, is checked once in ints by
-        the constructor's own row check, and gets one tuple of Fractions,
-        its zeros sharing ZERO, and one int tuple, which `_scaled` gives
-        every index that holds it, over the given scale.
+        the constructor's own row check and gets one int tuple, which
+        `_scaled` gives every index that holds it, over the given scale. No
+        Fraction is built here: `rows` is built from `_scaled` when first read.
         """
         source = list(rows)  # keeps every row alive, so ids stay unique
         width = len(source[0]) if source else 0
         if not width:
             raise NotRowStochastic("matrix has no entries")
-        distinct: dict[int, tuple] = {}
+        distinct: dict[int, tuple[int, ...]] = {}
         for x, row in enumerate(source):
             if id(row) not in distinct:
                 nums = tuple(row)
                 _check_row(x, nums, scale, width)
-                distinct[id(row)] = tuple([Fraction(n, scale) if n else ZERO for n in nums]), nums
-        mech = cls.__new__(cls)
-        object.__setattr__(mech, "rows", tuple([distinct[id(row)][0] for row in source]))
-        object.__setattr__(mech, "_scaled", ([distinct[id(row)][1] for row in source], scale))
-        return mech
+                distinct[id(row)] = nums
+        return _trusted(cls, _scaled=([distinct[id(row)] for row in source], scale))
+
+    def __getattr__(self, name: str):
+        """`rows` of a matrix from `_over`, built from `_scaled` on first read
+        and then kept: each distinct int tuple gets one tuple of Fractions,
+        its zeros sharing ZERO, so the rows are those the parsing
+        constructor gives the same values, shared as their ints are. Called
+        only for an attribute the instance does not hold."""
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        scaled, scale = self._scaled
+        built: dict[int, tuple[Fraction, ...]] = {}
+        for nums in scaled:
+            if id(nums) not in built:
+                built[id(nums)] = tuple([Fraction(n, scale) if n else ZERO for n in nums])
+        rows = tuple([built[id(nums)] for nums in scaled])
+        object.__setattr__(self, "rows", rows)
+        return rows
 
     @property
     def r(self) -> int:
-        return len(self.rows)
+        return len(self._scaled[0])
 
     @property
     def k(self) -> int:
-        return len(self.rows[0])
+        return len(self._scaled[0][0])
 
     def entry(self, x: int, i: int) -> Fraction:
         return self.rows[x][i]
@@ -379,6 +399,17 @@ class ListEstimator:
                 raise InstanceFormatError(f"list {i} has a negative element")
         if size < 1:
             raise InstanceFormatError("lists must be nonempty")
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding these fields as given,
+    with no `__post_init__`: the one way past a constructor's checks, for
+    values the package has already checked in ints (`StochasticMatrix._over`,
+    `adversary.list_privacy`'s report). A field left out is not set."""
+    obj = cls.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _check_row(x: int, nums: Sequence[int], den: int, width: int):

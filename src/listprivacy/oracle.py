@@ -48,15 +48,17 @@ scores its vertex with the adversary's scorer and finds each output's best
 list with the adversary's own `best_list`: the separation oracle is the
 adversary itself. The compact program reads each free class's own-output
 entry as that scale minus the class's other entries; a settled class's row
-is known without it. Fractions appear only for the optima and the
-witness's entries: `_certify`, the one builder of a witness, takes its
+is known without it. `_certify`, the one builder of a witness, takes its
 rows as ints over one scale D and hands them to `StochasticMatrix._over`,
-which checks each distinct row once in ints and builds its Fractions once
-(zero entries share `core.ZERO`), with no parse and no rescaling. The
-compact program's rows are over the lcm of its vertex's scale and rho's
-denominator, the loop's over its vertex's. `_certify` checks the witness's
-level against rho = a/q in ints, min * q >= a * D, and `list_privacy`
-certifies its privacy on the same ints.
+which checks each distinct row once in ints and keeps them, with no parse,
+no rescaling and no Fraction. The compact program's rows are over the lcm
+of its vertex's scale and rho's denominator, the loop's over its vertex's.
+`_certify` checks the witness's level against rho = a/q in ints,
+min * q >= a * D, and `list_privacy` certifies its privacy on the same
+ints, building its report from them with no parse. So a certificate builds
+Fractions only for that report and the optimum: a witness builds its
+entries (zero entries share `core.ZERO`) only when a caller reads its rows,
+as `oracle --rho` does.
 Only `active_lists`, which `oracle --rho` prints, enumerates a witness's
 tied best lists, on the same integer scores. A vertex that is no
 mechanism, an entry below zero or a row whose ints do not add up to the

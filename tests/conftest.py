@@ -13,7 +13,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
 import pytest
@@ -599,6 +599,48 @@ def symbol_program(inst: Instance, rho: Fraction, sense: str):
     fixed_rows, fixed_senses, fixed_rhs = _fixed_rows(inst, rho)
     rows += [row + [0] * nw for row in fixed_rows]
     return costs, rows, senses + fixed_senses, rhs + fixed_rhs
+
+
+def polytope(inst: Instance, rho: Fraction) -> tuple[list, list, list, list]:
+    """The oracle's program over the polytope P, for `solve_rational` with
+    maximize=True: (costs, rows, senses, rhs). Columns alpha_0..alpha_{r-1},
+    then beta_0..beta_{r-1}; a row alpha_x + beta_x <= 1 per symbol, then a
+    row per output i, the sum of beta plus the sum of alpha over f^-1(i) at
+    most l. It scores p_x (beta_x + rho alpha_x), and its optimum is 1 minus
+    the oracle's."""
+    r = inst.r
+    rows = []
+    for x in range(r):
+        row = [0] * (2 * r)
+        row[x] = row[r + x] = 1
+        rows.append(row)
+    for block in inst.preimages:
+        row = [0] * r + [1] * r
+        for x in block:
+            row[x] = 1
+        rows.append(row)
+    rhs = [1] * r + [inst.l] * inst.k
+    costs = [p * rho for p in inst.pmf] + list(inst.pmf)
+    return costs, rows, [LESS] * len(rows), rhs
+
+
+def zero_one_points(inst: Instance) -> list[tuple[int, Fraction, Fraction]]:
+    """Every 0/1 point of P by brute force, as (anchor count, anchor mass,
+    pick mass). Each symbol is left out, an anchor (beta = 1) or a pick
+    (alpha = 1); a labeling is a point of P when every output i has at most
+    l anchors and picks of f^-1(i) together. It scores its anchor mass plus
+    rho times its pick mass."""
+    points = []
+    for labels in product((0, 1, 2), repeat=inst.r):
+        anchors = labels.count(1)
+        picks = [0] * inst.k
+        for x, label in enumerate(labels):
+            picks[inst.f[x]] += label == 2
+        if anchors + max(picks) <= inst.l:
+            anchor = sum((p for p, label in zip(inst.pmf, labels) if label == 1), Fraction(0))
+            pick = sum((p for p, label in zip(inst.pmf, labels) if label == 2), Fraction(0))
+            points.append((anchors, anchor, pick))
+    return points
 
 
 class ReferenceResult(NamedTuple):

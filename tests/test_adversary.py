@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -20,7 +22,7 @@ from listprivacy import (
     uniform_qr,
 )
 from listprivacy import core
-from listprivacy.adversary import best_list, report_to_jsonable, report_to_text
+from listprivacy.adversary import PrivacyReport, best_list, report_to_jsonable, report_to_text
 from listprivacy.catalog import instance as catalog_instance
 from listprivacy.core import Instance
 from listprivacy.errors import DimensionMismatch
@@ -378,6 +380,75 @@ class TestIntegerView:
             est = report.estimator
             got = simulate_game(inst, over, est, 300, j).misses
             assert got == simulate_game(inst, parsed, est, 300, j).misses
+
+    def over_cases(self):
+        """`test_over_matches_the_parsing_constructor`'s seeded draws: per
+        draw, the instance, `_over`'s rows of ints and scale, and the
+        parsing constructor's matrix of the same Fractions."""
+        rng = random.Random(40)
+        for j in range(60):
+            inst = random_instance(rng, r_max=8, k_max=4, l_max=3)
+            if j % 2:  # ties in the scores
+                inst = Instance(pmf=(F(1, inst.r),) * inst.r, f=inst.f, l=inst.l)
+            p, g = rng.choice(PRIMES[10:]), rng.randint(2, 6)
+            pool = [self.int_row(rng, inst.k, p, g) for _ in range(3)]
+            ints = [rng.choice(pool) for _ in range(inst.r)]
+            ints[rng.randrange(inst.r)] = self.int_row(rng, inst.k, p, g)
+            fractions = {id(row): tuple(F(n, g * p) for n in row) for row in ints}
+            parsed = StochasticMatrix(rows=tuple(fractions[id(row)] for row in ints))
+            yield inst, ints, g * p, parsed
+
+    def test_over_builds_its_rows_on_first_read(self):
+        # An `_over` matrix holds only its ints until `rows` is read, by any
+        # of rows, ==, hash or repr, read first on a fresh matrix, or on a
+        # deep copy or a pickle round trip of one. Then it matches the
+        # parsing constructor's: the same rows, shared as the int rows are,
+        # zeros being ZERO. Scoring, dimensions and level read no row.
+        def matches(mech, parsed, ints):
+            assert mech.rows == parsed.rows and mech == parsed and parsed == mech
+            assert hash(mech) == hash(parsed) and repr(mech) == repr(parsed)
+            assert all(v is core.ZERO for row in mech.rows for v in row if not v)
+            for x, y in combinations(range(len(ints)), 2):
+                assert (mech.rows[x] is mech.rows[y]) == (ints[x] is ints[y])
+
+        first_reads = (
+            lambda mech, parsed: mech.rows == parsed.rows,
+            lambda mech, parsed: mech == parsed,
+            lambda mech, parsed: hash(mech) == hash(parsed),
+            lambda mech, parsed: repr(mech) == repr(parsed),
+        )
+        for inst, ints, scale, parsed in self.over_cases():
+            over = StochasticMatrix._over(ints, scale)
+            core.check_dims(inst, over)
+            assert (over.r, over.k) == (inst.r, inst.k)
+            list_privacy(inst, over)
+            recoverability_level(over, inst)
+            assert "rows" not in vars(over)
+            for copied in (copy.deepcopy(over), pickle.loads(pickle.dumps(over))):
+                assert "rows" not in vars(copied)
+                matches(copied, parsed, ints)
+            for read in first_reads:
+                fresh = StochasticMatrix._over(ints, scale)
+                assert "rows" not in vars(fresh) and read(fresh, parsed)
+                matches(fresh, parsed, ints)
+            matches(over, parsed, ints)
+
+    def test_report_is_the_public_constructors(self):
+        # list_privacy builds its report from checked ints with no
+        # constructor check; it must equal, and hash as, the report the
+        # public constructors build from reference values, and from its own
+        # values given unsorted and as strings.
+        for inst, ints, scale, parsed in self.over_cases():
+            report = list_privacy(inst, StochasticMatrix._over(ints, scale))
+            public = PrivacyReport(
+                privacy=str(report.privacy),
+                estimator=ListEstimator(lists=[lst[::-1] for lst in report.estimator.lists]),
+                per_output_mass=[str(m) for m in report.per_output_mass],
+            )
+            for want in (reference_list_privacy(inst, parsed), public):
+                assert report == want and hash(report) == hash(want)
+                assert report.estimator == want.estimator
+                assert hash(report.estimator) == hash(want.estimator)
 
     def test_shared_rows_are_scaled_once(self, monkeypatch):
         r = 10**5

@@ -18,7 +18,6 @@ found by trying every labeling of the symbols.
 """
 
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
 
@@ -37,7 +36,7 @@ from listprivacy import (  # noqa: E402
     top_elements,
 )
 from listprivacy.core import ranked  # noqa: E402
-from conftest import reference_privacy_curve  # noqa: E402
+from conftest import reference_privacy_curve, zero_one_points  # noqa: E402
 
 
 @st.composite
@@ -100,20 +99,7 @@ def test_profile_matches_its_fraction_references(inst):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(inst=instances(r_max=6), drawn=st.fractions(0, 1, max_denominator=60))
 def test_bound_is_the_best_zero_one_point(inst, drawn):
-    # Each symbol is left out, an anchor (beta = 1) or a pick (alpha = 1);
-    # a labeling is a point of P when every output i has at most l anchors
-    # and picks of f^-1(i) together, and it scores its anchors' mass plus
-    # rho times its picks'.
-    points = []
-    for labels in product((0, 1, 2), repeat=inst.r):
-        anchors = labels.count(1)
-        picks = [0] * inst.k
-        for x, label in enumerate(labels):
-            picks[inst.f[x]] += label == 2
-        if anchors + max(picks) <= inst.l:
-            anchor = sum((p for p, label in zip(inst.pmf, labels) if label == 1), F(0))
-            pick = sum((p for p, label in zip(inst.pmf, labels) if label == 2), F(0))
-            points.append((anchor, pick))
+    points = zero_one_points(inst)
     for rho in (F(0), F(1, inst.k), first_breakpoint(inst), F(1), drawn):
-        best = max(anchor + rho * pick for anchor, pick in points)
+        best = max(anchor + rho * pick for _, anchor, pick in points)
         assert privacy_bound(inst, rho) == 1 - best

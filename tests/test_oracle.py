@@ -18,6 +18,7 @@ from listprivacy import (
     privacy_curve,
 )
 import conftest
+import listprivacy.adversary as adversary
 import listprivacy.core as core
 import listprivacy.oracle as oracle
 import listprivacy.simplex as simplex
@@ -157,6 +158,31 @@ class TestCertificates:
             monkeypatch.setattr(core, name, spy)
         assert [exact_privacy(SKEW7, rho).optimum for rho in levels] == bounds
         assert calls == {"over_common_denominator": 0, "parse_rational": 8}
+
+    def test_certificate_builds_no_report_parse_and_no_witness_row(self, monkeypatch):
+        # `list_privacy` builds the certificate's report from its checked
+        # ints, so the adversary parses nothing, and `_certify` reads no
+        # witness row, so no `_over` witness builds its Fractions. The first
+        # call builds the instance's profile and classes.
+        exact_privacy(SKEW7, F(1, 2))
+        levels = (F(0), F(1, 3), F(7, 10), F(1))
+        bounds = [privacy_bound(SKEW7, rho) for rho in levels]
+        parses, witnesses = [], []
+        parse, over = adversary.parse_rational, StochasticMatrix._over.__func__
+
+        def parse_spy(value):
+            parses.append(value)
+            return parse(value)
+
+        def over_spy(cls, rows, scale):
+            witnesses.append(over(cls, rows, scale))
+            return witnesses[-1]
+
+        monkeypatch.setattr(adversary, "parse_rational", parse_spy)
+        monkeypatch.setattr(StochasticMatrix, "_over", classmethod(over_spy))
+        assert [exact_privacy(SKEW7, rho).optimum for rho in levels] == bounds
+        assert parses == [] and len(witnesses) == len(levels)
+        assert not any("rows" in vars(witness) for witness in witnesses)
 
     def test_active_lists_attain_per_output_mass(self):
         result = exact_privacy(SKEW7, F(7, 10))

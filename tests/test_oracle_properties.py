@@ -19,7 +19,10 @@ must leave it unchanged.
 The oracle is an LP over the polytope P of the pairs (alpha, beta) with
 alpha, beta >= 0, alpha_x + beta_x <= 1, and, for each output i, the sum of
 beta plus the sum of alpha over f^-1(i) at most l: its optimum is 1 minus
-the largest sum of p_x (beta_x + rho alpha_x) over P.
+the largest sum of p_x (beta_x + rho alpha_x) over P. With the anchor mass
+sum(beta) fixed at an integer b, that largest sum is attained at a 0/1
+point with b anchors, and on binary instances some integer b attains the
+oracle's optimum.
 
 The rule that settles classes is checked with no LP: on both kinds of
 instance, giving each settled class its settled row, rho at its output and
@@ -57,8 +60,14 @@ from listprivacy import (  # noqa: E402
 from listprivacy.adversary import best_list  # noqa: E402
 from listprivacy.core import over_common_denominator  # noqa: E402
 from listprivacy.oracle import _settled  # noqa: E402
-from listprivacy.simplex import GREATER, LESS  # noqa: E402
-from conftest import random_mechanism, solve_rational, symbol_program  # noqa: E402
+from listprivacy.simplex import EQUAL, GREATER  # noqa: E402
+from conftest import (  # noqa: E402
+    polytope,
+    random_mechanism,
+    solve_rational,
+    symbol_program,
+    zero_one_points,
+)
 
 LEVELS = st.sampled_from([F(0), F(1, 5), F(1, 3), F(1, 2), F(3, 4), F(1)])
 
@@ -144,23 +153,39 @@ def test_class_optimum_is_the_symbol_programs_and_the_loops(inst, rho):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(inst=st.one_of(instances(r_max=10), tie_heavy_instances()), rho=LEVELS)
 def test_optimum_is_the_best_point_of_the_polytope(inst, rho):
-    # Columns alpha_0..alpha_{r-1}, then beta_0..beta_{r-1}; a row per
-    # symbol, then a row per output.
-    r = inst.r
-    rows = []
-    for x in range(r):
-        row = [0] * (2 * r)
-        row[x] = row[r + x] = 1
-        rows.append(row)
-    for block in inst.preimages:
-        row = [0] * r + [1] * r
-        for x in block:
-            row[x] = 1
-        rows.append(row)
-    rhs = [1] * r + [inst.l] * inst.k
-    costs = [p * rho for p in inst.pmf] + list(inst.pmf)
-    best = solve_rational(costs, rows, [LESS] * len(rows), rhs, maximize=True)
+    best = solve_rational(*polytope(inst, rho), maximize=True)
     assert exact_privacy(inst, rho).optimum == 1 - best.objective
+
+
+def anchor_mass_values(inst, rho):
+    """psi(b) for b = 0..l: the best value over P with the anchor mass
+    sum(beta) fixed at b, each from the LP over P with that row added."""
+    costs, rows, senses, rhs = polytope(inst, rho)
+    anchors = [0] * inst.r + [1] * inst.r
+    values = []
+    for b in range(inst.l + 1):
+        fixed = solve_rational(costs, [*rows, anchors], [*senses, EQUAL], [*rhs, b], maximize=True)
+        values.append(fixed.objective)
+    return values
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(inst=st.one_of(instances(r_max=6), tie_heavy_instances()), rho=LEVELS)
+def test_fixed_integer_anchor_mass_has_a_zero_one_optimum(inst, rho):
+    # With sum(beta) = b the rest of P is a transportation problem, so its
+    # optimum is a 0/1 point: the best labeling with b anchors.
+    points = zero_one_points(inst)
+    for b, psi in enumerate(anchor_mass_values(inst, rho)):
+        assert psi == max(anchor + rho * pick for n, anchor, pick in points if n == b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(inst=st.one_of(instances(r_max=6), tie_heavy_instances()), rho=LEVELS)
+def test_binary_optimum_is_attained_at_an_integer_anchor_mass(inst, rho):
+    # Outputs 1..k-1 merged into one give a binary instance; there the
+    # oracle gains nothing from a fractional anchor mass.
+    binary = Instance(pmf=inst.pmf, f=tuple(min(v, 1) for v in inst.f), l=inst.l)
+    assert exact_privacy(binary, rho).optimum == 1 - max(anchor_mass_values(binary, rho))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
